@@ -13,7 +13,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Datapath resource provisioning.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Resources {
     /// Arithmetic/compare units.
     pub alus: u32,

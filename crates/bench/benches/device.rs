@@ -5,6 +5,7 @@ use jafar_accel::ir::jafar_filter_kernel;
 use jafar_accel::{Dddg, Resources, Schedule};
 use jafar_bench::micro;
 use jafar_common::time::Tick;
+use jafar_core::aggregate::{AggOp, AggregateJob};
 use jafar_core::{grant_ownership, JafarDevice, Predicate, SelectJob};
 use jafar_dram::{AddressMapping, DramGeometry, DramModule, DramTiming, PhysAddr};
 
@@ -50,5 +51,33 @@ fn main() {
     });
     micro::run("accel/steady_state_ii", || {
         Schedule::steady_state_ii(&kernel, &Resources::jafar_default(), 8)
+    });
+
+    // One warm filtered aggregate job: the datapath rate was derived by
+    // the warm-up calls, so this times the streaming fold alone.
+    let mut module = DramModule::new(
+        DramGeometry::tiny(),
+        DramTiming::ddr3_paper().without_refresh(),
+        AddressMapping::RankRowBankBlock,
+    );
+    for i in 0..512u64 {
+        module
+            .data_mut()
+            .write_i64(PhysAddr(i * 8), (i % 1000) as i64);
+    }
+    let mut t = grant_ownership(&mut module, 0, Tick::ZERO)
+        .expect("fresh")
+        .acquired_at;
+    let mut device = JafarDevice::paper_default();
+    micro::run("device/run_aggregate", || {
+        let job = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows: 512,
+            op: AggOp::Sum,
+            filter: Some(Predicate::Between(100, 499)),
+        };
+        let run = device.run_aggregate(&mut module, job, t).expect("owned");
+        t = run.end;
+        run.value
     });
 }

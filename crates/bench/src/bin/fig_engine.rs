@@ -10,15 +10,22 @@
 //!   the engine's steady-state shape;
 //! - **select-burst (unfused / fused)**: a saturated same-column select
 //!   stream, the shared-scan fusion target. The fused run must sustain
-//!   at least the unfused *simulated* service rate (the deterministic
-//!   gate `bench_check` enforces — wall-clock numbers are machine-
-//!   dependent and only checked for finiteness) and is expected to beat
-//!   it by roughly the fuse window over the fused-scan overhead;
+//!   at least the unfused *simulated* service rate (a deterministic
+//!   gate `bench_check` enforces) and is expected to beat it by roughly
+//!   the fuse window over the fused-scan overhead;
 //! - **select-burst (unbatched)**: the same burst with one arrival per
 //!   engine event, pinning the event-count saving of batched admission.
 //!
+//! Each wall-clock figure is the median of five serves, each on a newly
+//! built `System` whose construction is not timed. Absolute rates depend
+//! on the host, so the only wall-clock gate is a ratio within one run:
+//! mixed-open must serve at least 0.3× the queries per second of
+//! select-burst-unfused. A fixed per-job cost on the aggregate or
+//! project path, which only mixed-open takes, drags it far below that.
+//!
 //! The run persists `BENCH_engine.json` every time; `bench_check`
-//! validates its schema and the two deterministic invariants in CI.
+//! validates its schema, the two deterministic invariants and the
+//! wall-clock ratio in CI.
 //!
 //! Usage: `fig_engine [--queries N] [--smoke]`
 
@@ -68,16 +75,29 @@ struct Scenario {
     queries_per_sec: f64,
 }
 
+/// Serves per scenario; the wall-clock figures are their median.
+const REPS: usize = 5;
+
 fn run_scenario(
     name: &'static str,
     values: &[i64],
     workload: &Workload,
     cfg: &ServeConfig,
 ) -> Scenario {
-    let mut sys = system();
-    let t0 = Instant::now();
-    let run = sys.serve(values, workload, SchedPolicy::Fifo, cfg);
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
+    let mut walls = Vec::with_capacity(REPS);
+    let mut last = None;
+    for _ in 0..REPS {
+        // A fresh machine per serve (a serve's buffers stay allocated in
+        // simulated memory), built outside the timer.
+        let mut sys = system();
+        let t0 = Instant::now();
+        let run = sys.serve(values, workload, SchedPolicy::Fifo, cfg);
+        walls.push(t0.elapsed().as_secs_f64().max(1e-9));
+        last = Some(run);
+    }
+    walls.sort_by(f64::total_cmp);
+    let wall = walls[REPS / 2];
+    let run = last.expect("REPS > 0");
     let report = &run.report;
     let n = report.records.len();
     assert_eq!(
@@ -197,6 +217,11 @@ fn main() {
         unbatched.events,
         unbatched.events - unfused.events
     );
+    println!(
+        "# wall clock: mixed-open serves {}x the queries/s of select-burst-unfused \
+         (bench_check gate >= 0.3; median of {REPS} serves each).",
+        f2(scenarios[0].queries_per_sec / unfused.queries_per_sec)
+    );
 
     let points: Vec<String> = scenarios
         .iter()
@@ -220,7 +245,7 @@ fn main() {
         .collect();
     let body = format!(
         "{{\n  \"bench\": \"fig_engine\",\n  \"smoke\": {smoke},\n  \"queries\": {n},\n  \
-         \"rows\": {rows},\n  \"scenarios\": [\n{}\n  ],\n  \"contention\": {{\"fuse_window\": 4, \
+         \"rows\": {rows},\n  \"reps\": {REPS},\n  \"scenarios\": [\n{}\n  ],\n  \"contention\": {{\"fuse_window\": 4, \
          \"unfused_qps\": {}, \"fused_qps\": {}, \"fused_multiple\": {}}},\n  \
          \"batching\": {{\"batched_events\": {}, \"unbatched_events\": {}}},\n  \
          \"baseline\": {}\n}}\n",

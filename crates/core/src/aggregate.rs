@@ -14,10 +14,9 @@
 //! fixed-function SHA/MD5 units the paper cites [9, 10, 47] — what matters
 //! to the model is the pipelined fixed-function latency, not the digest.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::datapath::Datapath;
+use crate::device::{device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
-use jafar_accel::ir::{KernelBuilder, OpKind};
-use jafar_accel::schedule::Schedule;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -100,29 +99,6 @@ pub fn hash_bucket(key: i64, buckets: usize) -> usize {
     (h >> (64 - buckets.trailing_zeros())) as usize % buckets
 }
 
-/// Derives the per-word rate (ps) of an aggregation datapath from its
-/// kernel schedule, on the device's clock and resources.
-fn agg_ps_per_word(device: &JafarDevice, filtered: bool) -> u64 {
-    let mut b = KernelBuilder::new();
-    let inc = b.induction(OpKind::Add, &[]);
-    let load = b.op(OpKind::Load, &[]);
-    let acc = if filtered {
-        let c1 = b.op(OpKind::ICmp, &[load]);
-        let c2 = b.op(OpKind::ICmp, &[load]);
-        let and = b.op(OpKind::And, &[c1, c2]);
-        let sel = b.op(OpKind::Select, &[load, and]);
-        b.op(OpKind::Add, &[sel])
-    } else {
-        b.op(OpKind::Add, &[load])
-    };
-    b.carry(acc, acc);
-    b.carry(inc, inc);
-    let kernel = b.build();
-    let cfg = device.config();
-    let ii = Schedule::steady_state_ii(&kernel, &cfg.resources, cfg.unroll);
-    (ii * cfg.clock.period().as_ps() as f64).round().max(1.0) as u64
-}
-
 impl JafarDevice {
     /// Streams a scalar aggregation over an owned rank.
     ///
@@ -141,7 +117,12 @@ impl JafarDevice {
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
-        let ps_per_word = agg_ps_per_word(self, job.filter.is_some());
+        let datapath = if job.filter.is_some() {
+            Datapath::FilteredAggregate
+        } else {
+            Datapath::Aggregate
+        };
+        let ps_per_word = datapath.ps_per_word(self.config());
         let bounds = job.filter.map(Predicate::bounds);
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
@@ -157,7 +138,7 @@ impl JafarDevice {
             let addr = PhysAddr(job.col_addr.0 + burst * 64);
             let access = module
                 .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
-                .map_err(|_| DeviceError::NotOwned)?;
+                .map_err(device_error)?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -220,23 +201,7 @@ impl JafarDevice {
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
-        // Hash + bucket update pipeline: hash (4 cyc, pipelined) feeding a
-        // compare + add; two loads per row (key + value).
-        let ps_per_word = {
-            let mut b = KernelBuilder::new();
-            let key = b.op(OpKind::Load, &[]);
-            let val = b.op(OpKind::Load, &[]);
-            let h = b.op(OpKind::Hash, &[key]);
-            let cmp = b.op(OpKind::ICmp, &[h]);
-            let upd = b.op(OpKind::Add, &[cmp, val]);
-            let inc = b.induction(OpKind::Add, &[]);
-            b.carry(inc, inc);
-            let _ = upd;
-            let kernel = b.build();
-            let cfg = self.config();
-            let ii = Schedule::steady_state_ii(&kernel, &cfg.resources, cfg.unroll);
-            (ii * cfg.clock.period().as_ps() as f64).round().max(1.0) as u64
-        };
+        let ps_per_word = Datapath::GroupBy.ps_per_word(self.config());
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
 
@@ -253,14 +218,14 @@ impl JafarDevice {
                 let addr = PhysAddr(col.0 + burst * 64);
                 let access = module
                     .serve_addr(addr, false, Requester::Ndp, *cursor, None)
-                    .expect("rank validated");
+                    .map_err(device_error)?;
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 *cursor = cas_at.max(*cursor) + t.bus_clock.period();
                 *free = (*free).max(access.data_ready);
-                access.data.expect("read")
+                Ok::<_, DeviceError>(access.data.expect("read"))
             };
-            let keys = fetch(job.key_addr, &mut issue_cursor, &mut proc_free);
-            let vals = fetch(job.val_addr, &mut issue_cursor, &mut proc_free);
+            let keys = fetch(job.key_addr, &mut issue_cursor, &mut proc_free)?;
+            let vals = fetch(job.val_addr, &mut issue_cursor, &mut proc_free)?;
             bursts_read += 2;
 
             let words = (job.rows - burst * 8).min(8);
@@ -300,7 +265,7 @@ impl JafarDevice {
                                 proc_free,
                                 Some(&pair),
                             )
-                            .expect("rank validated");
+                            .map_err(device_error)?;
                         spill_cursor += 64;
                         spilled += 1;
                     }
@@ -509,6 +474,41 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().min().unwrap();
         assert!(max < 200 && min > 40, "min={min} max={max}");
+    }
+
+    #[test]
+    fn ecc_failure_aborts_every_fold_with_a_typed_error() {
+        let (mut d, mut m, t0) = setup();
+        put(&mut m, 0, &[1; 64]);
+        m.set_fault_injector(Some(jafar_dram::FaultInjector::new(
+            jafar_dram::FaultPlan {
+                read_flip_p: 1.0,
+                double_flip_p: 1.0,
+                ..jafar_dram::FaultPlan::none(3)
+            },
+        )));
+        let agg = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows: 64,
+            op: AggOp::Sum,
+            filter: None,
+        };
+        let group_by = GroupByJob {
+            key_addr: PhysAddr(0),
+            val_addr: PhysAddr(8192),
+            rows: 64,
+            op: AggOp::Sum,
+            buckets: 4,
+            spill_addr: PhysAddr(64 * 1024),
+        };
+        assert_eq!(
+            d.run_aggregate(&mut m, agg, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
+        assert_eq!(
+            d.run_group_by(&mut m, group_by, t0).unwrap_err(),
+            DeviceError::Uncorrectable
+        );
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! - completion is signalled through the STATUS register, which the host
 //!   polls.
 
+use crate::datapath::Datapath;
 use crate::predicate::Predicate;
 use crate::regs::RegisterFile;
-use jafar_accel::ir::jafar_filter_kernel;
-use jafar_accel::schedule::{Resources, Schedule};
+use jafar_accel::schedule::Resources;
 use jafar_common::bitset::FixedBitBuf;
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::stats::Counter;
@@ -86,6 +86,19 @@ pub enum DeviceError {
     /// comparator array is a fixed hardware resource; the host must split
     /// wider batches itself.
     LaneOverflow,
+}
+
+/// Maps a failed NDP DRAM access to the error every datapath reports:
+/// lost ownership, an uncorrectable ECC read, or a transient rank
+/// condition that preempted the stream. The driver ladder acts on the
+/// difference: it re-grants only on `NotOwned` and books the ECC failure
+/// as `uncorrectable`.
+pub(crate) fn device_error(e: IssueError) -> DeviceError {
+    match e {
+        IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
+        IssueError::Uncorrectable => DeviceError::Uncorrectable,
+        _ => DeviceError::Interrupted,
+    }
 }
 
 /// Ceiling on fused predicate lanes per pass.
@@ -212,11 +225,10 @@ pub struct JafarDevice {
 
 impl JafarDevice {
     /// Builds a device, deriving its per-word throughput from the
-    /// Aladdin-style schedule of the filter kernel.
+    /// Aladdin-style schedule of the filter kernel (once per process for
+    /// each resources / unroll / clock combination).
     pub fn new(config: DeviceConfig) -> Self {
-        let ii =
-            Schedule::steady_state_ii(&jafar_filter_kernel(), &config.resources, config.unroll);
-        let ps_per_word = (ii * config.clock.period().as_ps() as f64).round() as u64;
+        let ps_per_word = Datapath::Filter.ps_per_word(&config);
         assert!(ps_per_word > 0, "degenerate device throughput");
         JafarDevice {
             config,
@@ -356,17 +368,12 @@ impl JafarDevice {
                     preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
                 }
             }
-            let access = match module.serve_addr(addr, false, Requester::Ndp, issue_cursor, None) {
-                Ok(a) => a,
-                Err(e) => {
+            let access = module
+                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+                .map_err(|e| {
                     self.regs.set_error();
-                    return Err(match e {
-                        IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                        IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                        _ => DeviceError::Interrupted,
-                    });
-                }
-            };
+                    device_error(e)
+                })?;
             bursts_read += 1;
             // Pipelined command issue: the next read may be requested one
             // bus cycle after this one's CAS went out.
@@ -528,17 +535,12 @@ impl JafarDevice {
                     preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
                 }
             }
-            let access = match module.serve_addr(addr, false, Requester::Ndp, issue_cursor, None) {
-                Ok(a) => a,
-                Err(e) => {
+            let access = module
+                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+                .map_err(|e| {
                     self.regs.set_error();
-                    return Err(match e {
-                        IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                        IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                        _ => DeviceError::Interrupted,
-                    });
-                }
-            };
+                    device_error(e)
+                })?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -641,11 +643,7 @@ impl JafarDevice {
                 module.serve_addr(PhysAddr(line_base), true, Requester::Ndp, at, Some(&burst));
             if let Err(e) = served {
                 self.regs.set_error();
-                return Err(match e {
-                    IssueError::NdpWithoutOwnership => DeviceError::NotOwned,
-                    IssueError::Uncorrectable => DeviceError::Uncorrectable,
-                    _ => DeviceError::Interrupted,
-                });
+                return Err(device_error(e));
             }
             *bursts_written += 1;
             self.tracer.emit(

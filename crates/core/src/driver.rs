@@ -1921,6 +1921,45 @@ mod tests {
     }
 
     #[test]
+    fn ecc_failure_in_an_aggregate_retries_under_the_same_lease() {
+        let job = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows: 2048,
+            op: AggOp::Sum,
+            filter: Some(crate::predicate::Predicate::Between(100, 499)),
+        };
+        let (mut m, _) = module_with_column(2048, 41);
+        let mut clean = ResilientDriver::new(ResilienceConfig::default());
+        let expect =
+            clean.run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO);
+
+        // Every disturbed burst is a double flip that SECDED detects but
+        // cannot correct: the device aborts with an ECC error while the
+        // rank stays owned.
+        let (mut m, _) = module_with_column(2048, 41);
+        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+            read_flip_p: 0.002,
+            double_flip_p: 1.0,
+            ecc: true,
+            ..FaultPlan::none(5)
+        })));
+        let mut driver = ResilientDriver::new(ResilienceConfig::default());
+        let out = driver.run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO);
+        assert!(out.on_device);
+        assert_eq!(out.value, expect.value, "retried scalar differs");
+        let s = driver.stats();
+        assert!(
+            s.uncorrectable.get() >= 1,
+            "the ECC abort is booked as such"
+        );
+        assert_eq!(
+            s.lease_grants.get(),
+            clean.stats().lease_grants.get(),
+            "an ECC abort is not lost ownership: no re-grant"
+        );
+    }
+
+    #[test]
     fn try_run_aggregate_hands_the_job_back_instead_of_folding() {
         let (mut m, values) = module_with_column(2048, 33);
         let mut device = JafarDevice::paper_default();

@@ -10,7 +10,7 @@
 //! the alternative (the storage engine shuffling columns to be physically
 //! contiguous per DIMM) exists.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -157,7 +157,7 @@ impl JafarDevice {
                     issue_cursor,
                     None,
                 )
-                .map_err(|_| DeviceError::NotOwned)?;
+                .map_err(device_error)?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -184,14 +184,14 @@ impl JafarDevice {
             let addr = PhysAddr(job.out_addr.0 + ob * 64);
             let access = module
                 .serve_addr(addr, false, Requester::Ndp, proc_free, None)
-                .map_err(|_| DeviceError::NotOwned)?;
+                .map_err(device_error)?;
             rmw_reads += 1;
             proc_free = proc_free.max(access.data_ready);
             let mut burst = access.data.expect("read");
             merge_masked_bits(&mut burst, &local_bits, ob * 512, job.ways, job.phase);
             module
                 .serve_addr(addr, true, Requester::Ndp, proc_free, Some(&burst))
-                .expect("rank validated");
+                .map_err(device_error)?;
             bursts_written += 1;
             proc_free += t.t_burst;
         }

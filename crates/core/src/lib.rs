@@ -35,6 +35,7 @@
 
 pub mod aggregate;
 pub mod api;
+mod datapath;
 pub mod device;
 pub mod driver;
 pub mod interleave;

@@ -9,7 +9,7 @@
 //! packed, to a pre-allocated output region — none of it crossing the
 //! memory bus.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{device_error, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -90,7 +90,7 @@ impl JafarDevice {
                         issue_cursor,
                         None,
                     )
-                    .map_err(|_| DeviceError::NotOwned)?;
+                    .map_err(device_error)?;
                 bursts_read += 1;
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -105,7 +105,7 @@ impl JafarDevice {
                     issue_cursor,
                     None,
                 )
-                .map_err(|_| DeviceError::NotOwned)?;
+                .map_err(device_error)?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -132,7 +132,7 @@ impl JafarDevice {
                                 proc_free,
                                 Some(&out_buf),
                             )
-                            .expect("rank validated");
+                            .map_err(device_error)?;
                         bursts_written += 1;
                         out_cursor += 64;
                         out_fill = 0;
@@ -151,7 +151,7 @@ impl JafarDevice {
                     proc_free,
                     Some(&out_buf),
                 )
-                .expect("rank validated");
+                .map_err(device_error)?;
             bursts_written += 1;
         }
 

@@ -9,7 +9,7 @@
 //! parallel ALU pairs, ANDs the outcomes, and emits the same bitset a
 //! columnar select would.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::bitset::FixedBitBuf;
 use jafar_common::time::Tick;
@@ -117,7 +117,7 @@ impl JafarDevice {
                     issue_cursor,
                     None,
                 )
-                .map_err(|_| DeviceError::NotOwned)?;
+                .map_err(device_error)?;
             bursts_read += 1;
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
@@ -149,7 +149,7 @@ impl JafarDevice {
                                 proc_free,
                                 Some(&b),
                             )
-                            .expect("rank validated");
+                            .map_err(device_error)?;
                         bursts_written += 1;
                         out_cursor += chunk.len() as u64;
                     }
@@ -173,7 +173,7 @@ impl JafarDevice {
                         proc_free,
                         Some(&b),
                     )
-                    .expect("rank validated");
+                    .map_err(device_error)?;
                 bursts_written += 1;
                 out_cursor += chunk.len() as u64;
             }

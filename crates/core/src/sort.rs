@@ -16,7 +16,7 @@
 //! device cycle; its depth `O(log² k)` adds only fill latency. Merge
 //! passes stream at one element per cycle per pass.
 
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{device_error, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -129,7 +129,7 @@ impl JafarDevice {
                             issue,
                             None,
                         )
-                        .expect("rank validated");
+                        .map_err(device_error)?;
                     let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                     issue = cas_at.max(issue) + timing.bus_clock.period();
                     t = t.max(access.data_ready);
@@ -137,17 +137,17 @@ impl JafarDevice {
                     // Output burst follows one network-depth behind.
                     module
                         .serve_addr(PhysAddr(to.0 + b * 64), true, Requester::Ndp, t, None)
-                        .expect("rank validated");
+                        .map_err(device_error)?;
                     *bursts += 2;
                 }
-                t + Tick::from_ps(network_depth * ps_per_word)
+                Ok::<_, DeviceError>(t + Tick::from_ps(network_depth * ps_per_word))
             };
 
         // Functional run generation.
         for chunk in values.chunks_mut(k as usize) {
             chunk.sort_unstable(); // the network's effect on one run
         }
-        now = stream_pass(module, job.col_addr, job.out_addr, now, &mut bursts_moved);
+        now = stream_pass(module, job.col_addr, job.out_addr, now, &mut bursts_moved)?;
         let mut passes = 1u32;
         let mut run_len = k;
         // Ping-pong merge passes.
@@ -176,7 +176,7 @@ impl JafarDevice {
             } else {
                 (job.col_addr, job.out_addr)
             };
-            now = stream_pass(module, from, to, now, &mut bursts_moved);
+            now = stream_pass(module, from, to, now, &mut bursts_moved)?;
             src_is_out = !src_is_out;
             run_len *= 2;
             passes += 1;
