@@ -4,6 +4,7 @@
 use jafar_accel::ir::jafar_filter_kernel;
 use jafar_accel::{Dddg, Resources, Schedule};
 use jafar_bench::micro;
+use jafar_common::rng::SplitMix64;
 use jafar_common::time::Tick;
 use jafar_core::aggregate::{AggOp, AggregateJob};
 use jafar_core::{grant_ownership, JafarDevice, Predicate, SelectJob};
@@ -18,10 +19,13 @@ fn main() {
                 DramTiming::ddr3_paper().without_refresh(),
                 AddressMapping::RankRowBankBlock,
             );
+            // Seeded uniform values: the predicate's outcome is as
+            // unpredictable word to word as on the served workloads.
+            let mut rng = SplitMix64::new(42);
             for i in 0..65_536u64 {
                 module
                     .data_mut()
-                    .write_i64(PhysAddr(i * 8), (i % 1000) as i64);
+                    .write_i64(PhysAddr(i * 8), rng.next_range_inclusive(0, 999));
             }
             let lease = grant_ownership(&mut module, 0, Tick::ZERO).expect("fresh");
             let t0 = lease.acquired_at;

@@ -4,6 +4,7 @@
 
 use jafar_bench::micro;
 use jafar_common::time::Tick;
+use jafar_core::grant_ownership;
 use jafar_dram::{
     AddressDecoder, AddressMapping, DramGeometry, DramModule, DramTiming, PhysAddr, Requester,
 };
@@ -42,6 +43,28 @@ fn main() {
             now
         },
     );
+
+    // The NDP device's access pattern: 1k sequential bursts from a rank
+    // it owns, each read issued one bus cycle after the previous one's
+    // CAS. The module and its data stay warm across iterations.
+    let mut ndp = module();
+    for i in 0..8192u64 {
+        ndp.data_mut().write_i64(PhysAddr(i * 8), i as i64);
+    }
+    let mut now = grant_ownership(&mut ndp, 0, Tick::ZERO)
+        .expect("fresh module")
+        .acquired_at;
+    let t = *ndp.timing();
+    let cas_pipeline = t.cl + t.t_burst;
+    micro::run("dram/serve_addr_ndp_streaming", || {
+        for i in 0..1024u64 {
+            let access = ndp
+                .serve_addr(PhysAddr(i * 64), false, Requester::Ndp, now, None)
+                .expect("owned rank, in range");
+            now = access.data_ready.saturating_sub(cas_pipeline).max(now) + t.bus_clock.period();
+        }
+        now
+    });
 
     micro::run_batched("dram/serve_block_random_1k_bursts", module, |mut module| {
         let mut now = Tick::ZERO;

@@ -15,7 +15,9 @@
 //! to the model is the pipelined fixed-function latency, not the digest.
 
 use crate::datapath::Datapath;
-use crate::device::{device_error, DeviceError, JafarDevice};
+use crate::device::{
+    burst_words, device_error, job_rank, live_mask, range_mask, DeviceError, JafarDevice,
+};
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -113,7 +115,7 @@ impl JafarDevice {
         if job.col_addr.block_offset() != 0 {
             return Err(DeviceError::Misaligned);
         }
-        let rank = module.decoder().decode(job.col_addr).rank;
+        let rank = job_rank(module, &[(job.col_addr, job.rows.saturating_mul(8))])?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
@@ -131,7 +133,8 @@ impl JafarDevice {
         let mut proc_free = start;
         let mut bursts_read = 0u64;
         let mut count = 0u64;
-        let mut acc: Option<i64> = None;
+        // The three folds, at their identities.
+        let (mut sum, mut min, mut max) = (0i64, i64::MAX, i64::MIN);
 
         let total_bursts = job.rows.div_ceil(8);
         for burst in 0..total_bursts {
@@ -143,37 +146,47 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
             proc_free = proc_free.max(access.data_ready);
-            let data = access.data.expect("read");
-            let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                let qualifies = bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi);
-                if qualifies {
-                    count += 1;
-                    acc = Some(match (job.op, acc) {
-                        (AggOp::Sum | AggOp::Avg | AggOp::Count, prev) => {
-                            prev.unwrap_or(0).wrapping_add(match job.op {
-                                AggOp::Count => 1,
-                                _ => v,
-                            })
-                        }
-                        (AggOp::Min, None) => v,
-                        (AggOp::Min, Some(p)) => p.min(v),
-                        (AggOp::Max, None) => v,
-                        (AggOp::Max, Some(p)) => p.max(v),
-                    });
+            let values = burst_words(&access.data.expect("read"));
+            let words = (job.rows - burst * 8).min(8) as usize;
+            let live = match bounds {
+                Some((lo, hi)) => range_mask(&values, words, lo, hi),
+                None => live_mask(words),
+            };
+            count += u64::from(live.count_ones());
+            // A word that does not qualify folds in as the fold's
+            // identity, so all eight fold without a branch on the filter.
+            // The wrapping sum is associative: the result is the
+            // word-by-word one.
+            let qualifying = |identity: i64| -> [i64; 8] {
+                std::array::from_fn(|w| {
+                    if live >> w & 1 == 1 {
+                        values[w]
+                    } else {
+                        identity
+                    }
+                })
+            };
+            match job.op {
+                AggOp::Sum | AggOp::Avg => {
+                    sum = qualifying(0).into_iter().fold(sum, i64::wrapping_add)
                 }
+                AggOp::Min => min = qualifying(i64::MAX).into_iter().fold(min, i64::min),
+                AggOp::Max => max = qualifying(i64::MIN).into_iter().fold(max, i64::max),
+                AggOp::Count => {}
             }
-            proc_free += Tick::from_ps(words * ps_per_word);
+            proc_free += Tick::from_ps(words as u64 * ps_per_word);
         }
 
+        let value = match job.op {
+            AggOp::Count => count as i64,
+            AggOp::Sum | AggOp::Avg => sum,
+            AggOp::Min => min,
+            AggOp::Max => max,
+        };
         Ok(AggregateRun {
             end: proc_free,
-            value: match job.op {
-                AggOp::Count => Some(count as i64),
-                _ => acc,
-            },
+            // Only a count is defined over no qualifying row.
+            value: (count > 0 || job.op == AggOp::Count).then_some(value),
             count,
             bursts_read,
         })
@@ -197,7 +210,16 @@ impl JafarDevice {
         if job.key_addr.block_offset() != 0 || job.val_addr.block_offset() != 0 {
             return Err(DeviceError::Misaligned);
         }
-        let rank = module.decoder().decode(job.key_addr).rank;
+        let col_bytes = job.rows.saturating_mul(8);
+        // Each spilled row takes a whole burst.
+        let rank = job_rank(
+            module,
+            &[
+                (job.key_addr, col_bytes),
+                (job.val_addr, col_bytes),
+                (job.spill_addr, job.rows.saturating_mul(64)),
+            ],
+        )?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
@@ -509,6 +531,76 @@ mod tests {
             d.run_group_by(&mut m, group_by, t0).unwrap_err(),
             DeviceError::Uncorrectable
         );
+    }
+
+    /// The word-by-word fold that folding a burst at a time must equal.
+    fn reference_fold(values: &[i64], op: AggOp, bounds: Option<(i64, i64)>) -> (Option<i64>, u64) {
+        let mut count = 0u64;
+        let mut acc: Option<i64> = None;
+        for &v in values {
+            if bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
+                count += 1;
+                acc = Some(match (op, acc) {
+                    (AggOp::Count, prev) => prev.unwrap_or(0).wrapping_add(1),
+                    (AggOp::Sum | AggOp::Avg, prev) => prev.unwrap_or(0).wrapping_add(v),
+                    (AggOp::Min, prev) => prev.map_or(v, |p| p.min(v)),
+                    (AggOp::Max, prev) => prev.map_or(v, |p| p.max(v)),
+                });
+            }
+        }
+        let value = match op {
+            AggOp::Count => Some(count as i64),
+            _ => acc,
+        };
+        (value, count)
+    }
+
+    #[test]
+    fn burst_folds_match_a_word_by_word_wrapping_fold() {
+        use jafar_common::check::forall;
+        forall("aggregate folds match the per-word fold", 64, |rng| {
+            let (mut d, mut m, t0) = setup();
+            let rows = rng.next_below(300) as usize;
+            // Mostly extremes, so sums wrap many times over.
+            let values: Vec<i64> = (0..rows)
+                .map(|_| match rng.next_below(4) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.next_range_inclusive(-5, 5),
+                })
+                .collect();
+            let col = 64 * rng.next_below(20);
+            put(&mut m, col, &values);
+            let op = [AggOp::Sum, AggOp::Min, AggOp::Max, AggOp::Count, AggOp::Avg]
+                [rng.next_below(5) as usize];
+            let bounds = match rng.next_below(4) {
+                0 => None,
+                1 => Some((i64::MIN, i64::MAX)),
+                2 => Some((1, 0)),
+                _ => {
+                    let lo = rng.next_range_inclusive(-5, 5);
+                    Some((lo, lo + rng.next_range_inclusive(0, 5)))
+                }
+            };
+            let run = d
+                .run_aggregate(
+                    &mut m,
+                    AggregateJob {
+                        col_addr: PhysAddr(col),
+                        rows: rows as u64,
+                        op,
+                        filter: bounds.map(|(lo, hi)| Predicate::Between(lo, hi)),
+                    },
+                    t0,
+                )
+                .unwrap();
+            let (value, count) = reference_fold(&values, op, bounds);
+            assert_eq!(
+                (run.value, run.count),
+                (value, count),
+                "{op:?} over {bounds:?}"
+            );
+        });
     }
 
     #[test]

@@ -335,6 +335,31 @@ mod tests {
     }
 
     #[test]
+    fn select_past_the_module_end_is_efault() {
+        let mut m = DramModule::new(
+            DramGeometry::tiny(),
+            DramTiming::ddr3_paper().without_refresh(),
+            AddressMapping::RankRowBankBlock,
+        );
+        let lease = grant_ownership(&mut m, 1, Tick::ZERO).unwrap();
+        let tail = m.geometry().capacity_bytes() - 64;
+        let out = select_jafar(
+            &mut JafarDevice::paper_default(),
+            &mut m,
+            SelectArgs {
+                col_data: PhysAddr(tail),
+                range_low: 0,
+                range_high: 10,
+                out_buf: PhysAddr(tail - 4096),
+                num_input_rows: 16,
+            },
+            lease.acquired_at,
+        );
+        assert_eq!(out.errno, errno::EFAULT);
+        assert!(out.run.is_none());
+    }
+
+    #[test]
     fn errno_mapping() {
         let (mut d, mut m, t0) = setup();
         // Misaligned input.

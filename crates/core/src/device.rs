@@ -101,6 +101,57 @@ pub(crate) fn device_error(e: IssueError) -> DeviceError {
     }
 }
 
+/// The rank holding every byte a job touches, or
+/// [`DeviceError::SpansRanks`] when one of its regions runs past the
+/// module's end, wraps around the address space, or crosses onto another
+/// rank. `regions` are `(base, bytes)`: the first one's base names the
+/// rank (it is checked even when empty); other empty regions touch
+/// nothing. Byte lengths computed with saturating arithmetic stay safe:
+/// a saturated length always runs past the end. Every datapath calls
+/// this once per job, before it touches DRAM.
+pub(crate) fn job_rank(
+    module: &DramModule,
+    regions: &[(PhysAddr, u64)],
+) -> Result<u32, DeviceError> {
+    let decoder = module.decoder();
+    let rank_of =
+        |addr: u64| (addr < decoder.capacity()).then(|| decoder.decode(PhysAddr(addr)).rank);
+    let rank = rank_of(regions[0].0 .0).ok_or(DeviceError::SpansRanks)?;
+    for &(base, bytes) in regions {
+        if bytes == 0 {
+            continue;
+        }
+        let last = base.0.checked_add(bytes - 1);
+        if rank_of(base.0) != Some(rank) || last.and_then(rank_of) != Some(rank) {
+            return Err(DeviceError::SpansRanks);
+        }
+    }
+    Ok(rank)
+}
+
+/// The eight `i64` words of one 64-byte burst.
+pub(crate) fn burst_words(data: &[u8; 64]) -> [i64; 8] {
+    std::array::from_fn(|w| i64::from_le_bytes(data[w * 8..w * 8 + 8].try_into().expect("8 bytes")))
+}
+
+/// The low `n` bits set: the words of a burst that belong to the job (a
+/// column's last burst may be partial). `n` ≤ 8.
+pub(crate) fn live_mask(n: usize) -> u64 {
+    (1u64 << n) - 1
+}
+
+/// The range filter over one burst: bit `w` is set when word `w` is one
+/// of the first `n` and lies in `[lo, hi]`. All eight comparisons run
+/// and no branch depends on an outcome, so the host pays no mispredict
+/// on data the predicate splits at random.
+pub(crate) fn range_mask(words: &[i64; 8], n: usize, lo: i64, hi: i64) -> u64 {
+    let mut mask = 0u64;
+    for (w, &v) in words.iter().enumerate() {
+        mask |= u64::from((lo <= v) & (v <= hi)) << w;
+    }
+    mask & live_mask(n)
+}
+
 /// Ceiling on fused predicate lanes per pass.
 ///
 /// The fused datapath provisions one comparator lane per word of the
@@ -213,6 +264,45 @@ pub(crate) fn preopen_row(module: &mut DramModule, addr: PhysAddr, now: Tick) {
     }
 }
 
+/// The device's row lookahead over a strictly sequential column stream:
+/// on entering each row group it opens the *next* group's row, so the row
+/// switch hides under the current group's streaming. Row groups are
+/// address-space-absolute — `SimAlloc` only guarantees 64-byte alignment,
+/// so a job may start mid-group and the crossings are computed from the
+/// absolute block index, not the job-relative burst count. The next
+/// crossing is kept, so only a crossing costs a division.
+struct RowLookahead {
+    first_block: u64,
+    bursts_per_row: u64,
+    total_bursts: u64,
+    /// The job-relative burst that enters the next row group.
+    next_group: u64,
+}
+
+impl RowLookahead {
+    fn new(module: &DramModule, col_addr: PhysAddr, total_bursts: u64) -> Self {
+        RowLookahead {
+            first_block: col_addr.block_index(),
+            bursts_per_row: module.geometry().bursts_per_row() as u64,
+            total_bursts,
+            next_group: 0,
+        }
+    }
+
+    /// Runs before burst `burst` is requested at `at`.
+    fn before(&mut self, module: &mut DramModule, burst: u64, at: Tick) {
+        if burst != self.next_group {
+            return;
+        }
+        let group = (self.first_block + burst) / self.bursts_per_row;
+        let next_block = (group + 1) * self.bursts_per_row;
+        self.next_group = next_block - self.first_block;
+        if self.next_group < self.total_bursts {
+            preopen_row(module, PhysAddr(next_block * 64), at);
+        }
+    }
+}
+
 /// The device.
 pub struct JafarDevice {
     config: DeviceConfig,
@@ -288,21 +378,13 @@ impl JafarDevice {
         if job.col_addr.block_offset() != 0 || job.out_addr.block_offset() != 0 {
             return Err(DeviceError::Misaligned);
         }
-        if job.rows == 0 {
-            // Trivially valid; rank check on the first block only.
-        }
-        let first = module.decoder().decode(job.col_addr);
-        let rank = first.rank;
-        if job.rows > 0 {
-            let last_in = PhysAddr(job.col_addr.0 + (job.rows - 1) * 8);
-            let out_bytes = job.rows.div_ceil(8);
-            let last_out = PhysAddr(job.out_addr.0 + out_bytes.saturating_sub(1));
-            for probe in [last_in, job.out_addr, last_out] {
-                if module.decoder().decode(probe).rank != rank {
-                    return Err(DeviceError::SpansRanks);
-                }
-            }
-        }
+        let rank = job_rank(
+            module,
+            &[
+                (job.col_addr, job.rows.saturating_mul(8)),
+                (job.out_addr, job.rows.div_ceil(8)),
+            ],
+        )?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
@@ -349,25 +431,11 @@ impl JafarDevice {
         let mut bursts_written = 0u64;
         let mut out_cursor = job.out_addr.0;
 
-        let bursts_per_row = module.geometry().bursts_per_row() as u64;
         let total_bursts = job.rows.div_ceil(8);
+        let mut lookahead = RowLookahead::new(module, job.col_addr, total_bursts);
         for burst in 0..total_bursts {
             let addr = PhysAddr(job.col_addr.0 + burst * 64);
-            // Hardware row lookahead: on entering each row group, open the
-            // *next* group's row so the row switch hides under the current
-            // group's streaming (the device knows its access pattern is
-            // strictly sequential). Row groups are address-space-absolute —
-            // `SimAlloc` only guarantees 64-byte alignment, so the job may
-            // start mid-group and the crossings must be computed from the
-            // absolute block index, not the job-relative burst count.
-            let abs_block = job.col_addr.0 / 64 + burst;
-            if burst == 0 || abs_block.is_multiple_of(bursts_per_row) {
-                let next_block = (abs_block / bursts_per_row + 1) * bursts_per_row;
-                let next_burst = next_block - job.col_addr.0 / 64;
-                if next_burst < total_bursts {
-                    preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
-                }
-            }
+            lookahead.before(module, burst, issue_cursor);
             let access = module
                 .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
                 .map_err(|e| {
@@ -387,22 +455,21 @@ impl JafarDevice {
                 proc_free = ready;
             }
             let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                let hit = lo <= v && v <= hi;
-                matched += u64::from(hit);
-                out_buf.push(hit);
-                if out_buf.is_full() {
-                    let bytes = out_buf.drain_bytes();
-                    out_cursor = self.write_bitset_chunk(
-                        module,
-                        out_cursor,
-                        &bytes,
-                        proc_free,
-                        &mut bursts_written,
-                    )?;
-                }
+            let hits = range_mask(&burst_words(&data), words as usize, lo, hi);
+            matched += u64::from(hits.count_ones());
+            // The buffer holds a multiple of 8 bits and every burst but
+            // the last pushes 8, so it fills only at a burst boundary and
+            // drains at the tick a word-by-word push would drain it.
+            out_buf.push_bits(hits, words as usize);
+            if out_buf.is_full() {
+                let bytes = out_buf.drain_bytes();
+                out_cursor = self.write_bitset_chunk(
+                    module,
+                    out_cursor,
+                    &bytes,
+                    proc_free,
+                    &mut bursts_written,
+                )?;
             }
             proc_free += Tick::from_ps(words * self.ps_per_word);
         }
@@ -447,22 +514,9 @@ impl JafarDevice {
         if job.col_addr.block_offset() != 0 || job.out_addrs.iter().any(|a| a.block_offset() != 0) {
             return Err(DeviceError::Misaligned);
         }
-        let rank = module.decoder().decode(job.col_addr).rank;
-        if job.rows > 0 {
-            let last_in = PhysAddr(job.col_addr.0 + (job.rows - 1) * 8);
-            let out_bytes = job.rows.div_ceil(8);
-            if module.decoder().decode(last_in).rank != rank {
-                return Err(DeviceError::SpansRanks);
-            }
-            for out in &job.out_addrs {
-                let last_out = PhysAddr(out.0 + out_bytes.saturating_sub(1));
-                for probe in [*out, last_out] {
-                    if module.decoder().decode(probe).rank != rank {
-                        return Err(DeviceError::SpansRanks);
-                    }
-                }
-            }
-        }
+        let mut regions = vec![(job.col_addr, job.rows.saturating_mul(8))];
+        regions.extend(job.out_addrs.iter().map(|&out| (out, job.rows.div_ceil(8))));
+        let rank = job_rank(module, &regions)?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
@@ -522,19 +576,11 @@ impl JafarDevice {
         let mut bursts_read = 0u64;
         let mut bursts_written = 0u64;
 
-        let bursts_per_row = module.geometry().bursts_per_row() as u64;
         let total_bursts = job.rows.div_ceil(8);
+        let mut lookahead = RowLookahead::new(module, job.col_addr, total_bursts);
         for burst in 0..total_bursts {
             let addr = PhysAddr(job.col_addr.0 + burst * 64);
-            // Same absolute-block row lookahead as the solo path.
-            let abs_block = job.col_addr.0 / 64 + burst;
-            if burst == 0 || abs_block.is_multiple_of(bursts_per_row) {
-                let next_block = (abs_block / bursts_per_row + 1) * bursts_per_row;
-                let next_burst = next_block - job.col_addr.0 / 64;
-                if next_burst < total_bursts {
-                    preopen_row(module, PhysAddr(next_block * 64), issue_cursor);
-                }
-            }
+            lookahead.before(module, burst, issue_cursor);
             let access = module
                 .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
                 .map_err(|e| {
@@ -552,24 +598,23 @@ impl JafarDevice {
                 proc_free = ready;
             }
             let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                for lane in 0..k {
-                    let (lo, hi) = bounds[lane];
-                    let hit = lo <= v && v <= hi;
-                    matched[lane] += u64::from(hit);
-                    out_bufs[lane].push(hit);
-                    if out_bufs[lane].is_full() {
-                        let bytes = out_bufs[lane].drain_bytes();
-                        out_cursors[lane] = self.write_bitset_chunk(
-                            module,
-                            out_cursors[lane],
-                            &bytes,
-                            proc_free,
-                            &mut bursts_written,
-                        )?;
-                    }
+            let values = burst_words(&data);
+            // Every lane fills at the same burst boundary and drains in
+            // lane order, as a word-by-word push would drain them.
+            for lane in 0..k {
+                let (lo, hi) = bounds[lane];
+                let hits = range_mask(&values, words as usize, lo, hi);
+                matched[lane] += u64::from(hits.count_ones());
+                out_bufs[lane].push_bits(hits, words as usize);
+                if out_bufs[lane].is_full() {
+                    let bytes = out_bufs[lane].drain_bytes();
+                    out_cursors[lane] = self.write_bitset_chunk(
+                        module,
+                        out_cursors[lane],
+                        &bytes,
+                        proc_free,
+                        &mut bursts_written,
+                    )?;
                 }
             }
             proc_free += Tick::from_ps(words * self.ps_per_word);
@@ -665,6 +710,7 @@ mod tests {
     use super::*;
     use crate::ownership::grant_ownership;
     use jafar_common::bitset::BitSet;
+    use jafar_common::check::forall;
     use jafar_common::rng::SplitMix64;
     use jafar_dram::{AddressMapping, DramGeometry, DramTiming};
 
@@ -1072,5 +1118,221 @@ mod tests {
         assert_eq!(d.stats().jobs.get(), 2);
         assert_eq!(d.stats().words.get(), 1024);
         assert_eq!(d.stats().bursts_read.get(), 128);
+    }
+
+    /// Selection bytes, LSB-first within each byte.
+    fn reference_bytes(values: &[i64], lo: i64, hi: i64) -> Vec<u8> {
+        let mut bytes = vec![0u8; values.len().div_ceil(8)];
+        for (i, &v) in values.iter().enumerate() {
+            if lo <= v && v <= hi {
+                bytes[i / 8] |= 1 << (i % 8);
+            }
+        }
+        bytes
+    }
+
+    /// A predicate drawn from the edge cases the burst mask must get
+    /// right: the full range, an empty range (`lo > hi`), a point
+    /// (`lo == hi`) on a column value, or an arbitrary range.
+    fn edge_bounds(rng: &mut SplitMix64, values: &[i64]) -> (i64, i64) {
+        let pick = |rng: &mut SplitMix64| {
+            if values.is_empty() {
+                0
+            } else {
+                values[rng.next_below(values.len() as u64) as usize]
+            }
+        };
+        match rng.next_below(4) {
+            0 => (i64::MIN, i64::MAX),
+            1 => {
+                let hi = rng.next_range_inclusive(-1000, 1000);
+                (hi + 1 + rng.next_range_inclusive(0, 50), hi)
+            }
+            2 => {
+                let v = pick(rng);
+                (v, v)
+            }
+            _ => {
+                let (a, b) = (pick(rng), pick(rng));
+                (a.min(b), a.max(b))
+            }
+        }
+    }
+
+    /// Values in a small range with the integer extremes mixed in.
+    fn edge_column(rng: &mut SplitMix64, rows: usize) -> Vec<i64> {
+        (0..rows)
+            .map(|_| match rng.next_below(16) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => rng.next_range_inclusive(-1000, 1000),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn burst_masks_match_the_reference_for_any_buffer_and_predicate() {
+        forall("select and fused select match reference bytes", 48, |rng| {
+            let (mut m, t0) = owned_module();
+            let out_buf_bits = [8, 24, 520][rng.next_below(3) as usize];
+            let mut d = JafarDevice::new(DeviceConfig {
+                out_buf_bits,
+                ..DeviceConfig::default()
+            });
+            let rows = rng.next_below(700) as usize;
+            let values = edge_column(rng, rows);
+            // Start anywhere in the first row group, 64-byte aligned.
+            let col = 64 * rng.next_below(20);
+            put_column(&mut m, col, &values);
+            let out = 96 * 1024;
+            let (lo, hi) = edge_bounds(rng, &values);
+            let run = d
+                .run_select(
+                    &mut m,
+                    SelectJob {
+                        col_addr: PhysAddr(col),
+                        rows: rows as u64,
+                        predicate: Predicate::Between(lo, hi),
+                        out_addr: PhysAddr(out),
+                    },
+                    t0,
+                )
+                .unwrap();
+            let expect = reference_bytes(&values, lo, hi);
+            let ones: u32 = expect.iter().map(|b| b.count_ones()).sum();
+            assert_eq!(run.matched, u64::from(ones));
+            let mut got = vec![0u8; expect.len()];
+            m.data().read(PhysAddr(out), &mut got);
+            assert_eq!(
+                got, expect,
+                "solo select, {out_buf_bits}-bit buffer, [{lo}, {hi}]"
+            );
+
+            let lanes: Vec<(i64, i64)> = (0..1 + rng.next_below(MAX_FUSED_LANES as u64))
+                .map(|_| edge_bounds(rng, &values))
+                .collect();
+            let lane_out = |l: usize| PhysAddr(128 * 1024 + l as u64 * 4096);
+            let fused = d
+                .run_select_fused(
+                    &mut m,
+                    &FusedSelectJob {
+                        col_addr: PhysAddr(col),
+                        rows: rows as u64,
+                        predicates: lanes
+                            .iter()
+                            .map(|&(a, b)| Predicate::Between(a, b))
+                            .collect(),
+                        out_addrs: (0..lanes.len()).map(lane_out).collect(),
+                    },
+                    run.end,
+                )
+                .unwrap();
+            for (l, &(lo, hi)) in lanes.iter().enumerate() {
+                let expect = reference_bytes(&values, lo, hi);
+                let mut got = vec![0u8; expect.len()];
+                m.data().read(lane_out(l), &mut got);
+                assert_eq!(got, expect, "fused lane {l}, {out_buf_bits}-bit buffer");
+                let ones: u32 = expect.iter().map(|b| b.count_ones()).sum();
+                assert_eq!(fused.matched[l], u64::from(ones));
+            }
+        });
+    }
+
+    /// The tiny module with its last rank granted, and the address 64
+    /// bytes before its end: a 16-row job there runs one burst past it.
+    fn past_the_end_module() -> (DramModule, Tick, u64) {
+        let mut m = DramModule::new(
+            DramGeometry::tiny(),
+            DramTiming::ddr3_paper().without_refresh(),
+            AddressMapping::RankRowBankBlock,
+        );
+        let last_rank = m.geometry().ranks - 1;
+        let lease = grant_ownership(&mut m, last_rank, Tick::ZERO).expect("fresh module");
+        let end = m.geometry().capacity_bytes();
+        (m, lease.acquired_at, end - 64)
+    }
+
+    #[test]
+    fn select_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let out_addr = PhysAddr(tail - 4096);
+        let job = |rows| SelectJob {
+            col_addr: PhysAddr(tail),
+            rows,
+            predicate: Predicate::Between(0, 10),
+            out_addr,
+        };
+        assert_eq!(
+            d.run_select(&mut m, job(16), t0),
+            Err(DeviceError::SpansRanks)
+        );
+        // A row count whose byte length overflows u64 cannot wrap back
+        // into range.
+        assert_eq!(
+            d.run_select(&mut m, job(u64::MAX - 3), t0),
+            Err(DeviceError::SpansRanks)
+        );
+        // The last full burst is still a valid job.
+        assert_eq!(d.run_select(&mut m, job(8), t0).unwrap().bursts_read, 1);
+    }
+
+    #[test]
+    fn fused_select_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = FusedSelectJob {
+            col_addr: PhysAddr(tail),
+            rows: 16,
+            predicates: vec![Predicate::Between(0, 10), Predicate::Ge(5)],
+            out_addrs: vec![PhysAddr(tail - 4096), PhysAddr(tail - 8192)],
+        };
+        let err = d.run_select_fused(&mut m, &job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+    }
+
+    #[test]
+    fn aggregate_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = crate::aggregate::AggregateJob {
+            col_addr: PhysAddr(tail),
+            rows: 16,
+            op: crate::aggregate::AggOp::Sum,
+            filter: None,
+        };
+        let err = d.run_aggregate(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+    }
+
+    #[test]
+    fn group_by_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = crate::aggregate::GroupByJob {
+            key_addr: PhysAddr(tail - 64 * 1024),
+            val_addr: PhysAddr(tail),
+            rows: 16,
+            op: crate::aggregate::AggOp::Sum,
+            buckets: 4,
+            spill_addr: PhysAddr(tail - 128 * 1024),
+        };
+        let err = d.run_group_by(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+    }
+
+    #[test]
+    fn project_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        m.data_mut().write(PhysAddr(tail - 4096), &[0xFF; 2]);
+        let job = crate::project::ProjectJob {
+            col_addr: PhysAddr(tail),
+            rows: 16,
+            bitset_addr: PhysAddr(tail - 4096),
+            out_addr: PhysAddr(tail - 8192),
+        };
+        let err = d.run_project(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
     }
 }

@@ -9,7 +9,7 @@
 //! packed, to a pre-allocated output region — none of it crossing the
 //! memory bus.
 
-use crate::device::{device_error, DeviceError, JafarDevice};
+use crate::device::{device_error, job_rank, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -57,7 +57,17 @@ impl JafarDevice {
         {
             return Err(DeviceError::Misaligned);
         }
-        let rank = module.decoder().decode(job.col_addr).rank;
+        let col_bytes = job.rows.saturating_mul(8);
+        // The bitset is read a whole burst (512 rows) at a time, and the
+        // packed output may hold every row.
+        let rank = job_rank(
+            module,
+            &[
+                (job.col_addr, col_bytes),
+                (job.bitset_addr, job.rows.div_ceil(512) * 64),
+                (job.out_addr, col_bytes),
+            ],
+        )?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }

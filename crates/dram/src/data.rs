@@ -6,26 +6,65 @@
 //! bytes*. `DramData` is a sparse page map over the module's physical address
 //! space, so modelling a 2 GB module costs memory only for pages actually
 //! touched.
+//!
+//! Every simulated burst looks its page up, so the map is keyed with one
+//! multiply (`PageHasher`) rather than SipHash. A flat page table would
+//! avoid hashing altogether, but it costs a pointer per *possible* page
+//! at construction (512 KiB for a 256 MiB module, 4 MiB for 2 GiB), paid
+//! by every machine a serve builds.
 
 use crate::address::PhysAddr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+
+/// Fibonacci hashing of a page number: one multiply by 2^64/φ. Only
+/// the product's high bits mix every bit of the page number, and the map
+/// picks buckets with the hash's low bits, so `finish` rotates the high
+/// bits down: pages one rank apart (a large power-of-two stride) would
+/// otherwise share a bucket. The keys are addresses the simulator's own
+/// allocators chose, never input an adversary could craft to collide.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = (self.0 ^ page).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// Sparse byte-addressable storage. Unwritten bytes read as zero, like
 /// zero-initialised DRAM in a fresh simulation.
 #[derive(Default)]
 pub struct DramData {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
     capacity: u64,
+}
+
+/// The page and in-page offset of a `len`-byte access at `addr`, when it
+/// lies within one page.
+fn in_one_page(addr: PhysAddr, len: usize) -> Option<(u64, usize)> {
+    let off = (addr.0 & (PAGE_SIZE as u64 - 1)) as usize;
+    (off + len <= PAGE_SIZE).then_some((addr.0 >> PAGE_SHIFT, off))
 }
 
 impl DramData {
     /// Creates storage covering `capacity` bytes of physical address space.
     pub fn new(capacity: u64) -> Self {
         DramData {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             capacity,
         }
     }
@@ -42,10 +81,18 @@ impl DramData {
 
     fn check(&self, addr: PhysAddr, len: usize) {
         assert!(
-            addr.0 + len as u64 <= self.capacity,
+            addr.0
+                .checked_add(len as u64)
+                .is_some_and(|end| end <= self.capacity),
             "access [{addr}, +{len}) beyond capacity {:#x}",
             self.capacity
         );
+    }
+
+    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
+        self.pages
+            .entry(page)
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -82,26 +129,57 @@ impl DramData {
             let page = pos >> PAGE_SHIFT;
             let off = (pos & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk = remaining.len().min(PAGE_SIZE - off);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[off..off + chunk].copy_from_slice(&remaining[..chunk]);
+            self.page_mut(page)[off..off + chunk].copy_from_slice(&remaining[..chunk]);
             remaining = &remaining[chunk..];
             pos += chunk as u64;
         }
     }
 
-    /// Reads one 64-byte burst.
-    pub fn read_burst(&self, addr: PhysAddr) -> [u8; 64] {
-        let mut buf = [0u8; 64];
-        self.read(addr, &mut buf);
-        buf
+    /// Writes `values` as consecutive little-endian `i64`s starting at
+    /// `addr`: a whole column in one call. The values go through a
+    /// page-sized staging buffer, so a page-aligned column costs one page
+    /// lookup per page rather than one per value, and nothing
+    /// column-sized is allocated.
+    ///
+    /// # Panics
+    /// Panics if the range exceeds capacity.
+    pub fn write_i64s(&mut self, addr: PhysAddr, values: &[i64]) {
+        self.check(addr, values.len().saturating_mul(8));
+        let mut staged = [0u8; PAGE_SIZE];
+        let mut pos = addr.0;
+        for block in values.chunks(PAGE_SIZE / 8) {
+            let bytes = &mut staged[..block.len() * 8];
+            for (dst, v) in bytes.chunks_exact_mut(8).zip(block) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            self.write(PhysAddr(pos), bytes);
+            pos += bytes.len() as u64;
+        }
     }
 
-    /// Writes one 64-byte burst.
+    /// Reads one 64-byte burst. A burst inside one page (every burst the
+    /// module serves: they are 64-byte aligned) costs one lookup and a
+    /// fixed-size copy.
+    pub fn read_burst(&self, addr: PhysAddr) -> [u8; 64] {
+        let Some((page, off)) = in_one_page(addr, 64) else {
+            let mut buf = [0u8; 64];
+            self.read(addr, &mut buf);
+            return buf;
+        };
+        self.check(addr, 64);
+        match self.pages.get(&page) {
+            Some(p) => p[off..off + 64].try_into().expect("64 bytes"),
+            None => [0; 64],
+        }
+    }
+
+    /// Writes one 64-byte burst, like [`DramData::read_burst`] reads one.
     pub fn write_burst(&mut self, addr: PhysAddr, burst: &[u8; 64]) {
-        self.write(addr, burst);
+        let Some((page, off)) = in_one_page(addr, 64) else {
+            return self.write(addr, burst);
+        };
+        self.check(addr, 64);
+        self.page_mut(page)[off..off + 64].copy_from_slice(burst);
     }
 
     /// Reads a little-endian `u64` at `addr`.
@@ -196,6 +274,20 @@ mod tests {
         let d = DramData::new(128);
         let mut buf = [0u8; 2];
         d.read(PhysAddr(127), &mut buf);
+    }
+
+    #[test]
+    fn strided_pages_spread_over_buckets() {
+        // The same offset in 64 ranks of 64 MiB: pages 2^14 apart. The map
+        // picks buckets with the hash's low bits, so those must differ.
+        let hash = |page: u64| {
+            let mut h = PageHasher::default();
+            h.write_u64(page);
+            h.finish()
+        };
+        let buckets: std::collections::HashSet<u64> =
+            (0..64).map(|rank| hash(rank << 14) & 1023).collect();
+        assert!(buckets.len() > 48, "{} of 64 buckets", buckets.len());
     }
 
     #[test]

@@ -380,6 +380,17 @@ impl DramModule {
         now: Tick,
     ) -> Result<Tick, IssueError> {
         self.check_ownership(&cmd, requester)?;
+        self.earliest_legal(cmd, requester, now)
+    }
+
+    /// [`Self::earliest_issue`] without the ownership check, which the
+    /// caller has made: the bank-state and timing rules alone.
+    fn earliest_legal(
+        &self,
+        cmd: DramCommand,
+        requester: Requester,
+        now: Tick,
+    ) -> Result<Tick, IssueError> {
         let t = &self.timing;
         match cmd {
             DramCommand::Activate { rank, bank, .. } => {
@@ -476,6 +487,21 @@ impl DramModule {
         if at < earliest {
             return Err(IssueError::TooEarly(earliest));
         }
+        self.apply(cmd, requester, at, write_data)
+    }
+
+    /// Applies `cmd` at `at`, which the caller has checked: ownership, bank
+    /// state and `at` ≥ the command's earliest legal tick. [`Self::issue`]
+    /// checks and then applies; a transaction that schedules each command
+    /// at the earliest tick it just computed applies it directly, so no
+    /// check runs twice.
+    fn apply(
+        &mut self,
+        cmd: DramCommand,
+        requester: Requester,
+        at: Tick,
+        write_data: Option<&[u8; 64]>,
+    ) -> Result<Option<ReadResult>, IssueError> {
         if self.tracer.is_enabled() {
             let (name, rank, bank) = match cmd {
                 DramCommand::Activate { rank, bank, .. } => ("ACT", rank, bank),
@@ -496,11 +522,11 @@ impl DramModule {
                 },
             );
         }
-        let t = self.timing;
+        let t = &self.timing;
         match cmd {
             DramCommand::Activate { rank, bank, row } => {
                 let idx = self.bank_index(rank, bank);
-                self.banks[idx].activate(row, at, &t);
+                self.banks[idx].activate(row, at, t);
                 let rs = &mut self.ranks[rank as usize];
                 rs.rrd_allowed = rs.rrd_allowed.max(at + t.t_rrd);
                 rs.act_history.push_back(at);
@@ -516,7 +542,7 @@ impl DramModule {
             DramCommand::Read { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
                 let row = self.banks[idx].open_row().expect("checked");
-                let (bus_start, mut data_ready) = self.banks[idx].read(at, &t);
+                let (bus_start, mut data_ready) = self.banks[idx].read(at, t);
                 *self.bus_slot_mut(requester, rank) = Some(BusOp {
                     is_write: false,
                     rank,
@@ -566,14 +592,14 @@ impl DramModule {
             DramCommand::Write { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
                 let row = self.banks[idx].open_row().expect("checked");
-                let (_, data_end) = self.banks[idx].write(at, &t);
+                let (_, data_end) = self.banks[idx].write(at, t);
+                let rs = &mut self.ranks[rank as usize];
+                rs.wtr_until = rs.wtr_until.max(data_end + t.t_wtr);
                 *self.bus_slot_mut(requester, rank) = Some(BusOp {
                     is_write: true,
                     rank,
                     end: data_end,
                 });
-                let rs = &mut self.ranks[rank as usize];
-                rs.wtr_until = rs.wtr_until.max(data_end + t.t_wtr);
                 if let Some(payload) = write_data {
                     let addr = self.decoder.encode(Coord {
                         rank,
@@ -588,13 +614,13 @@ impl DramModule {
             }
             DramCommand::Precharge { rank, bank } => {
                 let idx = self.bank_index(rank, bank);
-                self.banks[idx].precharge(at, &t);
+                self.banks[idx].precharge(at, t);
                 Ok(None)
             }
             DramCommand::PrechargeAll { rank } => {
                 for bank in 0..self.geometry.banks_per_rank {
                     let idx = self.bank_index(rank, bank);
-                    self.banks[idx].precharge(at, &t);
+                    self.banks[idx].precharge(at, t);
                 }
                 Ok(None)
             }
@@ -670,8 +696,8 @@ impl DramModule {
         });
         if needs_close {
             let pre = DramCommand::PrechargeAll { rank };
-            let at = self.earliest_issue(pre, requester, cursor)?;
-            self.issue(pre, requester, at, None)?;
+            let at = self.earliest_legal(pre, requester, cursor)?;
+            self.apply(pre, requester, at, None)?;
             cursor = at;
         }
         let until = cursor + self.timing.t_rfc * n as u64;
@@ -738,12 +764,12 @@ impl DramModule {
                 )
             });
             if needs_close {
-                let at =
-                    self.earliest_issue(DramCommand::PrechargeAll { rank }, requester, cursor)?;
-                self.issue(DramCommand::PrechargeAll { rank }, requester, at, None)?;
+                let pre = DramCommand::PrechargeAll { rank };
+                let at = self.earliest_legal(pre, requester, cursor)?;
+                self.apply(pre, requester, at, None)?;
                 cursor = at;
             }
-            let at = match self.earliest_issue(DramCommand::Refresh { rank }, requester, cursor) {
+            let at = match self.earliest_legal(DramCommand::Refresh { rank }, requester, cursor) {
                 Ok(at) => at,
                 Err(e) => {
                     self.tracer.emit(
@@ -756,7 +782,7 @@ impl DramModule {
                     return Err(e);
                 }
             };
-            self.issue(DramCommand::Refresh { rank }, requester, at, None)?;
+            self.apply(DramCommand::Refresh { rank }, requester, at, None)?;
             cursor = at + self.timing.t_rfc;
         }
         Ok(cursor)
@@ -787,7 +813,7 @@ impl DramModule {
             write_data.is_none() || is_write,
             "payload supplied for a read"
         );
-        // Fast ownership check before mutating anything.
+        // The transaction's one ownership check, before mutating anything.
         let probe = if is_write {
             DramCommand::write(coord)
         } else {
@@ -835,28 +861,30 @@ impl DramModule {
                 bank: coord.bank,
             },
         );
+        // Each command is applied at the earliest tick just computed for
+        // it; ownership was checked once above, for the whole transaction.
         match outcome {
             RowOutcome::Hit => {}
             RowOutcome::Conflict => {
                 let pre = DramCommand::precharge(coord);
                 let at = self
-                    .earliest_issue(pre, requester, cursor)
+                    .earliest_legal(pre, requester, cursor)
                     .expect("precharge always legal");
-                self.issue(pre, requester, at, None).expect("legal");
+                self.apply(pre, requester, at, None).expect("legal");
                 cursor = at;
                 let act = DramCommand::activate(coord);
                 let at = self
-                    .earliest_issue(act, requester, cursor)
+                    .earliest_legal(act, requester, cursor)
                     .expect("bank now idle");
-                self.issue(act, requester, at, None).expect("legal");
+                self.apply(act, requester, at, None).expect("legal");
                 cursor = at;
             }
             RowOutcome::Miss => {
                 let act = DramCommand::activate(coord);
                 let at = self
-                    .earliest_issue(act, requester, cursor)
+                    .earliest_legal(act, requester, cursor)
                     .expect("bank idle");
-                self.issue(act, requester, at, None).expect("legal");
+                self.apply(act, requester, at, None).expect("legal");
                 cursor = at;
             }
         }
@@ -869,9 +897,9 @@ impl DramModule {
         if is_write {
             let cmd = DramCommand::write(coord);
             let at = self
-                .earliest_issue(cmd, requester, cursor)
+                .earliest_legal(cmd, requester, cursor)
                 .expect("row open");
-            self.issue(cmd, requester, at, write_data)
+            self.apply(cmd, requester, at, write_data)
                 .expect("legal by construction");
             let data_ready = at + self.timing.cwl + self.timing.t_burst;
             Ok(BlockAccess {
@@ -882,9 +910,9 @@ impl DramModule {
         } else {
             let cmd = DramCommand::read(coord);
             let at = self
-                .earliest_issue(cmd, requester, cursor)
+                .earliest_legal(cmd, requester, cursor)
                 .expect("row open");
-            let result = match self.issue(cmd, requester, at, None) {
+            let result = match self.apply(cmd, requester, at, None) {
                 Ok(r) => r.expect("read returns data"),
                 // The only fallible outcome of a read scheduled at its
                 // earliest legal tick is an injected ECC failure.

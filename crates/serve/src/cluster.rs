@@ -918,11 +918,7 @@ mod tests {
                 let mut stage_outs = Vec::new();
                 for r in 0..ranks_per_node as u64 {
                     let col = PhysAddr(r * rank_bytes);
-                    for (i, &v) in values.iter().enumerate() {
-                        module
-                            .data_mut()
-                            .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                    }
+                    module.data_mut().write_i64s(col, &values);
                     replicas.push(col);
                     outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
                     proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));

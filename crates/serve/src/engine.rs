@@ -1711,11 +1711,9 @@ impl Engine<'_, '_> {
             let mut layout: Vec<(i64, u64, Vec<i64>)> = Vec::new();
             let mut off = 0u64;
             for (k, vs) in grouped {
-                for (j, &v) in vs.iter().enumerate() {
-                    self.env.modules[ch]
-                        .data_mut()
-                        .write_i64(PhysAddr(base.0 + (off + j as u64) * 8), v);
-                }
+                self.env.modules[ch]
+                    .data_mut()
+                    .write_i64s(PhysAddr(base.0 + off * 8), &vs);
                 let len = vs.len() as u64;
                 layout.push((k, off, vs));
                 off = (off + len).next_multiple_of(8);
@@ -2387,11 +2385,7 @@ mod tests {
         let mut stage_outs = Vec::new();
         for r in 0..nranks as u64 {
             let col = PhysAddr(r * rank_bytes);
-            for (i, &v) in values.iter().enumerate() {
-                module
-                    .data_mut()
-                    .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-            }
+            module.data_mut().write_i64s(col, &values);
             replicas.push(col);
             outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
             proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
@@ -2939,11 +2933,7 @@ mod tests {
             );
             for r in 0..ranks_per as u64 {
                 let col = PhysAddr(r * rank_bytes);
-                for (i, &v) in values.iter().enumerate() {
-                    module
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
+                module.data_mut().write_i64s(col, &values);
                 replicas.push(col);
                 outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
                 proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));

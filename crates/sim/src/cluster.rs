@@ -224,11 +224,7 @@ impl ServeCluster {
             for u in 0..nunits {
                 let ch = self.pool.unit(u).channel;
                 let col = self.arenas[u].alloc_blocks(rows * 8);
-                for (i, &v) in values.iter().enumerate() {
-                    modules[ch]
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
+                modules[ch].data_mut().write_i64s(col, values);
                 replicas.push(col);
                 // One bitset lane per fuse slot — or per semi-join key
                 // range, whichever is wider (engine addresses lane `l`

@@ -221,11 +221,7 @@ impl ServeGrid {
             let mut stage_outs = Vec::with_capacity(units);
             for arena in &mut node.arenas {
                 let col = arena.alloc_blocks(rows * 8);
-                for (i, &v) in values.iter().enumerate() {
-                    node.module
-                        .data_mut()
-                        .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-                }
+                node.module.data_mut().write_i64s(col, values);
                 replicas.push(col);
                 let stride = rows.div_ceil(8).next_multiple_of(64);
                 outs.push(arena.alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));

@@ -383,10 +383,7 @@ impl System {
     /// values functionally. Returns the base address.
     pub fn write_column(&mut self, values: &[i64]) -> PhysAddr {
         let addr = self.arenas[0].alloc_blocks(values.len() as u64 * 8);
-        let data = self.mc.module_mut().data_mut();
-        for (i, v) in values.iter().enumerate() {
-            data.write_i64(PhysAddr(addr.0 + i as u64 * 8), *v);
-        }
+        self.mc.module_mut().data_mut().write_i64s(addr, values);
         addr
     }
 
@@ -417,13 +414,10 @@ impl System {
             let i = shards.len();
             let len = chunk.min(rows - offset);
             let addr = self.arenas[i].alloc_blocks(len * 8);
-            let data = self.mc.module_mut().data_mut();
-            for (j, v) in values[offset as usize..(offset + len) as usize]
-                .iter()
-                .enumerate()
-            {
-                data.write_i64(PhysAddr(addr.0 + j as u64 * 8), *v);
-            }
+            self.mc
+                .module_mut()
+                .data_mut()
+                .write_i64s(addr, &values[offset as usize..(offset + len) as usize]);
             shards.push(ColumnShard {
                 rank: i as u32,
                 addr,
@@ -843,12 +837,7 @@ impl System {
         let mut stage_outs = Vec::with_capacity(nranks);
         for r in 0..nranks {
             let col = self.arenas[r].alloc_blocks(rows * 8);
-            for (i, &v) in values.iter().enumerate() {
-                self.mc
-                    .module_mut()
-                    .data_mut()
-                    .write_i64(PhysAddr(col.0 + i as u64 * 8), v);
-            }
+            self.mc.module_mut().data_mut().write_i64s(col, values);
             replicas.push(col);
             // One bitset lane per fuse slot — or per semi-join key range,
             // whichever is wider: the engine addresses lane `l` at
