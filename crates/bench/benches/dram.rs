@@ -18,6 +18,47 @@ fn module() -> DramModule {
     )
 }
 
+/// perfbench's gem5-like DIMM (4 ranks × 8 banks × 1024 rows × 8 KiB =
+/// 256 MiB) with refresh on, as the serving benchmarks build it.
+fn gem5_like_module() -> DramModule {
+    DramModule::new(
+        DramGeometry {
+            ranks: 4,
+            banks_per_rank: 8,
+            rows_per_bank: 1024,
+            row_bytes: 8 * 1024,
+        },
+        DramTiming::ddr3_paper(),
+        AddressMapping::RankRowBankBlock,
+    )
+}
+
+/// Streams 1k sequential bursts from an owned rank, each read issued one
+/// bus cycle after the previous one's CAS: the NDP device's pattern.
+fn stream_ndp(module: &mut DramModule, now: &mut Tick) -> Tick {
+    let t = *module.timing();
+    let cas_pipeline = t.cl + t.t_burst;
+    for i in 0..1024u64 {
+        let access = module
+            .serve_addr(PhysAddr(i * 64), false, Requester::Ndp, *now, None)
+            .expect("owned rank, in range");
+        *now = access.data_ready.saturating_sub(cas_pipeline).max(*now) + t.bus_clock.period();
+    }
+    *now
+}
+
+/// A module whose rank 0 holds 64 KiB of data and is owned by the NDP
+/// device; returns it with the tick the grant took effect.
+fn owned(mut module: DramModule) -> (DramModule, Tick) {
+    for i in 0..8192u64 {
+        module.data_mut().write_i64(PhysAddr(i * 8), i as i64);
+    }
+    let now = grant_ownership(&mut module, 0, Tick::ZERO)
+        .expect("fresh module")
+        .acquired_at;
+    (module, now)
+}
+
 fn main() {
     let decoder = AddressDecoder::new(DramGeometry::gem5_2gb(), AddressMapping::RankRowBankBlock);
     micro::run("dram/decode_encode_round_trip", || {
@@ -44,27 +85,21 @@ fn main() {
         },
     );
 
-    // The NDP device's access pattern: 1k sequential bursts from a rank
-    // it owns, each read issued one bus cycle after the previous one's
-    // CAS. The module and its data stay warm across iterations.
-    let mut ndp = module();
-    for i in 0..8192u64 {
-        ndp.data_mut().write_i64(PhysAddr(i * 8), i as i64);
-    }
-    let mut now = grant_ownership(&mut ndp, 0, Tick::ZERO)
-        .expect("fresh module")
-        .acquired_at;
-    let t = *ndp.timing();
-    let cas_pipeline = t.cl + t.t_burst;
+    // The NDP device's access pattern on the 2 GiB module without
+    // refresh, and on perfbench's DIMM with refresh. The modules and their
+    // data stay warm across iterations.
+    let (mut ndp, mut now) = owned(module());
     micro::run("dram/serve_addr_ndp_streaming", || {
-        for i in 0..1024u64 {
-            let access = ndp
-                .serve_addr(PhysAddr(i * 64), false, Requester::Ndp, now, None)
-                .expect("owned rank, in range");
-            now = access.data_ready.saturating_sub(cas_pipeline).max(now) + t.bus_clock.period();
-        }
-        now
+        stream_ndp(&mut ndp, &mut now)
     });
+    let (mut ndp, mut now) = owned(gem5_like_module());
+    micro::run("dram/serve_addr_ndp_streaming_gem5", || {
+        stream_ndp(&mut ndp, &mut now)
+    });
+
+    // Building a machine builds its modules: a page-table set-up cost
+    // shows here before it shows in a serve's set-up time.
+    micro::run("dram/module_new_drop", gem5_like_module);
 
     micro::run_batched("dram/serve_block_random_1k_bursts", module, |mut module| {
         let mut now = Tick::ZERO;

@@ -289,11 +289,18 @@ impl RowLookahead {
         }
     }
 
-    /// Runs before burst `burst` is requested at `at`.
+    /// Runs before burst `burst` is requested at `at`. Only the compare
+    /// is inlined into the burst loop; a crossing takes the call.
+    #[inline(always)]
     fn before(&mut self, module: &mut DramModule, burst: u64, at: Tick) {
-        if burst != self.next_group {
-            return;
+        if burst == self.next_group {
+            self.cross(module, burst, at);
         }
+    }
+
+    /// Enters a new row group: opens the next group's row.
+    #[inline(never)]
+    fn cross(&mut self, module: &mut DramModule, burst: u64, at: Tick) {
         let group = (self.first_block + burst) / self.bursts_per_row;
         let next_block = (group + 1) * self.bursts_per_row;
         self.next_group = next_block - self.first_block;

@@ -87,25 +87,75 @@ pub enum AddressMapping {
 }
 
 /// Decoder bound to a geometry: slices addresses into coordinate fields.
+///
+/// Each field's shift within the block index is fixed by the mapping, so
+/// it is computed once here: a decode or encode is four shift-and-mask
+/// steps, whatever the mapping.
 #[derive(Clone, Copy, Debug)]
 pub struct AddressDecoder {
     mapping: AddressMapping,
-    block_bits: u32,
-    bank_bits: u32,
-    rank_bits: u32,
-    row_bits: u32,
+    block: Field,
+    bank: Field,
+    rank: Field,
+    row: Field,
+    capacity: u64,
+}
+
+/// One coordinate field of the block index: the bits under `mask`,
+/// `shift` bits up.
+#[derive(Clone, Copy, Debug)]
+struct Field {
+    shift: u32,
+    mask: u64,
+}
+
+impl Field {
+    fn get(self, block_index: u64) -> u32 {
+        ((block_index >> self.shift) & self.mask) as u32
+    }
+
+    fn put(self, v: u32) -> u64 {
+        u64::from(v) << self.shift
+    }
+
+    fn holds(self, v: u32) -> bool {
+        u64::from(v) <= self.mask
+    }
 }
 
 impl AddressDecoder {
     /// Creates a decoder for `geometry` under `mapping`.
     pub fn new(geometry: DramGeometry, mapping: AddressMapping) -> Self {
         geometry.validate();
+        let block_bits = log2_exact(geometry.bursts_per_row() as u64);
+        let bank_bits = log2_exact(geometry.banks_per_rank as u64);
+        let rank_bits = log2_exact(geometry.ranks as u64);
+        let row_bits = log2_exact(geometry.rows_per_bank as u64);
+        // The position of each field (block, bank, rank, row), counted
+        // from the least significant end of the block index.
+        let order = match mapping {
+            AddressMapping::RowBankRankBlock => [0, 2, 1, 3],
+            AddressMapping::BankInterleavedBlock => [2, 1, 0, 3],
+            AddressMapping::RankRowBankBlock => [0, 1, 3, 2],
+        };
+        let widths = [block_bits, bank_bits, rank_bits, row_bits];
+        let field = |i: usize| {
+            let shift = (0..4)
+                .filter(|&j| order[j] < order[i])
+                .map(|j| widths[j])
+                .sum();
+            Field {
+                shift,
+                mask: (1u64 << widths[i]) - 1,
+            }
+        };
         AddressDecoder {
             mapping,
-            block_bits: log2_exact(geometry.bursts_per_row() as u64),
-            bank_bits: log2_exact(geometry.banks_per_rank as u64),
-            rank_bits: log2_exact(geometry.ranks as u64),
-            row_bits: log2_exact(geometry.rows_per_bank as u64),
+            block: field(0),
+            bank: field(1),
+            rank: field(2),
+            row: field(3),
+            capacity: 1u64 << (6 + block_bits + bank_bits + rank_bits + row_bits),
         }
     }
 
@@ -116,62 +166,26 @@ impl AddressDecoder {
 
     /// Number of addressable bytes.
     pub fn capacity(&self) -> u64 {
-        1u64 << (6 + self.block_bits + self.bank_bits + self.rank_bits + self.row_bits)
+        self.capacity
     }
 
     /// Decodes an address into DRAM coordinates.
     ///
     /// # Panics
     /// Panics if the address is beyond the module capacity.
+    #[inline]
     pub fn decode(&self, addr: PhysAddr) -> Coord {
         assert!(
-            addr.0 < self.capacity(),
+            addr.0 < self.capacity,
             "address {addr} beyond module capacity {:#x}",
-            self.capacity()
+            self.capacity
         );
-        let mut bits = addr.block_index();
-        let mut take = |n: u32| {
-            let v = (bits & ((1u64 << n) - 1)) as u32;
-            bits >>= n;
-            v
-        };
-        match self.mapping {
-            AddressMapping::RowBankRankBlock => {
-                let block = take(self.block_bits);
-                let rank = take(self.rank_bits);
-                let bank = take(self.bank_bits);
-                let row = take(self.row_bits);
-                Coord {
-                    rank,
-                    bank,
-                    row,
-                    block,
-                }
-            }
-            AddressMapping::BankInterleavedBlock => {
-                let rank = take(self.rank_bits);
-                let bank = take(self.bank_bits);
-                let block = take(self.block_bits);
-                let row = take(self.row_bits);
-                Coord {
-                    rank,
-                    bank,
-                    row,
-                    block,
-                }
-            }
-            AddressMapping::RankRowBankBlock => {
-                let block = take(self.block_bits);
-                let bank = take(self.bank_bits);
-                let row = take(self.row_bits);
-                let rank = take(self.rank_bits);
-                Coord {
-                    rank,
-                    bank,
-                    row,
-                    block,
-                }
-            }
+        let bits = addr.block_index();
+        Coord {
+            rank: self.rank.get(bits),
+            bank: self.bank.get(bits),
+            row: self.row.get(bits),
+            block: self.block.get(bits),
         }
     }
 
@@ -180,36 +194,14 @@ impl AddressDecoder {
     /// # Panics
     /// Panics if any coordinate exceeds its field width.
     pub fn encode(&self, coord: Coord) -> PhysAddr {
-        assert!(coord.block < 1 << self.block_bits, "block out of range");
-        assert!(coord.bank < 1 << self.bank_bits, "bank out of range");
-        assert!(coord.rank < 1 << self.rank_bits, "rank out of range");
-        assert!(coord.row < 1 << self.row_bits, "row out of range");
-        let mut bits: u64 = 0;
-        let mut shift = 0u32;
-        let mut put = |v: u32, n: u32| {
-            bits |= (v as u64) << shift;
-            shift += n;
-        };
-        match self.mapping {
-            AddressMapping::RowBankRankBlock => {
-                put(coord.block, self.block_bits);
-                put(coord.rank, self.rank_bits);
-                put(coord.bank, self.bank_bits);
-                put(coord.row, self.row_bits);
-            }
-            AddressMapping::BankInterleavedBlock => {
-                put(coord.rank, self.rank_bits);
-                put(coord.bank, self.bank_bits);
-                put(coord.block, self.block_bits);
-                put(coord.row, self.row_bits);
-            }
-            AddressMapping::RankRowBankBlock => {
-                put(coord.block, self.block_bits);
-                put(coord.bank, self.bank_bits);
-                put(coord.row, self.row_bits);
-                put(coord.rank, self.rank_bits);
-            }
-        }
+        assert!(self.block.holds(coord.block), "block out of range");
+        assert!(self.bank.holds(coord.bank), "bank out of range");
+        assert!(self.rank.holds(coord.rank), "rank out of range");
+        assert!(self.row.holds(coord.row), "row out of range");
+        let bits = self.block.put(coord.block)
+            | self.bank.put(coord.bank)
+            | self.rank.put(coord.rank)
+            | self.row.put(coord.row);
         PhysAddr(bits << 6)
     }
 
@@ -224,7 +216,7 @@ impl AddressDecoder {
             AddressMapping::RankRowBankBlock,
             "ranks are only contiguous under RankRowBankBlock"
         );
-        let rank_bytes = self.capacity() >> self.rank_bits;
+        let rank_bytes = self.capacity / (self.rank.mask + 1);
         let start = rank as u64 * rank_bytes;
         start..start + rank_bytes
     }
@@ -360,31 +352,57 @@ mod tests {
         d.decode(PhysAddr(DramGeometry::tiny().capacity_bytes()));
     }
 
+    const MAPPINGS: [AddressMapping; 3] = [
+        AddressMapping::RowBankRankBlock,
+        AddressMapping::BankInterleavedBlock,
+        AddressMapping::RankRowBankBlock,
+    ];
+
+    /// A random power-of-two geometry under a random mapping.
+    fn random_decoder(rng: &mut jafar_common::rng::SplitMix64) -> (DramGeometry, AddressDecoder) {
+        let g = DramGeometry {
+            ranks: 1 << rng.next_below(3),
+            banks_per_rank: 1 << rng.next_below(4),
+            rows_per_bank: 1 << rng.next_below(15),
+            row_bytes: 64 << rng.next_below(8),
+        };
+        let mapping = MAPPINGS[rng.next_below(3) as usize];
+        (g, AddressDecoder::new(g, mapping))
+    }
+
     #[test]
     fn decode_encode_round_trip() {
-        forall("decode_encode_round_trip", 256, |rng| {
-            let addr = rng.next_below(DramGeometry::tiny().capacity_bytes());
-            let m = if rng.next_bool(0.5) {
-                AddressMapping::BankInterleavedBlock
-            } else {
-                AddressMapping::RowBankRankBlock
-            };
-            let d = decoder(m);
-            let a = PhysAddr(addr);
-            let coord = d.decode(a);
-            assert_eq!(d.encode(coord), a.block_base());
+        forall("decode_encode_round_trip", 512, |rng| {
+            let (g, d) = random_decoder(rng);
+            assert_eq!(d.capacity(), g.capacity_bytes());
+            let a = PhysAddr(rng.next_below(g.capacity_bytes()));
+            let c = d.decode(a);
+            assert!(c.rank < g.ranks && c.bank < g.banks_per_rank);
+            assert!(c.row < g.rows_per_bank && c.block < g.bursts_per_row());
+            assert_eq!(d.encode(c), a.block_base());
         });
     }
 
     #[test]
     fn decode_is_injective_on_blocks() {
-        forall("decode_is_injective_on_blocks", 256, |rng| {
-            let a = rng.next_below(8192);
-            let b = rng.next_below(8192);
-            let d = decoder(AddressMapping::RowBankRankBlock);
-            let ca = d.decode(PhysAddr(a * 64));
-            let cb = d.decode(PhysAddr(b * 64));
+        forall("decode_is_injective_on_blocks", 512, |rng| {
+            let (g, d) = random_decoder(rng);
+            let blocks = g.capacity_bytes() / 64;
+            let a = rng.next_below(blocks);
+            // Another random block, or one differing in a single bit.
+            let b = if rng.next_bool(0.5) {
+                rng.next_below(blocks)
+            } else {
+                a ^ (1 << rng.next_below(u64::from(blocks.trailing_zeros()).max(1)))
+            } % blocks;
+            let (ca, cb) = (d.decode(PhysAddr(a * 64)), d.decode(PhysAddr(b * 64)));
             assert_eq!(ca == cb, a == b);
+            // Small geometries: every block decodes somewhere different.
+            if blocks <= 1 << 12 {
+                let all: std::collections::HashSet<Coord> =
+                    (0..blocks).map(|i| d.decode(PhysAddr(i * 64))).collect();
+                assert_eq!(all.len() as u64, blocks);
+            }
         });
     }
 

@@ -104,6 +104,17 @@ impl Bank {
         }
     }
 
+    /// The READ CAS reservation alone, for a caller that knows which row
+    /// is open: [`Bank::earliest_read`] without the row check.
+    pub(crate) fn read_allowed(&self) -> Tick {
+        self.rd_allowed
+    }
+
+    /// The WRITE CAS reservation alone (see [`Bank::read_allowed`]).
+    pub(crate) fn write_allowed(&self) -> Tick {
+        self.wr_allowed
+    }
+
     /// Earliest tick ≥ `now` at which PRECHARGE may issue. Precharging an
     /// idle bank is legal (a no-op NOP-like command).
     pub fn earliest_precharge(&self, now: Tick) -> Tick {

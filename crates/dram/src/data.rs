@@ -7,49 +7,34 @@
 //! space, so modelling a 2 GB module costs memory only for pages actually
 //! touched.
 //!
-//! Every simulated burst looks its page up, so the map is keyed with one
-//! multiply (`PageHasher`) rather than SipHash. A flat page table would
-//! avoid hashing altogether, but it costs a pointer per *possible* page
-//! at construction (512 KiB for a 256 MiB module, 4 MiB for 2 GiB), paid
-//! by every machine a serve builds.
+//! Every simulated burst looks its page up, so pages are found through a
+//! two-level directory, not a hash map: one slot per 2 MiB region of the
+//! address space, each pointing at a leaf of 512 page slots that is
+//! allocated on the first write into its region. A lookup is two indexed
+//! loads. Building a module costs one pointer per region (1 KiB for a
+//! 256 MiB module); a flat table with a slot per *possible* page would
+//! cost a slot per 4 KiB at construction, paid by every machine a serve
+//! builds.
 
 use crate::address::PhysAddr;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// Pages per leaf: one leaf covers a 2 MiB region.
+const LEAF_SHIFT: u32 = 9;
+const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
 
-/// Fibonacci hashing of a page number: one multiply by 2^64/φ. Only
-/// the product's high bits mix every bit of the page number, and the map
-/// picks buckets with the hash's low bits, so `finish` rotates the high
-/// bits down: pages one rank apart (a large power-of-two stride) would
-/// otherwise share a bucket. The keys are addresses the simulator's own
-/// allocators chose, never input an adversary could craft to collide.
-#[derive(Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, page: u64) {
-        self.0 = (self.0 ^ page).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
+type Page = [u8; PAGE_SIZE];
+type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
 /// Sparse byte-addressable storage. Unwritten bytes read as zero, like
 /// zero-initialised DRAM in a fresh simulation.
 #[derive(Default)]
 pub struct DramData {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>, BuildHasherDefault<PageHasher>>,
+    /// One slot per 2 MiB region; a leaf exists once a page of its region
+    /// has been written.
+    regions: Vec<Option<Box<Leaf>>>,
+    resident: usize,
     capacity: u64,
 }
 
@@ -63,8 +48,10 @@ fn in_one_page(addr: PhysAddr, len: usize) -> Option<(u64, usize)> {
 impl DramData {
     /// Creates storage covering `capacity` bytes of physical address space.
     pub fn new(capacity: u64) -> Self {
+        let regions = capacity.div_ceil(1 << (PAGE_SHIFT + LEAF_SHIFT)) as usize;
         DramData {
-            pages: HashMap::default(),
+            regions: vec![None; regions],
+            resident: 0,
             capacity,
         }
     }
@@ -76,7 +63,7 @@ impl DramData {
 
     /// Number of 4 KiB pages actually materialised.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
     fn check(&self, addr: PhysAddr, len: usize) {
@@ -89,10 +76,22 @@ impl DramData {
         );
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE] {
-        self.pages
-            .entry(page)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
+    /// Page number `page`, if it has been written.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&Page> {
+        let leaf = self.regions[(page >> LEAF_SHIFT) as usize].as_deref()?;
+        leaf[page as usize & (LEAF_PAGES - 1)].as_deref()
+    }
+
+    /// Page number `page`, materialised (zeroed) on first use.
+    fn page_mut(&mut self, page: u64) -> &mut Page {
+        let leaf = self.regions[(page >> LEAF_SHIFT) as usize]
+            .get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]));
+        let slot = &mut leaf[page as usize & (LEAF_PAGES - 1)];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE]))
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -108,7 +107,7 @@ impl DramData {
             let off = (pos & (PAGE_SIZE as u64 - 1)) as usize;
             let chunk = remaining.len().min(PAGE_SIZE - off);
             let (head, tail) = remaining.split_at_mut(chunk);
-            match self.pages.get(&page) {
+            match self.page(page) {
                 Some(p) => head.copy_from_slice(&p[off..off + chunk]),
                 None => head.fill(0),
             }
@@ -158,8 +157,9 @@ impl DramData {
     }
 
     /// Reads one 64-byte burst. A burst inside one page (every burst the
-    /// module serves: they are 64-byte aligned) costs one lookup and a
-    /// fixed-size copy.
+    /// module serves: they are 64-byte aligned) costs one directory walk
+    /// and a fixed-size copy.
+    #[inline]
     pub fn read_burst(&self, addr: PhysAddr) -> [u8; 64] {
         let Some((page, off)) = in_one_page(addr, 64) else {
             let mut buf = [0u8; 64];
@@ -167,7 +167,7 @@ impl DramData {
             return buf;
         };
         self.check(addr, 64);
-        match self.pages.get(&page) {
+        match self.page(page) {
             Some(p) => p[off..off + 64].try_into().expect("64 bytes"),
             None => [0; 64],
         }
@@ -277,17 +277,82 @@ mod tests {
     }
 
     #[test]
-    fn strided_pages_spread_over_buckets() {
-        // The same offset in 64 ranks of 64 MiB: pages 2^14 apart. The map
-        // picks buckets with the hash's low bits, so those must differ.
-        let hash = |page: u64| {
-            let mut h = PageHasher::default();
-            h.write_u64(page);
-            h.finish()
-        };
-        let buckets: std::collections::HashSet<u64> =
-            (0..64).map(|rank| hash(rank << 14) & 1023).collect();
-        assert!(buckets.len() > 48, "{} of 64 buckets", buckets.len());
+    fn matches_a_reference_byte_map() {
+        use jafar_common::check::forall;
+        use std::collections::HashSet;
+        const LEAF: u64 = (PAGE_SIZE * LEAF_PAGES) as u64;
+        forall("dram_data_matches_a_reference_byte_map", 48, |rng| {
+            // Two or three 2 MiB leaves, the last one sometimes partial.
+            let capacity = LEAF * (2 + rng.next_below(2)) - 4096 * rng.next_below(3);
+            let mut d = DramData::new(capacity);
+            let mut reference = vec![0u8; capacity as usize];
+            let mut pages = HashSet::new();
+            for _ in 0..200 {
+                let len = match rng.next_below(4) {
+                    0 => 64,
+                    1 => 8,
+                    2 => 1 + rng.next_below(300),
+                    _ => rng.next_below(3 * PAGE_SIZE as u64),
+                };
+                // Near a page or leaf boundary (either side), or anywhere.
+                let addr = match rng.next_below(3) {
+                    0 => (rng.next_below(capacity / LEAF + 1) * LEAF)
+                        .saturating_sub(rng.next_below(128)),
+                    1 => {
+                        (rng.next_below(capacity / 4096) * 4096).saturating_sub(rng.next_below(96))
+                    }
+                    _ => rng.next_below(capacity),
+                }
+                .min(capacity - len);
+                let at = addr as usize;
+                // How many bytes the step wrote, if it wrote.
+                let written = match rng.next_below(6) {
+                    0 => {
+                        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        d.write(PhysAddr(addr), &bytes);
+                        reference[at..at + bytes.len()].copy_from_slice(&bytes);
+                        Some(len)
+                    }
+                    1 => {
+                        let values: Vec<i64> =
+                            (0..len / 8).map(|_| rng.next_u64() as i64).collect();
+                        d.write_i64s(PhysAddr(addr), &values);
+                        for (i, v) in values.iter().enumerate() {
+                            reference[at + 8 * i..at + 8 * i + 8].copy_from_slice(&v.to_le_bytes());
+                        }
+                        Some(8 * values.len() as u64)
+                    }
+                    2 if len >= 64 => {
+                        let burst: [u8; 64] = std::array::from_fn(|_| rng.next_u64() as u8);
+                        d.write_burst(PhysAddr(addr), &burst);
+                        reference[at..at + 64].copy_from_slice(&burst);
+                        Some(64)
+                    }
+                    3 if len >= 64 => {
+                        assert_eq!(d.read_burst(PhysAddr(addr)), reference[at..at + 64]);
+                        None
+                    }
+                    4 if len >= 8 => {
+                        let want = u64::from_le_bytes(reference[at..at + 8].try_into().unwrap());
+                        assert_eq!(d.read_u64(PhysAddr(addr)), want);
+                        None
+                    }
+                    _ => {
+                        let mut back = vec![0xA5; len as usize];
+                        d.read(PhysAddr(addr), &mut back);
+                        assert_eq!(back, reference[at..at + back.len()]);
+                        None
+                    }
+                };
+                if let Some(n) = written.filter(|&n| n > 0) {
+                    pages.extend(addr / 4096..=(addr + n - 1) / 4096);
+                }
+            }
+            assert_eq!(d.resident_pages(), pages.len());
+            let mut whole = vec![0u8; capacity as usize];
+            d.read(PhysAddr(0), &mut whole);
+            assert!(whole == reference, "the whole space reads back");
+        });
     }
 
     #[test]

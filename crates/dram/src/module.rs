@@ -360,11 +360,16 @@ impl DramModule {
     }
 
     fn check_ownership(&self, cmd: &DramCommand, requester: Requester) -> Result<(), IssueError> {
-        if !cmd.is_data_command() {
-            return Ok(());
+        if cmd.is_data_command() {
+            self.check_data_ownership(cmd.rank(), requester)
+        } else {
+            Ok(())
         }
-        let owned = self.rank_owned_by_ndp(cmd.rank());
-        match (requester, owned) {
+    }
+
+    /// The MR3/MPR rule for a READ/WRITE by `requester` on `rank`.
+    fn check_data_ownership(&self, rank: u32, requester: Requester) -> Result<(), IssueError> {
+        match (requester, self.rank_owned_by_ndp(rank)) {
             (Requester::Host, true) => Err(IssueError::RankOwnedByNdp),
             (Requester::Ndp, false) => Err(IssueError::NdpWithoutOwnership),
             _ => Ok(()),
@@ -407,24 +412,18 @@ impl DramModule {
                 Ok(earliest.max(now))
             }
             DramCommand::Read { rank, bank, .. } => {
-                let b = &self.banks[self.bank_index(rank, bank)];
-                let row = b
+                let idx = self.bank_index(rank, bank);
+                self.banks[idx]
                     .open_row()
                     .ok_or(IssueError::WrongState("READ requires an open row"))?;
-                let base = b.earliest_read(row, now).expect("row is open");
-                let rs = &self.ranks[rank as usize];
-                // tWTR: reads must wait after a write burst to the rank.
-                let wtr = rs.wtr_until;
-                let cas = base.max(wtr).max(now);
-                Ok(self.bus_constraint(cas, t.cl, false, rank, requester))
+                Ok(self.earliest_read(idx, rank, requester, now))
             }
             DramCommand::Write { rank, bank, .. } => {
-                let b = &self.banks[self.bank_index(rank, bank)];
-                let row = b
+                let idx = self.bank_index(rank, bank);
+                self.banks[idx]
                     .open_row()
                     .ok_or(IssueError::WrongState("WRITE requires an open row"))?;
-                let base = b.earliest_write(row, now).expect("row is open");
-                Ok(self.bus_constraint(base.max(now), t.cwl, true, rank, requester))
+                Ok(self.earliest_write(idx, rank, requester, now))
             }
             DramCommand::Precharge { rank, bank } => {
                 let b = &self.banks[self.bank_index(rank, bank)];
@@ -450,6 +449,25 @@ impl DramModule {
                 Ok(earliest)
             }
         }
+    }
+
+    /// The earliest READ CAS ≥ `now` to bank `idx` of `rank`, whose open
+    /// row the caller has checked: the bank's CAS reservation, tWTR after
+    /// the rank's last write burst, and the requester's data bus.
+    #[inline]
+    fn earliest_read(&self, idx: usize, rank: u32, requester: Requester, now: Tick) -> Tick {
+        let cas = self.banks[idx]
+            .read_allowed()
+            .max(self.ranks[rank as usize].wtr_until)
+            .max(now);
+        self.bus_constraint(cas, self.timing.cl, false, rank, requester)
+    }
+
+    /// The earliest WRITE CAS ≥ `now`, like [`Self::earliest_read`].
+    #[inline]
+    fn earliest_write(&self, idx: usize, rank: u32, requester: Requester, now: Tick) -> Tick {
+        let cas = self.banks[idx].write_allowed().max(now);
+        self.bus_constraint(cas, self.timing.cwl, true, rank, requester)
     }
 
     /// Issues `cmd` at tick `at`. For WRITE commands, `write_data` is the
@@ -490,6 +508,126 @@ impl DramModule {
         self.apply(cmd, requester, at, write_data)
     }
 
+    /// Emits `cmd` on the command-bus trace.
+    #[inline]
+    fn trace_cmd(&self, at: Tick, cmd: DramCommand, requester: Requester) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        let (name, rank, bank) = match cmd {
+            DramCommand::Activate { rank, bank, .. } => ("ACT", rank, bank),
+            DramCommand::Read { rank, bank, .. } => ("RD", rank, bank),
+            DramCommand::Write { rank, bank, .. } => ("WR", rank, bank),
+            DramCommand::Precharge { rank, bank } => ("PRE", rank, bank),
+            DramCommand::PrechargeAll { rank } => ("PREA", rank, 0),
+            DramCommand::Refresh { rank } => ("REF", rank, 0),
+            DramCommand::ModeRegisterSet { rank, .. } => ("MRS", rank, 0),
+        };
+        self.tracer.emit(
+            at,
+            EventKind::DramCmd {
+                cmd: name,
+                rank,
+                bank,
+                requester: requester.label(),
+            },
+        );
+    }
+
+    /// The address of `block` in the row open in bank `idx` (`rank`,
+    /// `bank`): what a bare READ/WRITE command reaches.
+    fn open_block_addr(&self, idx: usize, rank: u32, bank: u32, block: u32) -> PhysAddr {
+        let row = self.banks[idx].open_row().expect("checked");
+        self.decoder.encode(Coord {
+            rank,
+            bank,
+            row,
+            block,
+        })
+    }
+
+    /// Applies a READ CAS at `at` to bank `idx` of `rank`; `addr` is the
+    /// burst's block address. The caller has traced the command.
+    #[inline]
+    fn apply_read(
+        &mut self,
+        idx: usize,
+        rank: u32,
+        addr: PhysAddr,
+        requester: Requester,
+        at: Tick,
+    ) -> Result<ReadResult, IssueError> {
+        let (bus_start, mut data_ready) = self.banks[idx].read(at, &self.timing);
+        *self.bus_slot_mut(requester, rank) = Some(BusOp {
+            is_write: false,
+            rank,
+            end: data_ready,
+        });
+        let mut data = self.data.read_burst(addr);
+        self.stats.read_bursts.inc();
+        if let Some(fault) = self.fault.as_mut() {
+            // Faults perturb only the returned copy and the
+            // requester-observed completion time; bank/bus reservations
+            // stay normal so retries can recover.
+            let dark = fault.rank_dark(rank, at);
+            let disturbance = fault.on_read_burst(&mut data, rank, at);
+            data_ready = data_ready
+                .checked_add(disturbance.extra_delay)
+                .unwrap_or(Tick::MAX);
+            if disturbance.extra_delay > Tick::ZERO {
+                self.tracer.emit(
+                    at,
+                    EventKind::FaultInjected {
+                        kind: if dark { "outage" } else { "stall" },
+                    },
+                );
+            }
+            if disturbance.uncorrectable {
+                self.tracer.emit(
+                    at,
+                    EventKind::FaultInjected {
+                        kind: "uncorrectable",
+                    },
+                );
+                return Err(IssueError::Uncorrectable);
+            }
+        }
+        Ok(ReadResult {
+            data,
+            bus_start,
+            data_ready,
+        })
+    }
+
+    /// Applies a WRITE CAS at `at`, like [`Self::apply_read`]; `payload`
+    /// of `None` is a timing-only write. Returns when the burst's data
+    /// has landed.
+    #[inline]
+    fn apply_write(
+        &mut self,
+        idx: usize,
+        rank: u32,
+        addr: PhysAddr,
+        requester: Requester,
+        at: Tick,
+        payload: Option<&[u8; 64]>,
+    ) -> Tick {
+        let t = &self.timing;
+        let (_, data_end) = self.banks[idx].write(at, t);
+        let rs = &mut self.ranks[rank as usize];
+        rs.wtr_until = rs.wtr_until.max(data_end + t.t_wtr);
+        *self.bus_slot_mut(requester, rank) = Some(BusOp {
+            is_write: true,
+            rank,
+            end: data_end,
+        });
+        if let Some(payload) = payload {
+            self.data.write_burst(addr, payload);
+        }
+        self.stats.write_bursts.inc();
+        data_end
+    }
+
     /// Applies `cmd` at `at`, which the caller has checked: ownership, bank
     /// state and `at` ≥ the command's earliest legal tick. [`Self::issue`]
     /// checks and then applies; a transaction that schedules each command
@@ -502,26 +640,7 @@ impl DramModule {
         at: Tick,
         write_data: Option<&[u8; 64]>,
     ) -> Result<Option<ReadResult>, IssueError> {
-        if self.tracer.is_enabled() {
-            let (name, rank, bank) = match cmd {
-                DramCommand::Activate { rank, bank, .. } => ("ACT", rank, bank),
-                DramCommand::Read { rank, bank, .. } => ("RD", rank, bank),
-                DramCommand::Write { rank, bank, .. } => ("WR", rank, bank),
-                DramCommand::Precharge { rank, bank } => ("PRE", rank, bank),
-                DramCommand::PrechargeAll { rank } => ("PREA", rank, 0),
-                DramCommand::Refresh { rank } => ("REF", rank, 0),
-                DramCommand::ModeRegisterSet { rank, .. } => ("MRS", rank, 0),
-            };
-            self.tracer.emit(
-                at,
-                EventKind::DramCmd {
-                    cmd: name,
-                    rank,
-                    bank,
-                    requester: requester.label(),
-                },
-            );
-        }
+        self.trace_cmd(at, cmd, requester);
         let t = &self.timing;
         match cmd {
             DramCommand::Activate { rank, bank, row } => {
@@ -541,75 +660,13 @@ impl DramModule {
             }
             DramCommand::Read { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
-                let row = self.banks[idx].open_row().expect("checked");
-                let (bus_start, mut data_ready) = self.banks[idx].read(at, t);
-                *self.bus_slot_mut(requester, rank) = Some(BusOp {
-                    is_write: false,
-                    rank,
-                    end: data_ready,
-                });
-                let addr = self.decoder.encode(Coord {
-                    rank,
-                    bank,
-                    row,
-                    block,
-                });
-                let mut data = self.data.read_burst(addr);
-                self.stats.read_bursts.inc();
-                if let Some(fault) = self.fault.as_mut() {
-                    // Faults perturb only the returned copy and the
-                    // requester-observed completion time; bank/bus
-                    // reservations stay normal so retries can recover.
-                    let dark = fault.rank_dark(rank, at);
-                    let disturbance = fault.on_read_burst(&mut data, rank, at);
-                    data_ready = data_ready
-                        .checked_add(disturbance.extra_delay)
-                        .unwrap_or(Tick::MAX);
-                    if disturbance.extra_delay > Tick::ZERO {
-                        self.tracer.emit(
-                            at,
-                            EventKind::FaultInjected {
-                                kind: if dark { "outage" } else { "stall" },
-                            },
-                        );
-                    }
-                    if disturbance.uncorrectable {
-                        self.tracer.emit(
-                            at,
-                            EventKind::FaultInjected {
-                                kind: "uncorrectable",
-                            },
-                        );
-                        return Err(IssueError::Uncorrectable);
-                    }
-                }
-                Ok(Some(ReadResult {
-                    data,
-                    bus_start,
-                    data_ready,
-                }))
+                let addr = self.open_block_addr(idx, rank, bank, block);
+                self.apply_read(idx, rank, addr, requester, at).map(Some)
             }
             DramCommand::Write { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
-                let row = self.banks[idx].open_row().expect("checked");
-                let (_, data_end) = self.banks[idx].write(at, t);
-                let rs = &mut self.ranks[rank as usize];
-                rs.wtr_until = rs.wtr_until.max(data_end + t.t_wtr);
-                *self.bus_slot_mut(requester, rank) = Some(BusOp {
-                    is_write: true,
-                    rank,
-                    end: data_end,
-                });
-                if let Some(payload) = write_data {
-                    let addr = self.decoder.encode(Coord {
-                        rank,
-                        bank,
-                        row,
-                        block,
-                    });
-                    self.data.write_burst(addr, payload);
-                }
-                self.stats.write_bursts.inc();
+                let addr = self.open_block_addr(idx, rank, bank, block);
+                self.apply_write(idx, rank, addr, requester, at, write_data);
                 Ok(None)
             }
             DramCommand::Precharge { rank, bank } => {
@@ -809,24 +866,55 @@ impl DramModule {
         now: Tick,
         write_data: Option<&[u8; 64]>,
     ) -> Result<BlockAccess, IssueError> {
+        let addr = self.decoder.encode(coord);
+        self.serve(coord, addr, is_write, requester, now, write_data)
+    }
+
+    /// Serves the block holding `addr`, as [`Self::serve_block`] serves its
+    /// decoded coordinate.
+    ///
+    /// # Errors
+    /// Propagates ownership errors.
+    pub fn serve_addr(
+        &mut self,
+        addr: PhysAddr,
+        is_write: bool,
+        requester: Requester,
+        now: Tick,
+        write_data: Option<&[u8; 64]>,
+    ) -> Result<BlockAccess, IssueError> {
+        let addr = addr.block_base();
+        let coord = self.decoder.decode(addr);
+        self.serve(coord, addr, is_write, requester, now, write_data)
+    }
+
+    /// The transaction behind [`Self::serve_block`] and
+    /// [`Self::serve_addr`]; `addr` is `coord`'s block address, which the
+    /// entry point already holds, so no step re-encodes it.
+    fn serve(
+        &mut self,
+        coord: Coord,
+        addr: PhysAddr,
+        is_write: bool,
+        requester: Requester,
+        now: Tick,
+        write_data: Option<&[u8; 64]>,
+    ) -> Result<BlockAccess, IssueError> {
         assert!(
             write_data.is_none() || is_write,
             "payload supplied for a read"
         );
+        let Coord { rank, bank, .. } = coord;
         // The transaction's one ownership check, before mutating anything.
-        let probe = if is_write {
-            DramCommand::write(coord)
-        } else {
-            DramCommand::read(coord)
-        };
-        self.check_ownership(&probe, requester).inspect_err(|e| {
-            if matches!(e, IssueError::RankOwnedByNdp) {
-                self.stats.ownership_rejections.inc();
-            }
-        })?;
+        self.check_data_ownership(rank, requester)
+            .inspect_err(|e| {
+                if matches!(e, IssueError::RankOwnedByNdp) {
+                    self.stats.ownership_rejections.inc();
+                }
+            })?;
 
-        let mut cursor = if self.timing.refresh_enabled {
-            self.maintain_refresh(coord.rank, now, requester)?
+        let mut cursor = if self.refresh_due(rank, now) {
+            self.maintain_refresh(rank, now, requester)?
         } else {
             now
         };
@@ -835,15 +923,11 @@ impl DramModule {
         // refreshes before this transaction proceeds (independent of the
         // regular tREFI schedule, which may be disabled). Like regular
         // refresh, the storm quiesces the rank — open rows close first.
-        if let Some(n) = self
-            .fault
-            .as_mut()
-            .and_then(|f| f.refresh_storm(coord.rank))
-        {
-            cursor = self.apply_refresh_storm(coord.rank, requester, cursor, n)?;
+        if let Some(n) = self.fault.as_mut().and_then(|f| f.refresh_storm(rank)) {
+            cursor = self.apply_refresh_storm(rank, requester, cursor, n)?;
         }
 
-        let idx = self.bank_index(coord.rank, coord.bank);
+        let idx = self.bank_index(rank, bank);
         let outcome = match self.banks[idx].state() {
             BankState::Active { row } if row == coord.row => RowOutcome::Hit,
             BankState::Idle => RowOutcome::Miss,
@@ -857,68 +941,44 @@ impl DramModule {
                     RowOutcome::Miss => "miss",
                     RowOutcome::Conflict => "conflict",
                 },
-                rank: coord.rank,
-                bank: coord.bank,
+                rank,
+                bank,
             },
         );
         // Each command is applied at the earliest tick just computed for
         // it; ownership was checked once above, for the whole transaction.
         match outcome {
-            RowOutcome::Hit => {}
+            RowOutcome::Hit => self.stats.row_hits.inc(),
             RowOutcome::Conflict => {
                 let pre = DramCommand::precharge(coord);
                 let at = self
                     .earliest_legal(pre, requester, cursor)
                     .expect("precharge always legal");
                 self.apply(pre, requester, at, None).expect("legal");
-                cursor = at;
-                let act = DramCommand::activate(coord);
-                let at = self
-                    .earliest_legal(act, requester, cursor)
-                    .expect("bank now idle");
-                self.apply(act, requester, at, None).expect("legal");
-                cursor = at;
+                cursor = self.activate(coord, requester, at);
+                self.stats.row_conflicts.inc();
             }
             RowOutcome::Miss => {
-                let act = DramCommand::activate(coord);
-                let at = self
-                    .earliest_legal(act, requester, cursor)
-                    .expect("bank idle");
-                self.apply(act, requester, at, None).expect("legal");
-                cursor = at;
+                cursor = self.activate(coord, requester, cursor);
+                self.stats.row_misses.inc();
             }
-        }
-        match outcome {
-            RowOutcome::Hit => self.stats.row_hits.inc(),
-            RowOutcome::Miss => self.stats.row_misses.inc(),
-            RowOutcome::Conflict => self.stats.row_conflicts.inc(),
         }
 
         if is_write {
-            let cmd = DramCommand::write(coord);
-            let at = self
-                .earliest_legal(cmd, requester, cursor)
-                .expect("row open");
-            self.apply(cmd, requester, at, write_data)
-                .expect("legal by construction");
-            let data_ready = at + self.timing.cwl + self.timing.t_burst;
+            let at = self.earliest_write(idx, rank, requester, cursor);
+            self.trace_cmd(at, DramCommand::write(coord), requester);
+            let data_end = self.apply_write(idx, rank, addr, requester, at, write_data);
             Ok(BlockAccess {
                 outcome,
-                data_ready,
+                data_ready: data_end,
                 data: None,
             })
         } else {
-            let cmd = DramCommand::read(coord);
-            let at = self
-                .earliest_legal(cmd, requester, cursor)
-                .expect("row open");
-            let result = match self.apply(cmd, requester, at, None) {
-                Ok(r) => r.expect("read returns data"),
-                // The only fallible outcome of a read scheduled at its
-                // earliest legal tick is an injected ECC failure.
-                Err(e @ IssueError::Uncorrectable) => return Err(e),
-                Err(e) => unreachable!("read scheduled at its earliest legal tick: {e:?}"),
-            };
+            let at = self.earliest_read(idx, rank, requester, cursor);
+            self.trace_cmd(at, DramCommand::read(coord), requester);
+            // The only fallible outcome of a read scheduled at its earliest
+            // legal tick is an injected ECC failure.
+            let result = self.apply_read(idx, rank, addr, requester, at)?;
             Ok(BlockAccess {
                 outcome,
                 data_ready: result.data_ready,
@@ -927,20 +987,13 @@ impl DramModule {
         }
     }
 
-    /// Serves a block access by physical address (decode + [`Self::serve_block`]).
-    ///
-    /// # Errors
-    /// Propagates ownership errors.
-    pub fn serve_addr(
-        &mut self,
-        addr: PhysAddr,
-        is_write: bool,
-        requester: Requester,
-        now: Tick,
-        write_data: Option<&[u8; 64]>,
-    ) -> Result<BlockAccess, IssueError> {
-        let coord = self.decoder.decode(addr.block_base());
-        self.serve_block(coord, is_write, requester, now, write_data)
+    /// Opens `coord`'s row in its idle bank at the earliest legal tick ≥
+    /// `now`, and returns that tick.
+    fn activate(&mut self, coord: Coord, requester: Requester, now: Tick) -> Tick {
+        let act = DramCommand::activate(coord);
+        let at = self.earliest_legal(act, requester, now).expect("bank idle");
+        self.apply(act, requester, at, None).expect("legal");
+        at
     }
 }
 
@@ -1416,6 +1469,77 @@ mod tests {
             times[0],
             t.t_faw
         );
+    }
+
+    #[test]
+    fn serve_addr_and_serve_block_agree() {
+        use crate::fault::{FaultInjector, FaultPlan};
+        use jafar_common::check::forall;
+        forall("serve_addr_and_serve_block_agree", 48, |rng| {
+            let mapping = [
+                AddressMapping::RowBankRankBlock,
+                AddressMapping::BankInterleavedBlock,
+                AddressMapping::RankRowBankBlock,
+            ][rng.next_below(3) as usize];
+            let timing = if rng.next_bool(0.5) {
+                DramTiming::ddr3_paper()
+            } else {
+                DramTiming::ddr3_paper().without_refresh()
+            };
+            let faults = rng.next_bool(0.5).then(|| FaultPlan::light(rng.next_u64()));
+            let twin = || {
+                let mut m = DramModule::new(DramGeometry::tiny(), timing, mapping);
+                m.set_fault_injector(faults.map(FaultInjector::new));
+                // Rank 0 belongs to the NDP device (a glitched grant is
+                // fine: both twins glitch alike).
+                let mrs = DramCommand::ModeRegisterSet {
+                    rank: 0,
+                    mr: 3,
+                    value: MR3_MPR_ENABLE,
+                };
+                let _ = m.issue(mrs, Requester::Host, Tick::ZERO, None);
+                m
+            };
+            let (mut by_addr, mut by_block) = (twin(), twin());
+            let mut now = Tick::ZERO;
+            for i in 0..300u64 {
+                let addr = PhysAddr(rng.next_below(DramGeometry::tiny().capacity_bytes()));
+                let write = rng.next_bool(0.3);
+                let payload = [i as u8; 64];
+                let data = write.then_some(&payload);
+                let requester = if rng.next_bool(0.5) {
+                    Requester::Host
+                } else {
+                    Requester::Ndp
+                };
+                let a = by_addr.serve_addr(addr, write, requester, now, data);
+                let coord = by_block.decoder().decode(addr.block_base());
+                let b = by_block.serve_block(coord, write, requester, now, data);
+                match (a, b) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(
+                            (a.outcome, a.data_ready, a.data),
+                            (b.outcome, b.data_ready, b.data)
+                        );
+                    }
+                    (a, b) => assert_eq!(a.err(), b.err()),
+                }
+                // Mostly back-to-back, sometimes past several refreshes.
+                now += if rng.next_bool(0.02) {
+                    Tick::from_us(40)
+                } else {
+                    Tick::from_ps(rng.next_below(60_000))
+                };
+            }
+            assert_eq!(
+                format!("{:?}", by_addr.stats()),
+                format!("{:?}", by_block.stats())
+            );
+            assert_eq!(
+                format!("{:?}", by_addr.fault_stats()),
+                format!("{:?}", by_block.fault_stats())
+            );
+        });
     }
 
     #[test]
