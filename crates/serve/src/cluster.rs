@@ -52,10 +52,10 @@
 //! the *data* plane (requests, responses, column pulls) pays fabric
 //! costs. The ledger of every link ends up in the [`ClusterReport`].
 
-use crate::engine::{host_scan_cost, Engine, EngineInvariant, ServeConfig, ServeEnv};
+use crate::engine::{host_scan, host_scan_cost, Engine, EngineInvariant, ServeConfig, ServeEnv};
 use crate::policy::SchedPolicy;
 use crate::report::{Availability, ExecMode, QueryRecord};
-use crate::workload::{AggFn, Arrivals, QueryOp, Workload};
+use crate::workload::{Arrivals, Workload};
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
 use jafar_net::{LinkSpec, LinkStats, NetFabric, Placement};
@@ -411,89 +411,6 @@ fn result_bytes(rec: &QueryRecord) -> u64 {
         + 8
 }
 
-/// Functional scan of the full column into `rec` — the same result
-/// semantics as the node-local CPU rung (bit-identical bitset, wrapping
-/// sum, `None` extremum on an empty selection, packed projection,
-/// key-sorted groups), so the local-pull tier is indistinguishable from
-/// every other tier in everything but timing. `keys` is the group-by key
-/// column (may be empty for workloads without group-by queries).
-fn scan_functional(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
-    let (lo, hi) = (rec.lo, rec.hi);
-    match rec.op {
-        QueryOp::Select | QueryOp::Project { .. } => {
-            let mut bytes = vec![0u8; values.len().div_ceil(8)];
-            let mut matched = 0u64;
-            for (i, &v) in values.iter().enumerate() {
-                if v >= lo && v <= hi {
-                    bytes[i / 8] |= 1 << (i % 8);
-                    matched += 1;
-                }
-            }
-            rec.bitset = bytes;
-            rec.matched = matched;
-            if let QueryOp::Project { .. } = rec.op {
-                rec.projected = values
-                    .iter()
-                    .copied()
-                    .filter(|&v| v >= lo && v <= hi)
-                    .collect();
-            }
-        }
-        QueryOp::SelectCount => {
-            let matched = values.iter().filter(|&&v| v >= lo && v <= hi).count() as u64;
-            rec.matched = matched;
-            rec.agg = Some(matched as i64);
-        }
-        QueryOp::SelectAgg(f) => {
-            let mut matched = 0u64;
-            let mut acc: Option<i64> = None;
-            for &v in values.iter().filter(|&&v| v >= lo && v <= hi) {
-                matched += 1;
-                acc = Some(match (f, acc) {
-                    (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
-                    (AggFn::Min | AggFn::Max, None) => v,
-                    (AggFn::Min, Some(p)) => p.min(v),
-                    (AggFn::Max, Some(p)) => p.max(v),
-                });
-            }
-            rec.matched = matched;
-            rec.agg = acc;
-        }
-        QueryOp::SemiJoin { ranges } => {
-            let mut bytes = vec![0u8; values.len().div_ceil(8)];
-            let mut matched = 0u64;
-            for (i, &v) in values.iter().enumerate() {
-                if ranges.contains(v) {
-                    bytes[i / 8] |= 1 << (i % 8);
-                    matched += 1;
-                }
-            }
-            rec.bitset = bytes;
-            rec.matched = matched;
-        }
-        QueryOp::GroupBy { agg } => {
-            let mut matched = 0u64;
-            let mut groups: std::collections::BTreeMap<i64, (u64, Option<i64>)> =
-                std::collections::BTreeMap::new();
-            for (i, &v) in values.iter().enumerate() {
-                if v >= lo && v <= hi {
-                    matched += 1;
-                    let e = groups.entry(keys[i]).or_insert((0, None));
-                    e.0 += 1;
-                    e.1 = Some(match (agg, e.1) {
-                        (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
-                        (AggFn::Min | AggFn::Max, None) => v,
-                        (AggFn::Min, Some(p)) => p.min(v),
-                        (AggFn::Max, Some(p)) => p.max(v),
-                    });
-                }
-            }
-            rec.matched = matched;
-            rec.groups = groups.into_iter().map(|(k, (c, a))| (k, c, a)).collect();
-        }
-    }
-}
-
 /// Harvests completions and sheds node `node` produced since the last
 /// call, prices their response hops, and enqueues the frontend response
 /// events. Response times can precede the event that triggered the
@@ -752,7 +669,7 @@ pub fn run_cluster(
                             projected: Vec::new(),
                             groups: Vec::new(),
                         };
-                        scan_functional(values, keys, &mut rec);
+                        host_scan(values, keys, &mut rec);
                         req_hop[q] = pull;
                         local_rec[q] = Some(rec);
                         heap.push(Reverse((done, FCLASS_PULL_DONE, qid)));
@@ -859,8 +776,8 @@ pub fn run_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::SingleDimmPool;
-    use crate::workload::{PredicateMix, QuerySpec};
+    use crate::pool::ChannelRankPool;
+    use crate::workload::{AggFn, PredicateMix, QueryOp, QuerySpec};
     use jafar_common::rng::SplitMix64;
     use jafar_core::device::JafarDevice;
     use jafar_core::driver::{ResilienceConfig, ResilientDriver};
@@ -873,6 +790,7 @@ mod tests {
     /// One memory node's machine, same layout as the engine tests' rig.
     struct NodeRig {
         module: DramModule,
+        pool: ChannelRankPool,
         devices: Vec<JafarDevice>,
         drivers: Vec<ResilientDriver>,
         replicas: Vec<PhysAddr>,
@@ -883,7 +801,6 @@ mod tests {
 
     struct ClusterRig {
         nodes: Vec<NodeRig>,
-        pools: Vec<SingleDimmPool>,
         values: Vec<i64>,
         keys: Vec<i64>,
         tracer: SharedTracer,
@@ -926,6 +843,7 @@ mod tests {
                 }
                 NodeRig {
                     module,
+                    pool: ChannelRankPool::new(1, ranks_per_node as usize),
                     devices: (0..ranks_per_node)
                         .map(|_| JafarDevice::paper_default())
                         .collect(),
@@ -941,9 +859,6 @@ mod tests {
             .collect();
         ClusterRig {
             nodes,
-            // Filled per run (one pool per node) so `run` can borrow
-            // them alongside the mutable node machines.
-            pools: Vec::new(),
             values,
             keys,
             tracer: SharedTracer::disabled(),
@@ -962,19 +877,15 @@ mod tests {
         ) -> ClusterReport {
             let ClusterRig {
                 nodes,
-                pools,
                 values,
                 keys,
                 tracer,
             } = self;
-            pools.clear();
-            pools.extend(nodes.iter().map(|n| SingleDimmPool::new(n.devices.len())));
             let envs: Vec<ServeEnv<'_>> = nodes
                 .iter_mut()
-                .zip(pools.iter())
-                .map(|(node, pool)| ServeEnv {
+                .map(|node| ServeEnv {
                     modules: vec![&mut node.module],
-                    pool,
+                    pool: &node.pool,
                     devices: &mut node.devices,
                     drivers: &mut node.drivers,
                     replicas: &node.replicas,

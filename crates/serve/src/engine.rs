@@ -10,15 +10,14 @@
 //! pool is a first-class [`FilterPool`]: the engine schedules over dense
 //! unit ids and the pool maps each id to its `{channel, rank, bank-group}`
 //! coordinates, so the same event loop drives a single DIMM's rank vector
-//! ([`crate::pool::SingleDimmPool`]) or a channels × ranks pool over an
-//! interleaved multi-channel memory system
-//! ([`crate::pool::ChannelRankPool`]) — every per-unit resource (device,
-//! driver, replica, output buffers) indexes by unit id, and each unit's
-//! DRAM traffic goes to its own channel's module. A dispatched query is
-//! sharded over up to [`ServeConfig::fanout`] free units and runs as one
-//! steppable [`SelectSession`] per shard, exactly the PR-3 rank-parallel
-//! machinery, so many in-flight queries interleave in simulated time
-//! instead of serializing.
+//! (a one-channel [`crate::pool::ChannelRankPool`]) or a channels × ranks
+//! pool over an interleaved multi-channel memory system — every per-unit
+//! resource (device, driver, replica, output buffers) indexes by unit id,
+//! and each unit's DRAM traffic goes to its own channel's module. A
+//! dispatched query is sharded over up to [`ServeConfig::fanout`] free
+//! units and runs as one steppable [`SelectSession`] per shard, exactly
+//! the rank-parallel machinery of [`jafar_core::parallel`], so many
+//! in-flight queries interleave in simulated time instead of serializing.
 //!
 //! # Event loop and determinism
 //!
@@ -2187,90 +2186,11 @@ impl Engine<'_, '_> {
         self.queue.remove(pos);
         let done = t + self.cpu_estimate(self.records[qid as usize].op);
         self.host_free = done;
-        let values = self.env.values;
+        let (values, keys) = (self.env.values, self.env.keys);
         let rec = &mut self.records[qid as usize];
         rec.started = Some(t);
         rec.mode = ExecMode::Cpu;
-        let (lo, hi) = (rec.lo, rec.hi);
-        match rec.op {
-            QueryOp::Select | QueryOp::Project { .. } => {
-                let mut bytes = vec![0u8; values.len().div_ceil(8)];
-                let mut matched = 0u64;
-                for (i, &v) in values.iter().enumerate() {
-                    if v >= lo && v <= hi {
-                        bytes[i / 8] |= 1 << (i % 8);
-                        matched += 1;
-                    }
-                }
-                rec.bitset = bytes;
-                rec.matched = matched;
-                if let QueryOp::Project { .. } = rec.op {
-                    rec.projected = values
-                        .iter()
-                        .copied()
-                        .filter(|&v| v >= lo && v <= hi)
-                        .collect();
-                }
-            }
-            QueryOp::SelectCount => {
-                let matched = values.iter().filter(|&&v| v >= lo && v <= hi).count() as u64;
-                rec.matched = matched;
-                rec.agg = Some(matched as i64);
-            }
-            QueryOp::SelectAgg(f) => {
-                // Same fold semantics as the device kernel: wrapping sum,
-                // `None` extremum when no row qualifies — the degraded
-                // scalar must be indistinguishable from the device's.
-                let mut matched = 0u64;
-                let mut acc: Option<i64> = None;
-                for &v in values.iter().filter(|&&v| v >= lo && v <= hi) {
-                    matched += 1;
-                    acc = Some(match (f, acc) {
-                        (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
-                        (AggFn::Min | AggFn::Max, None) => v,
-                        (AggFn::Min, Some(p)) => p.min(v),
-                        (AggFn::Max, Some(p)) => p.max(v),
-                    });
-                }
-                rec.matched = matched;
-                rec.agg = acc;
-            }
-            QueryOp::SemiJoin { ranges } => {
-                // One pass over the full range set — bit-identical to
-                // the OR of the device path's disjoint lane bitsets.
-                let mut bytes = vec![0u8; values.len().div_ceil(8)];
-                let mut matched = 0u64;
-                for (i, &v) in values.iter().enumerate() {
-                    if ranges.contains(v) {
-                        bytes[i / 8] |= 1 << (i % 8);
-                        matched += 1;
-                    }
-                }
-                rec.bitset = bytes;
-                rec.matched = matched;
-            }
-            QueryOp::GroupBy { agg } => {
-                let keys = self.env.keys;
-                let mut matched = 0u64;
-                let mut groups: std::collections::BTreeMap<i64, (u64, Option<i64>)> =
-                    std::collections::BTreeMap::new();
-                for (i, &v) in values.iter().enumerate() {
-                    if v >= lo && v <= hi {
-                        matched += 1;
-                        let e = groups.entry(keys[i]).or_insert((0, None));
-                        e.0 += 1;
-                        e.1 = Some(match (agg, e.1) {
-                            (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
-                            (AggFn::Min | AggFn::Max, None) => v,
-                            (AggFn::Min, Some(p)) => p.min(v),
-                            (AggFn::Max, Some(p)) => p.max(v),
-                        });
-                    }
-                }
-                rec.matched = matched;
-                rec.groups = groups.into_iter().map(|(k, (c, a))| (k, c, a)).collect();
-            }
-        }
+        host_scan(values, keys, rec);
         self.cpu_done.push(Reverse((done, qid)));
         self.env.tracer.emit(
             t,
@@ -2283,6 +2203,83 @@ impl Engine<'_, '_> {
         );
         Ok(())
     }
+}
+
+/// Evaluates `rec`'s query on the host over the full column: the bitset
+/// is bit-identical, the aggregate scalar value-identical, the packed
+/// projection byte-identical and the groups key-sorted exactly as the
+/// device path returns them. `keys` is the group-by key column (empty for
+/// workloads without group-bys). Shared by the engine's degrade rung and
+/// the cluster frontend's pull-and-scan rung, so no host tier can be told
+/// from a device tier by anything but timing.
+pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
+    let (lo, hi) = (rec.lo, rec.hi);
+    let hit = |v: i64| v >= lo && v <= hi;
+    // Same fold semantics as the device kernel: wrapping sum, `None`
+    // extremum when no row qualifies.
+    let fold = |f: AggFn, acc: Option<i64>, v: i64| match (f, acc) {
+        (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
+        (AggFn::Min | AggFn::Max, None) => v,
+        (AggFn::Min, Some(p)) => p.min(v),
+        (AggFn::Max, Some(p)) => p.max(v),
+    };
+    match rec.op {
+        QueryOp::Select | QueryOp::Project { .. } => {
+            (rec.bitset, rec.matched) = host_bitset(values, hit);
+            if let QueryOp::Project { .. } = rec.op {
+                rec.projected = values.iter().copied().filter(|&v| hit(v)).collect();
+            }
+        }
+        QueryOp::SelectCount => {
+            let matched = values.iter().filter(|&&v| hit(v)).count() as u64;
+            rec.matched = matched;
+            rec.agg = Some(matched as i64);
+        }
+        QueryOp::SelectAgg(f) => {
+            let mut matched = 0u64;
+            let mut acc: Option<i64> = None;
+            for &v in values.iter().filter(|&&v| hit(v)) {
+                matched += 1;
+                acc = Some(fold(f, acc, v));
+            }
+            rec.matched = matched;
+            rec.agg = acc;
+        }
+        QueryOp::SemiJoin { ranges } => {
+            // One pass over the full range set — bit-identical to the OR
+            // of the device path's disjoint lane bitsets.
+            (rec.bitset, rec.matched) = host_bitset(values, |v| ranges.contains(v));
+        }
+        QueryOp::GroupBy { agg } => {
+            let mut matched = 0u64;
+            let mut groups: std::collections::BTreeMap<i64, (u64, Option<i64>)> =
+                std::collections::BTreeMap::new();
+            for (i, &v) in values.iter().enumerate() {
+                if hit(v) {
+                    matched += 1;
+                    let e = groups.entry(keys[i]).or_insert((0, None));
+                    e.0 += 1;
+                    e.1 = Some(fold(agg, e.1, v));
+                }
+            }
+            rec.matched = matched;
+            rec.groups = groups.into_iter().map(|(k, (c, a))| (k, c, a)).collect();
+        }
+    }
+}
+
+/// The selection bitset (LSB-first within each byte) and match count of
+/// `keep` over `values`.
+fn host_bitset(values: &[i64], keep: impl Fn(i64) -> bool) -> (Vec<u8>, u64) {
+    let mut bytes = vec![0u8; values.len().div_ceil(8)];
+    let mut matched = 0u64;
+    for (i, &v) in values.iter().enumerate() {
+        if keep(v) {
+            bytes[i / 8] |= 1 << (i % 8);
+            matched += 1;
+        }
+    }
+    (bytes, matched)
 }
 
 /// Analytical host-scan time for one query: fixed setup, per-row
@@ -2333,18 +2330,21 @@ fn merge_agg(op: AggOp, a: Option<i64>, b: Option<i64>) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::{ChannelRankPool, SingleDimmPool};
+    use crate::pool::ChannelRankPool;
     use crate::workload::{PredicateMix, QuerySpec};
     use jafar_common::rng::SplitMix64;
     use jafar_dram::{AddressMapping, DramGeometry, DramTiming};
 
     const ROWS: u64 = 2048;
 
-    /// A self-contained serving machine over an explicit module: every
-    /// rank carries a full replica of the same seeded column plus an
-    /// output buffer, one device + persistent driver each.
-    struct Rig {
-        module: DramModule,
+    /// A self-contained channels × ranks serving machine: one module per
+    /// channel, and every unit carries a full replica of the same seeded
+    /// column plus its output buffers at the *same* channel-local
+    /// addresses, with one device and persistent driver each, serving
+    /// over a [`ChannelRankPool`].
+    struct WideRig {
+        modules: Vec<DramModule>,
+        pool: ChannelRankPool,
         devices: Vec<JafarDevice>,
         drivers: Vec<ResilientDriver>,
         replicas: Vec<PhysAddr>,
@@ -2356,18 +2356,13 @@ mod tests {
         tracer: SharedTracer,
     }
 
-    fn rig(nranks: u32, seed: u64) -> Rig {
+    fn wide_rig(channels: usize, ranks_per: u32, seed: u64) -> WideRig {
         let geom = DramGeometry {
-            ranks: nranks,
+            ranks: ranks_per,
             banks_per_rank: 4,
             rows_per_bank: 64,
             row_bytes: 1024,
         };
-        let mut module = DramModule::new(
-            geom,
-            DramTiming::ddr3_paper().without_refresh(),
-            AddressMapping::RankRowBankBlock,
-        );
         let mut rng = SplitMix64::new(seed);
         let values: Vec<i64> = (0..ROWS)
             .map(|_| rng.next_range_inclusive(0, 999))
@@ -2379,22 +2374,33 @@ mod tests {
             .map(|_| krng.next_range_inclusive(0, 15))
             .collect();
         let rank_bytes = geom.rank_bytes();
+        let mut modules = Vec::new();
         let mut replicas = Vec::new();
         let mut outs = Vec::new();
         let mut proj_outs = Vec::new();
         let mut stage_outs = Vec::new();
-        for r in 0..nranks as u64 {
-            let col = PhysAddr(r * rank_bytes);
-            module.data_mut().write_i64s(col, &values);
-            replicas.push(col);
-            outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
-            proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
-            stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
+        for _ch in 0..channels {
+            let mut module = DramModule::new(
+                geom,
+                DramTiming::ddr3_paper().without_refresh(),
+                AddressMapping::RankRowBankBlock,
+            );
+            for r in 0..ranks_per as u64 {
+                let col = PhysAddr(r * rank_bytes);
+                module.data_mut().write_i64s(col, &values);
+                replicas.push(col);
+                outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
+                proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
+                stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
+            }
+            modules.push(module);
         }
-        Rig {
-            module,
-            devices: (0..nranks).map(|_| JafarDevice::paper_default()).collect(),
-            drivers: (0..nranks)
+        let nunits = channels * ranks_per as usize;
+        WideRig {
+            modules,
+            pool: ChannelRankPool::new(channels, ranks_per as usize),
+            devices: (0..nunits).map(|_| JafarDevice::paper_default()).collect(),
+            drivers: (0..nunits)
                 .map(|_| ResilientDriver::new(ResilienceConfig::default()))
                 .collect(),
             replicas,
@@ -2407,18 +2413,17 @@ mod tests {
         }
     }
 
-    impl Rig {
+    impl WideRig {
         fn serve(
             &mut self,
             workload: &Workload,
             policy: SchedPolicy,
             cfg: &ServeConfig,
         ) -> ServeReport {
-            let pool = SingleDimmPool::new(self.devices.len());
             run_serve(
                 ServeEnv {
-                    modules: vec![&mut self.module],
-                    pool: &pool,
+                    modules: self.modules.iter_mut().collect(),
+                    pool: &self.pool,
                     devices: &mut self.devices,
                     drivers: &mut self.drivers,
                     replicas: &self.replicas,
@@ -2434,6 +2439,11 @@ mod tests {
                 cfg,
             )
         }
+    }
+
+    /// The single-DIMM machine: one channel of `nranks` units.
+    fn rig(nranks: u32, seed: u64) -> WideRig {
+        wide_rig(1, nranks, seed)
     }
 
     fn reference_bytes(values: &[i64], lo: i64, hi: i64) -> Vec<u8> {
@@ -2754,12 +2764,9 @@ mod tests {
     fn permanent_outage_parks_migrates_and_completes_bit_identically() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(4, 9);
-        rig.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(3).with_outage(
-                0,
-                Tick::ZERO,
-                Tick::MAX,
-            ))));
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(3).with_outage(0, Tick::ZERO, Tick::MAX),
+        )));
         let workload = Workload {
             specs: vec![spec(100, 420, None)],
             arrivals: Arrivals::Open(vec![Tick::ZERO]),
@@ -2791,12 +2798,9 @@ mod tests {
     fn outage_heals_via_canary_and_the_rank_returns_to_service() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(2, 21);
-        rig.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(5).with_outage(
-                1,
-                Tick::ZERO,
-                Tick::from_us(100),
-            ))));
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(5).with_outage(1, Tick::ZERO, Tick::from_us(100)),
+        )));
         let workload = Workload {
             specs: vec![spec(0, 500, None), spec(200, 700, None)],
             arrivals: Arrivals::Open(vec![Tick::ZERO, Tick::from_us(500)]),
@@ -2826,7 +2830,7 @@ mod tests {
     fn quarantined_ranks_tighten_admission_and_shed_excess_arrivals() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(4, 13);
-        rig.module.set_fault_injector(Some(FaultInjector::new(
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
             FaultPlan::none(1)
                 .with_outage(0, Tick::ZERO, Tick::MAX)
                 .with_outage(1, Tick::ZERO, Tick::MAX)
@@ -2873,7 +2877,7 @@ mod tests {
         use jafar_dram::{FaultInjector, FaultPlan};
         let run = || {
             let mut rig = rig(4, 33);
-            rig.module.set_fault_injector(Some(FaultInjector::new(
+            rig.modules[0].set_fault_injector(Some(FaultInjector::new(
                 FaultPlan::chaos(7).with_outage(2, Tick::from_us(5), Tick::from_us(80)),
             )));
             let mix = PredicateMix::UniformRange {
@@ -2885,106 +2889,6 @@ mod tests {
             rig.serve(&workload, SchedPolicy::Edf, &ServeConfig::default())
         };
         assert_eq!(run(), run());
-    }
-
-    /// A channels × ranks machine: one module per channel, every
-    /// channel's units laid out at the *same* channel-local addresses as
-    /// the single-channel rig, serving over a [`ChannelRankPool`].
-    struct WideRig {
-        modules: Vec<DramModule>,
-        pool: ChannelRankPool,
-        devices: Vec<JafarDevice>,
-        drivers: Vec<ResilientDriver>,
-        replicas: Vec<PhysAddr>,
-        outs: Vec<PhysAddr>,
-        proj_outs: Vec<PhysAddr>,
-        stage_outs: Vec<PhysAddr>,
-        values: Vec<i64>,
-        keys: Vec<i64>,
-        tracer: SharedTracer,
-    }
-
-    fn wide_rig(channels: usize, ranks_per: u32, seed: u64) -> WideRig {
-        let geom = DramGeometry {
-            ranks: ranks_per,
-            banks_per_rank: 4,
-            rows_per_bank: 64,
-            row_bytes: 1024,
-        };
-        let mut rng = SplitMix64::new(seed);
-        let values: Vec<i64> = (0..ROWS)
-            .map(|_| rng.next_range_inclusive(0, 999))
-            .collect();
-        let mut krng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let keys: Vec<i64> = (0..ROWS)
-            .map(|_| krng.next_range_inclusive(0, 15))
-            .collect();
-        let rank_bytes = geom.rank_bytes();
-        let mut modules = Vec::new();
-        let mut replicas = Vec::new();
-        let mut outs = Vec::new();
-        let mut proj_outs = Vec::new();
-        let mut stage_outs = Vec::new();
-        for _ch in 0..channels {
-            let mut module = DramModule::new(
-                geom,
-                DramTiming::ddr3_paper().without_refresh(),
-                AddressMapping::RankRowBankBlock,
-            );
-            for r in 0..ranks_per as u64 {
-                let col = PhysAddr(r * rank_bytes);
-                module.data_mut().write_i64s(col, &values);
-                replicas.push(col);
-                outs.push(PhysAddr(r * rank_bytes + 192 * 1024));
-                proj_outs.push(PhysAddr(r * rank_bytes + 64 * 1024));
-                stage_outs.push(PhysAddr(r * rank_bytes + 128 * 1024));
-            }
-            modules.push(module);
-        }
-        let nunits = channels * ranks_per as usize;
-        WideRig {
-            modules,
-            pool: ChannelRankPool::new(channels, ranks_per as usize),
-            devices: (0..nunits).map(|_| JafarDevice::paper_default()).collect(),
-            drivers: (0..nunits)
-                .map(|_| ResilientDriver::new(ResilienceConfig::default()))
-                .collect(),
-            replicas,
-            outs,
-            proj_outs,
-            stage_outs,
-            values,
-            keys,
-            tracer: SharedTracer::disabled(),
-        }
-    }
-
-    impl WideRig {
-        fn serve(
-            &mut self,
-            workload: &Workload,
-            policy: SchedPolicy,
-            cfg: &ServeConfig,
-        ) -> ServeReport {
-            run_serve(
-                ServeEnv {
-                    modules: self.modules.iter_mut().collect(),
-                    pool: &self.pool,
-                    devices: &mut self.devices,
-                    drivers: &mut self.drivers,
-                    replicas: &self.replicas,
-                    outs: &self.outs,
-                    proj_outs: &self.proj_outs,
-                    values: &self.values,
-                    keys: &self.keys,
-                    stage_outs: &self.stage_outs,
-                    tracer: &self.tracer,
-                },
-                workload,
-                policy,
-                cfg,
-            )
-        }
     }
 
     #[test]
@@ -3263,12 +3167,9 @@ mod tests {
         // salvaged, and the shard resumes on the surviving rank — all
         // three co-riders must still complete byte-identically.
         let mut sick = rig(2, 77);
-        sick.module
-            .set_fault_injector(Some(FaultInjector::new(FaultPlan::none(3).with_outage(
-                0,
-                mid,
-                Tick::MAX,
-            ))));
+        sick.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(3).with_outage(0, mid, Tick::MAX),
+        )));
         let report = sick.serve(&workload, SchedPolicy::Fifo, &fcfg);
         assert_eq!(report.completed(), 4);
         for rec in &report.records {

@@ -12,10 +12,10 @@
 //!   closed-loop arrival generators over uniform or TPC-H-Q6-style
 //!   predicate mixes, plus an optional per-query latency SLO;
 //! - [`pool`]: the first-class schedulable pool — a [`FilterPool`] maps
-//!   dense unit ids to `{channel, rank, bank-group}` coordinates, with
-//!   implementations for today's single-DIMM rank vector and a
-//!   channels × ranks pool over the interleaved multi-channel memory
-//!   system;
+//!   dense unit ids to `{channel, rank, bank-group}` coordinates, and
+//!   [`ChannelRankPool`] implements it for a channels × ranks pool over
+//!   the interleaved multi-channel memory system (one channel is a
+//!   single DIMM's rank vector);
 //! - [`policy`]: pluggable scheduling policies — FIFO,
 //!   earliest-deadline-first, and contention-aware unit affinity (free
 //!   units ordered by channel queue depth, then breaker state and
@@ -70,7 +70,7 @@ pub use cluster::{
 pub use engine::{out_lanes, run_serve, run_serve_checked, EngineInvariant, ServeConfig, ServeEnv};
 pub use health::{HealthConfig, UnitState};
 pub use policy::SchedPolicy;
-pub use pool::{ChannelRankPool, FilterPool, FilterUnit, PoolIdError, SingleDimmPool};
+pub use pool::{ChannelRankPool, FilterPool, FilterUnit, PoolIdError};
 pub use report::{Availability, ExecMode, OpBreakdown, QueryRecord, ServeReport, UnitAvailability};
 pub use submit::{semi_join_spec, spec_from_plan, workload_from_plans, Lowered, SubmitError};
 pub use workload::{

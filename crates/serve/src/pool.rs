@@ -112,48 +112,10 @@ pub trait FilterPool {
     fn channels(&self) -> usize;
 }
 
-/// Today's single-DIMM pool: one channel, one unit per NDP rank, whole
-/// ranks (`unit == rank`). The degenerate case every pre-pool serve run
-/// used implicitly.
-#[derive(Clone, Copy, Debug)]
-pub struct SingleDimmPool {
-    ranks: usize,
-}
-
-impl SingleDimmPool {
-    /// A pool over `ranks` NDP ranks of one DIMM.
-    ///
-    /// # Panics
-    /// Panics if `ranks == 0` — an empty pool can serve nothing.
-    pub fn new(ranks: usize) -> Self {
-        assert!(ranks > 0, "a pool needs at least one unit");
-        SingleDimmPool { ranks }
-    }
-}
-
-impl FilterPool for SingleDimmPool {
-    fn units(&self) -> usize {
-        self.ranks
-    }
-
-    fn unit(&self, u: usize) -> FilterUnit {
-        assert!(u < self.ranks, "unit {u} out of range ({})", self.ranks);
-        FilterUnit {
-            channel: 0,
-            rank: u,
-            bank_group: 0,
-        }
-    }
-
-    fn channels(&self) -> usize {
-        1
-    }
-}
-
 /// A channels × ranks pool over an interleaved multi-channel memory
 /// system (`jafar_memctl::MultiChannel`): every channel brings
 /// `ranks_per_channel` whole-rank units. Unit ids are channel-major, so
-/// `channels == 1` is bit-compatible with [`SingleDimmPool`].
+/// at `channels == 1` the pool is one DIMM's rank vector, `unit == rank`.
 #[derive(Clone, Copy, Debug)]
 pub struct ChannelRankPool {
     channels: usize,
@@ -274,8 +236,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_dimm_pool_is_the_identity_on_ranks() {
-        let p = SingleDimmPool::new(7);
+    fn one_channel_pool_is_the_identity_on_ranks() {
+        let p = ChannelRankPool::new(1, 7);
         assert_eq!(p.units(), 7);
         assert_eq!(p.channels(), 1);
         for u in 0..7 {
@@ -306,16 +268,6 @@ mod tests {
         assert_eq!(p.unit(0).channel, 0);
         assert_eq!(p.unit(2).channel, 0);
         assert_eq!(p.unit(3).channel, 1);
-    }
-
-    #[test]
-    fn one_channel_pool_matches_single_dimm_pool() {
-        let a = SingleDimmPool::new(5);
-        let b = ChannelRankPool::new(1, 5);
-        assert_eq!(a.units(), b.units());
-        for u in 0..a.units() {
-            assert_eq!(a.unit(u), b.unit(u));
-        }
     }
 
     #[test]
@@ -388,6 +340,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn empty_pool_rejected() {
-        SingleDimmPool::new(0);
+        ChannelRankPool::new(1, 0);
     }
 }

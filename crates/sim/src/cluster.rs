@@ -5,7 +5,8 @@
 //! one DIMM's rank vector; a [`ServeCluster`] widens the schedulable pool
 //! across `C` memory channels (one [`jafar_memctl::MultiChannel`] channel
 //! per [`jafar_dram::DramModule`]) behind a
-//! [`jafar_serve::ChannelRankPool`]. Every channel carries the *same*
+//! [`jafar_serve::ChannelRankPool`]; both are the same serving core, held
+//! at one channel and at `C`. Every channel carries the *same*
 //! channel-local layout — replica, bitset buffer and projection buffer at
 //! identical channel-local addresses, contiguous within the channel and
 //! never word-interleaved across channels — so each unit's shard run is
@@ -19,17 +20,15 @@
 //! event on the cluster's tracer — the sim configuration path never
 //! panics on bad user input.
 
-use crate::alloc::SimAlloc;
 use crate::config::SystemConfig;
-use jafar_common::obs::{Event, EventKind, RingTracer, SharedTracer};
-use jafar_core::{DriverStats, JafarDevice, ResilienceConfig, ResilientDriver};
-use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
+use crate::serving::ServeCore;
+use jafar_common::obs::{EventKind, SharedTracer};
+use jafar_core::DriverStats;
+use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats};
 use jafar_memctl::controller::MemoryController;
 use jafar_memctl::{ChannelConfigError, MultiChannel};
-use jafar_serve::engine::{out_lanes, run_serve, ServeConfig, ServeEnv};
-use jafar_serve::{ChannelRankPool, FilterPool, SchedPolicy, ServeReport, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
+use jafar_serve::engine::{run_serve, ServeConfig};
+use jafar_serve::{ChannelRankPool, SchedPolicy, ServeReport, Workload};
 
 /// Result of a [`ServeCluster::serve`] run: the engine's report plus the
 /// per-unit recovery counters and per-channel fault counters.
@@ -53,17 +52,11 @@ pub struct ClusterServeRun {
 /// single-DIMM convention), and unit ids are channel-major per
 /// [`ChannelRankPool`].
 pub struct ServeCluster {
-    cfg: SystemConfig,
     mc: MultiChannel,
-    pool: ChannelRankPool,
-    devices: Vec<JafarDevice>,
-    /// Per-unit channel-local arenas; `arenas[u]` allocates within rank
-    /// `pool.unit(u).rank` of channel `pool.unit(u).channel`. Identical
-    /// allocation sequences per channel keep channel-local addresses
-    /// identical across channels.
-    arenas: Vec<SimAlloc>,
+    /// The units of every channel. Identical allocation sequences per
+    /// channel keep channel-local addresses identical across channels.
+    pub(crate) core: ServeCore,
     tracer: SharedTracer,
-    trace_ring: Option<Rc<RefCell<RingTracer>>>,
 }
 
 impl ServeCluster {
@@ -83,9 +76,10 @@ impl ServeCluster {
         channels: usize,
         tracer: SharedTracer,
     ) -> Result<Self, ChannelConfigError> {
-        let device = cfg
-            .device
-            .expect("serving requires a JAFAR device (SystemConfig::device)");
+        assert!(
+            cfg.device.is_some(),
+            "serving requires a JAFAR device (SystemConfig::device)"
+        );
         let controllers: Vec<MemoryController> = (0..channels)
             .map(|_| {
                 MemoryController::new(
@@ -107,58 +101,21 @@ impl ServeCluster {
                 return Err(e);
             }
         };
-        let rank_bytes = cfg.dram_geometry.rank_bytes();
-        let ranks_per_channel = (cfg.dram_geometry.ranks as usize).saturating_sub(1).max(1);
-        let pool = ChannelRankPool::new(channels, ranks_per_channel);
-        let mut arenas = Vec::with_capacity(pool.units());
-        for u in 0..pool.units() {
-            let rank = pool.unit(u).rank as u64;
-            arenas.push(SimAlloc::new(PhysAddr(rank * rank_bytes), rank_bytes));
-        }
         Ok(ServeCluster {
-            devices: (0..pool.units())
-                .map(|_| JafarDevice::new(device))
-                .collect(),
-            cfg,
+            core: ServeCore::new(&cfg, channels),
             mc,
-            pool,
-            arenas,
             tracer,
-            trace_ring: None,
         })
-    }
-
-    /// [`ServeCluster::new`] with a fresh ring tracer of `capacity`
-    /// events attached, for callers that want the trace stream (e.g. to
-    /// observe `ErrorSurfaced` / `RankHealth` events).
-    pub fn with_tracing(
-        cfg: SystemConfig,
-        channels: usize,
-        capacity: usize,
-    ) -> Result<Self, ChannelConfigError> {
-        let (tracer, ring) = SharedTracer::ring(capacity);
-        let mut cluster = Self::new(cfg, channels, tracer)?;
-        cluster.trace_ring = Some(ring);
-        Ok(cluster)
     }
 
     /// The pool topology this cluster schedules over.
     pub fn pool(&self) -> &ChannelRankPool {
-        &self.pool
+        &self.core.pool
     }
 
     /// Number of memory channels.
     pub fn channels(&self) -> usize {
         self.mc.num_channels()
-    }
-
-    /// Snapshot of the recorded trace events, oldest first. Empty unless
-    /// built via [`ServeCluster::with_tracing`].
-    pub fn trace_events(&self) -> Vec<Event> {
-        self.trace_ring
-            .as_ref()
-            .map(|r| r.borrow().snapshot())
-            .unwrap_or_default()
     }
 
     /// Installs a fault plan on one channel's module. Rank scopes within
@@ -186,6 +143,7 @@ impl ServeCluster {
     /// addresses on every channel), one persistent resilient driver is
     /// built per unit, and the engine schedules across all channels in
     /// one event loop — rescued shards may migrate across channels.
+    /// Every arena returns to its pre-serve cursor afterwards.
     ///
     /// # Panics
     /// Panics if `values` is empty or a unit arena cannot hold a replica
@@ -212,65 +170,20 @@ impl ServeCluster {
         policy: SchedPolicy,
         cfg: &ServeConfig,
     ) -> ClusterServeRun {
-        assert!(!values.is_empty(), "cannot serve an empty column");
-        let rows = values.len() as u64;
-        let nunits = self.pool.units();
-        let mut replicas = Vec::with_capacity(nunits);
-        let mut outs = Vec::with_capacity(nunits);
-        let mut proj_outs = Vec::with_capacity(nunits);
-        let mut stage_outs = Vec::with_capacity(nunits);
-        {
-            let mut modules = self.mc.modules_mut();
-            for u in 0..nunits {
-                let ch = self.pool.unit(u).channel;
-                let col = self.arenas[u].alloc_blocks(rows * 8);
-                modules[ch].data_mut().write_i64s(col, values);
-                replicas.push(col);
-                // One bitset lane per fuse slot — or per semi-join key
-                // range, whichever is wider (engine addresses lane `l`
-                // at `out + l * stride`); fuse_window=1 with no
-                // semi-joins is the historical single-lane size.
-                let stride = rows.div_ceil(8).next_multiple_of(64);
-                outs.push(self.arenas[u].alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));
-                proj_outs.push(self.arenas[u].alloc_blocks(rows * 8));
-                // Group-by staging: worst case every row lands on this
-                // unit, each group padded to a 64-byte kernel boundary.
-                stage_outs.push(self.arenas[u].alloc_blocks(rows * 8 + 64));
-            }
-        }
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..cfg.resilience
-        };
-        let mut drivers: Vec<ResilientDriver> = (0..nunits)
-            .map(|_| {
-                let mut d = ResilientDriver::new(rcfg);
-                d.set_tracer(self.tracer.clone());
-                d
-            })
-            .collect();
+        let mut modules = self.mc.modules_mut();
+        let mut placed = self
+            .core
+            .place(&mut modules, values, workload, cfg, &self.tracer);
         let report = run_serve(
-            ServeEnv {
-                modules: self.mc.modules_mut(),
-                pool: &self.pool,
-                devices: &mut self.devices,
-                drivers: &mut drivers,
-                replicas: &replicas,
-                outs: &outs,
-                proj_outs: &proj_outs,
-                values,
-                keys,
-                stage_outs: &stage_outs,
-                tracer: &self.tracer,
-            },
+            self.core
+                .env(&mut placed, modules, values, keys, &self.tracer),
             workload,
             policy,
             cfg,
         );
         ClusterServeRun {
             report,
-            recovery: drivers.iter().map(|d| *d.stats()).collect(),
+            recovery: self.core.release(placed),
             faults: (0..self.mc.num_channels())
                 .map(|ch| self.mc.channel(ch).module().fault_stats().copied())
                 .collect(),
@@ -283,7 +196,7 @@ mod tests {
     use super::*;
     use jafar_common::rng::SplitMix64;
     use jafar_common::time::Tick;
-    use jafar_serve::PredicateMix;
+    use jafar_serve::{FilterPool, PredicateMix};
 
     fn values(n: usize, seed: u64) -> Vec<i64> {
         let mut rng = SplitMix64::new(seed);

@@ -4,15 +4,16 @@
 //! schedulable pool across memory *channels* inside one box; a
 //! [`ServeGrid`] goes the other way and disaggregates it across `N`
 //! memory **nodes**, each a self-contained single-DIMM serving machine —
-//! its own DRAM module, filter-unit pool, devices, drivers and fault
-//! injector — connected to a host frontend by a
+//! its own DRAM module and fault injector plus the one-channel serving
+//! core every tier shares — connected to a host frontend by a
 //! [`jafar_net::NetFabric`] link and driven by
 //! [`jafar_serve::cluster::run_cluster`].
 //!
 //! Every node replays the **identical node-local allocation sequence**:
 //! the column replica, bitset buffer and projection buffer land at the
 //! same node-local physical addresses on every node (the grid analogue
-//! of `ServeCluster`'s identical channel-local layout). Combined with
+//! of `ServeCluster`'s identical channel-local layout), and return to
+//! the arena after every serve. Combined with
 //! the fabric's label-split jitter streams, a query served on node `k`
 //! of an N-node grid runs byte-for-byte the device program it would run
 //! on a single-node grid — which is what lets `tests/cluster_identity.rs`
@@ -22,17 +23,15 @@
 //! installs a plan on one node's module only, and the cluster report's
 //! per-node availability ledgers stay confined to that node.
 
-use crate::alloc::SimAlloc;
 use crate::config::SystemConfig;
-use jafar_common::obs::{Event, RingTracer, SharedTracer};
-use jafar_core::{DriverStats, JafarDevice, ResilienceConfig, ResilientDriver};
-use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
+use crate::serving::ServeCore;
+use jafar_common::obs::SharedTracer;
+use jafar_core::DriverStats;
+use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats};
 use jafar_net::{NetFabric, Placement};
 use jafar_serve::cluster::{cluster_fabric, run_cluster, ClusterConfig, ClusterEnv, ClusterReport};
-use jafar_serve::engine::{out_lanes, ServeConfig, ServeEnv};
-use jafar_serve::{FilterPool, SchedPolicy, SingleDimmPool, Workload};
-use std::cell::RefCell;
-use std::rc::Rc;
+use jafar_serve::engine::ServeConfig;
+use jafar_serve::{FilterPool, SchedPolicy, Workload};
 
 /// Result of a [`ServeGrid::serve`] run: the cluster report plus the
 /// per-node recovery and fault counters.
@@ -47,14 +46,12 @@ pub struct GridServeRun {
     pub faults: Vec<Option<FaultStats>>,
 }
 
-/// One memory node's machine: a single-DIMM serving box.
-struct GridNode {
+/// One memory node's machine: a DIMM and the serving core over it. The
+/// core's allocation sequence is identical on every node, so node-local
+/// addresses replay exactly.
+pub(crate) struct GridNode {
     module: DramModule,
-    pool: SingleDimmPool,
-    devices: Vec<JafarDevice>,
-    /// Per-unit rank-confined arenas; the allocation sequence is
-    /// identical on every node, so node-local addresses replay exactly.
-    arenas: Vec<SimAlloc>,
+    pub(crate) core: ServeCore,
 }
 
 /// `N` disaggregated memory nodes served behind one host frontend.
@@ -64,10 +61,8 @@ struct GridNode {
 /// mapping, and — mirroring the single-DIMM convention — every rank but
 /// the last is an NDP filter unit (the last stays CPU-private).
 pub struct ServeGrid {
-    cfg: SystemConfig,
-    nodes: Vec<GridNode>,
+    pub(crate) nodes: Vec<GridNode>,
     tracer: SharedTracer,
-    trace_ring: Option<Rc<RefCell<RingTracer>>>,
 }
 
 impl ServeGrid {
@@ -77,37 +72,17 @@ impl ServeGrid {
     /// Panics if `nodes == 0` or `cfg` has no JAFAR device.
     pub fn new(cfg: SystemConfig, nodes: usize, tracer: SharedTracer) -> Self {
         assert!(nodes > 0, "a grid needs at least one memory node");
-        let device = cfg
-            .device
-            .expect("serving requires a JAFAR device (SystemConfig::device)");
-        let rank_bytes = cfg.dram_geometry.rank_bytes();
-        let units = (cfg.dram_geometry.ranks as usize).saturating_sub(1).max(1);
+        assert!(
+            cfg.device.is_some(),
+            "serving requires a JAFAR device (SystemConfig::device)"
+        );
         let nodes = (0..nodes)
             .map(|_| GridNode {
                 module: DramModule::new(cfg.dram_geometry, cfg.dram_timing, cfg.mapping),
-                pool: SingleDimmPool::new(units),
-                devices: (0..units).map(|_| JafarDevice::new(device)).collect(),
-                arenas: (0..units as u64)
-                    .map(|r| SimAlloc::new(PhysAddr(r * rank_bytes), rank_bytes))
-                    .collect(),
+                core: ServeCore::new(&cfg, 1),
             })
             .collect();
-        ServeGrid {
-            cfg,
-            nodes,
-            tracer,
-            trace_ring: None,
-        }
-    }
-
-    /// [`ServeGrid::new`] with a fresh ring tracer of `capacity` events
-    /// attached — the stream carries the frontend's `QueryRouted` /
-    /// `NetHop` / `ColumnPulled` events alongside the node engines' own.
-    pub fn with_tracing(cfg: SystemConfig, nodes: usize, capacity: usize) -> Self {
-        let (tracer, ring) = SharedTracer::ring(capacity);
-        let mut grid = Self::new(cfg, nodes, tracer);
-        grid.trace_ring = Some(ring);
-        grid
+        ServeGrid { nodes, tracer }
     }
 
     /// Number of memory nodes.
@@ -117,22 +92,13 @@ impl ServeGrid {
 
     /// NDP filter units per node.
     pub fn units_per_node(&self) -> usize {
-        self.nodes[0].pool.units()
+        self.nodes[0].core.pool.units()
     }
 
     /// The standard star fabric for this grid (one datacenter link per
     /// node plus the page-store link), jitter streams rooted at `seed`.
     pub fn fabric(&self, seed: u64) -> NetFabric {
         cluster_fabric(self.nodes.len(), seed)
-    }
-
-    /// Snapshot of the recorded trace events, oldest first. Empty unless
-    /// built via [`ServeGrid::with_tracing`].
-    pub fn trace_events(&self) -> Vec<Event> {
-        self.trace_ring
-            .as_ref()
-            .map(|r| r.borrow().snapshot())
-            .unwrap_or_default()
     }
 
     /// Installs a fault plan on one node's module — the grid's fault
@@ -157,7 +123,8 @@ impl ServeGrid {
     /// every *holder* node's units (identical node-local addresses on
     /// every node), one persistent resilient driver is built per unit,
     /// and the frontend routes over `fabric` per `ccfg` while each node
-    /// runs its own engine event loop.
+    /// runs its own engine event loop. Every arena returns to its
+    /// pre-serve cursor afterwards.
     ///
     /// Non-holder nodes still get the replica written (placement is a
     /// routing contract, not a storage optimisation in this model) so a
@@ -201,69 +168,20 @@ impl ServeGrid {
         cfg: &ServeConfig,
         ccfg: &ClusterConfig,
     ) -> GridServeRun {
-        assert!(!values.is_empty(), "cannot serve an empty column");
-        let rows = values.len() as u64;
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..cfg.resilience
-        };
-        // Pass 1: identical allocation replay + column write on every
-        // node; per-node driver banks.
-        type NodeLayout = (Vec<PhysAddr>, Vec<PhysAddr>, Vec<PhysAddr>, Vec<PhysAddr>);
-        let mut layouts: Vec<NodeLayout> = Vec::new();
-        let mut drivers: Vec<Vec<ResilientDriver>> = Vec::new();
-        for node in &mut self.nodes {
-            let units = node.pool.units();
-            let mut replicas = Vec::with_capacity(units);
-            let mut outs = Vec::with_capacity(units);
-            let mut proj_outs = Vec::with_capacity(units);
-            let mut stage_outs = Vec::with_capacity(units);
-            for arena in &mut node.arenas {
-                let col = arena.alloc_blocks(rows * 8);
-                node.module.data_mut().write_i64s(col, values);
-                replicas.push(col);
-                let stride = rows.div_ceil(8).next_multiple_of(64);
-                outs.push(arena.alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));
-                proj_outs.push(arena.alloc_blocks(rows * 8));
-                // Group-by staging: worst case every row lands on this
-                // unit, each group padded to a 64-byte kernel boundary.
-                stage_outs.push(arena.alloc_blocks(rows * 8 + 64));
-            }
-            layouts.push((replicas, outs, proj_outs, stage_outs));
-            drivers.push(
-                (0..units)
-                    .map(|_| {
-                        let mut d = ResilientDriver::new(rcfg);
-                        d.set_tracer(self.tracer.clone());
-                        d
-                    })
-                    .collect(),
-            );
-        }
-        // Pass 2: borrow each node's machine into its ServeEnv and run
-        // the cluster frontend over all of them.
         let tracer = &self.tracer;
-        let envs: Vec<ServeEnv<'_>> = self
+        let mut placed: Vec<_> = self
             .nodes
             .iter_mut()
-            .zip(drivers.iter_mut())
-            .zip(layouts.iter())
-            .map(
-                |((node, drv), (replicas, outs, proj_outs, stage_outs))| ServeEnv {
-                    modules: vec![&mut node.module],
-                    pool: &node.pool,
-                    devices: &mut node.devices,
-                    drivers: drv,
-                    replicas,
-                    outs,
-                    proj_outs,
-                    values,
-                    keys,
-                    stage_outs,
-                    tracer,
-                },
-            )
+            .map(|n| {
+                n.core
+                    .place(&mut [&mut n.module], values, workload, cfg, tracer)
+            })
+            .collect();
+        let envs = self
+            .nodes
+            .iter_mut()
+            .zip(&mut placed)
+            .map(|(n, p)| n.core.env(p, vec![&mut n.module], values, keys, tracer))
             .collect();
         let report = run_cluster(
             ClusterEnv {
@@ -280,9 +198,11 @@ impl ServeGrid {
         .unwrap_or_else(|inv| panic!("engine invariant violated: {inv}"));
         GridServeRun {
             report,
-            recovery: drivers
-                .iter()
-                .map(|bank| bank.iter().map(|d| *d.stats()).collect())
+            recovery: self
+                .nodes
+                .iter_mut()
+                .zip(placed)
+                .map(|(n, p)| n.core.release(p))
                 .collect(),
             faults: self
                 .nodes

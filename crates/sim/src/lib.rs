@@ -29,7 +29,12 @@
 //! channels × ranks over the interleaved multi-channel memory system,
 //! and [`grid::ServeGrid`] disaggregates it across N memory nodes behind
 //! a deterministic cluster fabric with replica routing and a cross-tier
-//! degradation ladder.
+//! degradation ladder. All three are built on one crate-private serving
+//! core: a channels × ranks pool with one device and one rank-confined
+//! arena per unit, which places the column before each serve and returns
+//! every arena to its prior cursor afterwards, so any machine serves any
+//! number of times. `System` holds it at one channel, `ServeCluster` at
+//! `C` channels and every grid node at one channel of its own module.
 
 pub mod alloc;
 pub mod backend;
@@ -38,6 +43,7 @@ pub mod config;
 pub mod energy;
 pub mod grid;
 pub mod replay;
+mod serving;
 pub mod system;
 
 pub use alloc::SimAlloc;

@@ -19,6 +19,7 @@
 use crate::alloc::SimAlloc;
 use crate::backend::SimBackend;
 use crate::config::SystemConfig;
+use crate::serving::ServeCore;
 use jafar_cache::{Hierarchy, StreamPrefetcher};
 use jafar_common::bitset::BitSet;
 use jafar_common::obs::{
@@ -35,8 +36,8 @@ use jafar_cpu::{ScanEngine, ScanVariant};
 use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
 use jafar_memctl::controller::MemoryController;
 use jafar_memctl::IdleReport;
-use jafar_serve::engine::{out_lanes, run_serve, ServeConfig, ServeEnv};
-use jafar_serve::{SchedPolicy, ServeReport, SingleDimmPool, Workload};
+use jafar_serve::engine::{run_serve, ServeConfig};
+use jafar_serve::{SchedPolicy, ServeReport, Workload};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -211,11 +212,9 @@ pub struct System {
     hierarchy: Hierarchy,
     prefetcher: Option<StreamPrefetcher>,
     inflight: HashMap<u64, Tick>,
-    /// One device per NDP rank (empty when the config has no device).
-    devices: Vec<JafarDevice>,
-    /// Per-rank NDP arenas: `arenas[r]` allocates within rank `r` of the
-    /// pinned, device-consumable region (every rank but the last).
-    arenas: Vec<SimAlloc>,
+    /// The NDP ranks at one channel: unit `r` is rank `r`, with its device
+    /// and an arena over the rank's pinned, device-consumable region.
+    pub(crate) core: ServeCore,
     /// Allocator over the last rank (CPU-private scratch).
     pub scratch: SimAlloc,
     tracer: SharedTracer,
@@ -226,29 +225,17 @@ impl System {
     /// Builds a system from a configuration.
     pub fn new(cfg: SystemConfig) -> Self {
         let module = DramModule::new(cfg.dram_geometry, cfg.dram_timing, cfg.mapping);
-        let rank_bytes = cfg.dram_geometry.rank_bytes();
-        let capacity = cfg.dram_geometry.capacity_bytes();
-        // Every rank but the last is an NDP arena with its own device slot;
-        // the last rank stays CPU-private so host traffic always has
-        // somewhere to go while devices own their ranks.
-        let ndp_ranks = (cfg.dram_geometry.ranks as usize).saturating_sub(1).max(1);
-        let arenas = (0..ndp_ranks)
-            .map(|r| SimAlloc::new(PhysAddr(r as u64 * rank_bytes), rank_bytes))
-            .collect();
-        let devices = match cfg.device {
-            Some(d) => (0..ndp_ranks).map(|_| JafarDevice::new(d)).collect(),
-            None => Vec::new(),
-        };
+        let core = ServeCore::new(&cfg, 1);
+        let ndp_bytes = core.pool.ranks_per_channel() as u64 * cfg.dram_geometry.rank_bytes();
         System {
             mc: MemoryController::new(module, cfg.controller),
             hierarchy: Hierarchy::new(cfg.hierarchy),
             prefetcher: cfg.prefetcher.map(|(n, d)| StreamPrefetcher::new(n, d)),
             inflight: HashMap::new(),
-            devices,
-            arenas,
+            core,
             scratch: SimAlloc::new(
-                PhysAddr(ndp_ranks as u64 * rank_bytes),
-                capacity - ndp_ranks as u64 * rank_bytes,
+                PhysAddr(ndp_bytes),
+                cfg.dram_geometry.capacity_bytes() - ndp_bytes,
             ),
             cfg,
             tracer: SharedTracer::disabled(),
@@ -264,7 +251,7 @@ impl System {
     pub fn enable_tracing(&mut self, capacity: usize) {
         let (tracer, ring) = SharedTracer::ring(capacity);
         self.mc.set_tracer(tracer.clone());
-        for device in &mut self.devices {
+        for device in &mut self.core.devices {
             device.set_tracer(tracer.clone());
         }
         self.tracer = tracer;
@@ -316,10 +303,10 @@ impl System {
         reg.counter("memctl.writes", mc.writes.get());
         reg.counter("memctl.rejected", mc.rejected.get());
         reg.counter("memctl.requeued", mc.requeued.get());
-        if !self.devices.is_empty() {
+        if !self.core.devices.is_empty() {
             // One logical "device" line summed across the per-rank devices.
             let (mut jobs, mut words, mut reads, mut writes) = (0u64, 0u64, 0u64, 0u64);
-            for device in &self.devices {
+            for device in &self.core.devices {
                 let d = device.stats();
                 jobs += d.jobs.get();
                 words += d.words.get();
@@ -365,24 +352,24 @@ impl System {
 
     /// The rank-0 JAFAR device, if configured.
     pub fn device(&self) -> Option<&JafarDevice> {
-        self.devices.first()
+        self.core.devices.first()
     }
 
     /// All per-rank devices (empty when the config has no device).
     pub fn devices(&self) -> &[JafarDevice] {
-        &self.devices
+        &self.core.devices
     }
 
     /// The rank-0 NDP arena (the region [`System::write_column`] pins
     /// into).
     pub fn alloc(&mut self) -> &mut SimAlloc {
-        &mut self.arenas[0]
+        &mut self.core.arenas[0]
     }
 
     /// Allocates a column in the pinned (rank-0) region and writes its
     /// values functionally. Returns the base address.
     pub fn write_column(&mut self, values: &[i64]) -> PhysAddr {
-        let addr = self.arenas[0].alloc_blocks(values.len() as u64 * 8);
+        let addr = self.core.arenas[0].alloc_blocks(values.len() as u64 * 8);
         self.mc.module_mut().data_mut().write_i64s(addr, values);
         addr
     }
@@ -400,10 +387,11 @@ impl System {
     pub fn write_column_partitioned(&mut self, values: &[i64], k: usize) -> PartitionedColumn {
         assert!(!values.is_empty(), "cannot partition an empty column");
         assert!(k >= 1, "need at least one shard");
+        let arenas = &mut self.core.arenas;
         assert!(
-            k <= self.arenas.len(),
+            k <= arenas.len(),
             "{k} shards but only {} NDP rank(s)",
-            self.arenas.len()
+            arenas.len()
         );
         let rows = values.len() as u64;
         let rows_per_dram_row = self.cfg.dram_geometry.row_bytes as u64 / 8;
@@ -413,7 +401,7 @@ impl System {
         while offset < rows {
             let i = shards.len();
             let len = chunk.min(rows - offset);
-            let addr = self.arenas[i].alloc_blocks(len * 8);
+            let addr = arenas[i].alloc_blocks(len * 8);
             self.mc
                 .module_mut()
                 .data_mut()
@@ -546,10 +534,10 @@ impl System {
         hi: i64,
         start: Tick,
     ) -> JafarSelectStats {
-        assert!(!self.devices.is_empty(), "system has no JAFAR device");
+        assert!(!self.core.devices.is_empty(), "system has no JAFAR device");
         let setup = self.cfg.query_overhead;
         let page_bytes = self.cfg.page_bytes;
-        let out_addr = self.arenas[0].alloc_blocks(rows.div_ceil(8).max(64));
+        let out_addr = self.core.arenas[0].alloc_blocks(rows.div_ceil(8).max(64));
         let rank = self.mc.module().decoder().decode(col_addr).rank;
 
         let mut t = start + setup;
@@ -562,7 +550,7 @@ impl System {
         let mut ownership = owned_at - t;
         t = owned_at;
 
-        let device = self.devices.first_mut().expect("checked above");
+        let device = self.core.devices.first_mut().expect("checked above");
         let rows_per_page = page_bytes / 8;
         let mut pages = 0u64;
         let mut device_time = Tick::ZERO;
@@ -642,13 +630,9 @@ impl System {
         start: Tick,
         resilience: ResilienceConfig,
     ) -> ResilientSelectStats {
-        assert!(!self.devices.is_empty(), "system has no JAFAR device");
-        let out_addr = self.arenas[0].alloc_blocks(rows.div_ceil(8).max(64));
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..resilience
-        };
+        assert!(!self.core.devices.is_empty(), "system has no JAFAR device");
+        let out_addr = self.core.arenas[0].alloc_blocks(rows.div_ceil(8).max(64));
+        let mut driver = self.core.driver(resilience, &self.tracer);
 
         let t = start + self.cfg.query_overhead;
         // Quiesce host traffic before the first grant, as the bare path
@@ -656,9 +640,7 @@ impl System {
         self.mc.drain();
         self.mc.advance_cursor(t);
         let module = self.mc.module_mut();
-        let device = self.devices.first_mut().expect("checked above");
-        let mut driver = ResilientDriver::new(rcfg);
-        driver.set_tracer(self.tracer.clone());
+        let device = self.core.devices.first_mut().expect("checked above");
         let run = driver.run_select(
             device,
             module,
@@ -708,15 +690,10 @@ impl System {
         let k = col.shards.len();
         assert!(k >= 1, "partitioned column has no shards");
         assert!(
-            k <= self.devices.len(),
+            k <= self.core.devices.len(),
             "{k} shards but only {} device(s)",
-            self.devices.len()
+            self.core.devices.len()
         );
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..resilience
-        };
         // Each shard's output bitset lives in its own rank's arena — the
         // device requires its output on the rank it owns.
         let reqs: Vec<SelectRequest> = col
@@ -727,7 +704,8 @@ impl System {
                 rows: s.rows,
                 lo,
                 hi,
-                out_addr: self.arenas[s.rank as usize].alloc_blocks(s.rows.div_ceil(8).max(64)),
+                out_addr: self.core.arenas[s.rank as usize]
+                    .alloc_blocks(s.rows.div_ceil(8).max(64)),
             })
             .collect();
 
@@ -737,15 +715,11 @@ impl System {
         self.mc.drain();
         self.mc.advance_cursor(t);
         let mut drivers: Vec<ResilientDriver> = (0..k)
-            .map(|_| {
-                let mut d = ResilientDriver::new(rcfg);
-                d.set_tracer(self.tracer.clone());
-                d
-            })
+            .map(|_| self.core.driver(resilience, &self.tracer))
             .collect();
         let run = run_select_parallel(
             &mut drivers,
-            &mut self.devices[..k],
+            &mut self.core.devices[..k],
             self.mc.module_mut(),
             &reqs,
             t,
@@ -788,7 +762,9 @@ impl System {
     /// policy steer load away from a sick rank — and the workload runs
     /// through admission control, the scheduling policy and the SLO
     /// degradation ladder. See [`jafar_serve::engine`] for the queue
-    /// model and the determinism argument.
+    /// model and the determinism argument. Every arena returns to its
+    /// pre-serve cursor afterwards, so a system serves any number of
+    /// times.
     ///
     /// Unlike the single-query paths, no per-query
     /// [`SystemConfig::query_overhead`] is charged: a serving system
@@ -824,65 +800,25 @@ impl System {
         policy: SchedPolicy,
         cfg: &ServeConfig,
     ) -> ServeRun {
-        assert!(
-            !self.devices.is_empty(),
-            "serving requires a JAFAR device (SystemConfig::device)"
+        let mut placed = self.core.place(
+            &mut [self.mc.module_mut()],
+            values,
+            workload,
+            cfg,
+            &self.tracer,
         );
-        assert!(!values.is_empty(), "cannot serve an empty column");
-        let rows = values.len() as u64;
-        let nranks = self.devices.len();
-        let mut replicas = Vec::with_capacity(nranks);
-        let mut outs = Vec::with_capacity(nranks);
-        let mut proj_outs = Vec::with_capacity(nranks);
-        let mut stage_outs = Vec::with_capacity(nranks);
-        for r in 0..nranks {
-            let col = self.arenas[r].alloc_blocks(rows * 8);
-            self.mc.module_mut().data_mut().write_i64s(col, values);
-            replicas.push(col);
-            // One bitset lane per fuse slot — or per semi-join key range,
-            // whichever is wider: the engine addresses lane `l` at
-            // `out + l * stride` (see engine::lane_stride), so size the
-            // arena slice for the full lane budget. fuse_window=1 with no
-            // semi-joins degenerates to the historical single-lane size.
-            let stride = rows.div_ceil(8).next_multiple_of(64);
-            outs.push(self.arenas[r].alloc_blocks((stride * out_lanes(cfg, workload)).max(64)));
-            // Packed projection output: worst case every row qualifies.
-            proj_outs.push(self.arenas[r].alloc_blocks(rows * 8));
-            // Group-by staging: worst case every row lands on this rank,
-            // each group padded to a 64-byte kernel boundary.
-            stage_outs.push(self.arenas[r].alloc_blocks(rows * 8 + 64));
-        }
-        let rcfg = ResilienceConfig {
-            costs: self.cfg.driver,
-            page_bytes: self.cfg.page_bytes,
-            ..cfg.resilience
-        };
-        let mut drivers: Vec<ResilientDriver> = (0..nranks)
-            .map(|_| {
-                let mut d = ResilientDriver::new(rcfg);
-                d.set_tracer(self.tracer.clone());
-                d
-            })
-            .collect();
         // Quiesce host traffic before the stream starts, as the
         // single-query paths do before their grants.
         self.mc.drain();
         self.mc.advance_cursor(cfg.start);
-        let pool = SingleDimmPool::new(nranks);
         let report = run_serve(
-            ServeEnv {
-                modules: vec![self.mc.module_mut()],
-                pool: &pool,
-                devices: &mut self.devices,
-                drivers: &mut drivers,
-                replicas: &replicas,
-                outs: &outs,
-                proj_outs: &proj_outs,
+            self.core.env(
+                &mut placed,
+                vec![self.mc.module_mut()],
                 values,
                 keys,
-                stage_outs: &stage_outs,
-                tracer: &self.tracer,
-            },
+                &self.tracer,
+            ),
             workload,
             policy,
             cfg,
@@ -890,7 +826,7 @@ impl System {
         self.mc.advance_cursor(cfg.start + report.makespan);
         ServeRun {
             report,
-            recovery: drivers.iter().map(|d| *d.stats()).collect(),
+            recovery: self.core.release(placed),
             faults: self.mc.module().fault_stats().copied(),
         }
     }
