@@ -37,6 +37,24 @@ pub enum AggOp {
     Avg,
 }
 
+impl AggOp {
+    /// Folds `v` into the accumulator `acc` (`None` before the first
+    /// value) with the device kernel's semantics: a wrapping sum for
+    /// `Sum`, `Avg` and `Count`, the extremum for `Min` and `Max`. The
+    /// same step merges two partial results, so a host fold and a merge
+    /// of device partials agree with one device fold byte for byte.
+    /// For `Count`, `v` is the count to add.
+    #[inline]
+    pub fn step(self, acc: Option<i64>, v: i64) -> Option<i64> {
+        Some(match (self, acc) {
+            (AggOp::Min, Some(a)) => a.min(v),
+            (AggOp::Max, Some(a)) => a.max(v),
+            (AggOp::Min | AggOp::Max, None) => v,
+            (AggOp::Sum | AggOp::Avg | AggOp::Count, a) => a.unwrap_or(0).wrapping_add(v),
+        })
+    }
+}
+
 /// A scalar aggregation job.
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateJob {

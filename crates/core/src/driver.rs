@@ -1533,18 +1533,7 @@ impl ResilientDriver {
                 let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
                 if bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
                     count += 1;
-                    acc = Some(match (job.op, acc) {
-                        (AggOp::Sum | AggOp::Avg | AggOp::Count, prev) => {
-                            prev.unwrap_or(0).wrapping_add(match job.op {
-                                AggOp::Count => 1,
-                                _ => v,
-                            })
-                        }
-                        (AggOp::Min, None) => v,
-                        (AggOp::Min, Some(p)) => p.min(v),
-                        (AggOp::Max, None) => v,
-                        (AggOp::Max, Some(p)) => p.max(v),
-                    });
+                    acc = job.op.step(acc, v);
                 }
             }
             cursor += self.cfg.cpu_word_cost * words;

@@ -79,8 +79,12 @@ impl JafarDevice {
         let mut proc_free = start;
         let mut bursts_read = 0u64;
         let mut bursts_written = 0u64;
-        let mut out_buf = [0u8; 64];
-        let mut out_fill = 0usize;
+        // Selected words wait here until eight make a line. Every word of
+        // a burst is stored at the fill point and the fill advances only
+        // past selected ones, so packing takes no branch; a burst adds at
+        // most eight words, so the pending line flushes at most once.
+        let mut pending = [0u8; 128];
+        let mut fill = 0usize;
         let mut out_cursor = job.out_addr.0;
         let mut emitted = 0u64;
         // Current bitset burst cache: covers 512 rows.
@@ -123,43 +127,43 @@ impl JafarDevice {
             let data = access.data.expect("read");
             let (_, bits) = bitset_cache.expect("fetched above");
 
+            // This burst's eight rows are one byte of the bitset burst.
             let words = (job.rows - burst * 8).min(8);
-            for w in 0..words {
-                let row = burst * 8 + w;
-                let bit_in_cache = (row - bitset_burst * 512) as usize;
-                let selected = bits[bit_in_cache / 8] >> (bit_in_cache % 8) & 1 == 1;
-                if selected {
-                    let off = (w * 8) as usize;
-                    out_buf[out_fill..out_fill + 8].copy_from_slice(&data[off..off + 8]);
-                    out_fill += 8;
-                    emitted += 1;
-                    if out_fill == 64 {
-                        module
-                            .serve_addr(
-                                PhysAddr(out_cursor),
-                                true,
-                                Requester::Ndp,
-                                proc_free,
-                                Some(&out_buf),
-                            )
-                            .map_err(device_error)?;
-                        bursts_written += 1;
-                        out_cursor += 64;
-                        out_fill = 0;
-                        out_buf = [0u8; 64];
-                    }
-                }
+            let mask = u32::from(bits[(burst % 64) as usize]) & ((1u32 << words) - 1);
+            for (w, word) in data.chunks_exact(8).enumerate() {
+                pending[fill * 8..fill * 8 + 8].copy_from_slice(word);
+                fill += (mask >> w & 1) as usize;
+            }
+            emitted += u64::from(mask.count_ones());
+            if fill >= 8 {
+                // The line fills within this burst: it goes out at the
+                // tick a word-by-word packer would have sent it.
+                module
+                    .serve_addr(
+                        PhysAddr(out_cursor),
+                        true,
+                        Requester::Ndp,
+                        proc_free,
+                        Some(pending[..64].try_into().expect("one line")),
+                    )
+                    .map_err(device_error)?;
+                bursts_written += 1;
+                out_cursor += 64;
+                pending.copy_within(64.., 0);
+                fill -= 8;
             }
             proc_free += Tick::from_ps(words * ps_per_word);
         }
-        if out_fill > 0 {
+        if fill > 0 {
+            // The last, partial line carries zeros past its values.
+            pending[fill * 8..64].fill(0);
             module
                 .serve_addr(
                     PhysAddr(out_cursor),
                     true,
                     Requester::Ndp,
                     proc_free,
-                    Some(&out_buf),
+                    Some(pending[..64].try_into().expect("one line")),
                 )
                 .map_err(device_error)?;
             bursts_written += 1;
@@ -313,6 +317,161 @@ mod tests {
         // All rows selected → output bursts = input column bursts.
         assert_eq!(proj.bursts_written, rows / 8);
         assert_eq!(proj.emitted, rows);
+    }
+
+    /// The word-by-word packer, with a branch per selected bit and the
+    /// flush in the middle of the burst: the oracle a burst-at-a-time
+    /// packer must equal in ticks, counters and bytes.
+    fn reference_project(
+        d: &JafarDevice,
+        module: &mut DramModule,
+        job: ProjectJob,
+        start: Tick,
+    ) -> ProjectRun {
+        let t = *module.timing();
+        let cas_pipeline = t.cl + t.t_burst;
+        let ps_per_word = d.ps_per_word();
+        let mut issue_cursor = start;
+        let mut proc_free = start;
+        let mut bursts_read = 0u64;
+        let mut bursts_written = 0u64;
+        let mut out_buf = [0u8; 64];
+        let mut out_fill = 0usize;
+        let mut out_cursor = job.out_addr.0;
+        let mut emitted = 0u64;
+        let mut bitset_cache: Option<(u64, [u8; 64])> = None;
+        let read = |module: &mut DramModule, addr: u64, cursor: &mut Tick, free: &mut Tick| {
+            let access = module
+                .serve_addr(PhysAddr(addr), false, Requester::Ndp, *cursor, None)
+                .unwrap();
+            let cas_at = access.data_ready.saturating_sub(cas_pipeline);
+            *cursor = cas_at.max(*cursor) + t.bus_clock.period();
+            *free = (*free).max(access.data_ready);
+            access.data.unwrap()
+        };
+        for burst in 0..job.rows.div_ceil(8) {
+            let bitset_burst = burst * 8 / 512;
+            if bitset_cache.map(|(b, _)| b) != Some(bitset_burst) {
+                let addr = job.bitset_addr.0 + bitset_burst * 64;
+                let bits = read(module, addr, &mut issue_cursor, &mut proc_free);
+                bursts_read += 1;
+                bitset_cache = Some((bitset_burst, bits));
+            }
+            let data = read(
+                module,
+                job.col_addr.0 + burst * 64,
+                &mut issue_cursor,
+                &mut proc_free,
+            );
+            bursts_read += 1;
+            let (_, bits) = bitset_cache.unwrap();
+            let words = (job.rows - burst * 8).min(8);
+            for w in 0..words {
+                let bit_in_cache = (burst * 8 + w - bitset_burst * 512) as usize;
+                if bits[bit_in_cache / 8] >> (bit_in_cache % 8) & 1 == 1 {
+                    let off = (w * 8) as usize;
+                    out_buf[out_fill..out_fill + 8].copy_from_slice(&data[off..off + 8]);
+                    out_fill += 8;
+                    emitted += 1;
+                    if out_fill == 64 {
+                        module
+                            .serve_addr(
+                                PhysAddr(out_cursor),
+                                true,
+                                Requester::Ndp,
+                                proc_free,
+                                Some(&out_buf),
+                            )
+                            .unwrap();
+                        bursts_written += 1;
+                        out_cursor += 64;
+                        out_fill = 0;
+                        out_buf = [0u8; 64];
+                    }
+                }
+            }
+            proc_free += Tick::from_ps(words * ps_per_word);
+        }
+        if out_fill > 0 {
+            module
+                .serve_addr(
+                    PhysAddr(out_cursor),
+                    true,
+                    Requester::Ndp,
+                    proc_free,
+                    Some(&out_buf),
+                )
+                .unwrap();
+            bursts_written += 1;
+        }
+        ProjectRun {
+            end: proc_free,
+            emitted,
+            bursts_read,
+            bursts_written,
+        }
+    }
+
+    #[test]
+    fn burst_packing_matches_the_word_by_word_packer() {
+        use jafar_common::check::forall;
+        const COL: u64 = 0;
+        const BITS: u64 = 32 * 1024;
+        const OUT: u64 = 64 * 1024;
+        forall("project burst packing", 64, |rng| {
+            let rows = match rng.next_below(4) {
+                0 => rng.next_range_inclusive(1, 7) as u64,
+                1 => rng.next_range_inclusive(1, 300) as u64 * 8,
+                _ => rng.next_range_inclusive(1, 2999) as u64,
+            };
+            // Selectivity 0, 100 % or random; the bitset's bits past the
+            // last row are random too, and must be ignored.
+            let keep = match rng.next_below(3) {
+                0 => 0,
+                1 => 100,
+                _ => rng.next_below(101),
+            };
+            let values: Vec<i64> = (0..rows).map(|_| rng.next_u64() as i64).collect();
+            let mut bits = vec![0u8; rows.div_ceil(512) as usize * 64];
+            for row in 0..bits.len() * 8 {
+                let on = if (row as u64) < rows {
+                    rng.next_below(100) < keep
+                } else {
+                    rng.next_below(2) == 1
+                };
+                bits[row / 8] |= u8::from(on) << (row % 8);
+            }
+            let garbage: Vec<u8> = (0..rows * 8 + 64).map(|_| rng.next_u64() as u8).collect();
+            let job = ProjectJob {
+                col_addr: PhysAddr(COL),
+                rows,
+                bitset_addr: PhysAddr(BITS),
+                out_addr: PhysAddr(OUT),
+            };
+            let start = Tick::from_ns(rng.next_below(5000));
+            let mut runs = Vec::new();
+            for packer in 0..2 {
+                let (mut d, mut m, t0) = setup();
+                put(&mut m, COL, &values);
+                m.data_mut().write(PhysAddr(BITS), &bits);
+                m.data_mut().write(PhysAddr(OUT), &garbage);
+                let run = if packer == 0 {
+                    d.run_project(&mut m, job, t0 + start).unwrap()
+                } else {
+                    reference_project(&d, &mut m, job, t0 + start)
+                };
+                let mut out = vec![0u8; garbage.len()];
+                m.data().read(PhysAddr(OUT), &mut out);
+                runs.push((
+                    run.end,
+                    run.emitted,
+                    run.bursts_read,
+                    run.bursts_written,
+                    out,
+                ));
+            }
+            assert_eq!(runs[0], runs[1], "rows {rows}, selectivity {keep} %");
+        });
     }
 
     #[test]

@@ -450,6 +450,8 @@ pub(crate) struct Engine<'a, 'e> {
     finished: Vec<u32>,
     /// Queries shed since the last [`Engine::take_shed`].
     shed: Vec<u32>,
+    /// The key column's dictionary; empty when nothing groups.
+    dict: KeyDict,
 }
 
 /// Runs `workload` against the machine in `env` under `policy` and
@@ -519,8 +521,9 @@ impl<'a, 'e> Engine<'a, 'e> {
     ///
     /// # Panics
     /// Panics if `env` has no units, mismatched per-unit slices, a module
-    /// count that disagrees with the pool's channel count, or an empty
-    /// column — caller contract violations, not engine state.
+    /// count that disagrees with the pool's channel count, an empty
+    /// column, or a group-by column of 2^32 rows or more — caller contract
+    /// violations, not engine state.
     pub(crate) fn build(
         env: ServeEnv<'e>,
         workload: &Workload,
@@ -548,11 +551,11 @@ impl<'a, 'e> Engine<'a, 'e> {
             env.keys.is_empty() || env.keys.len() == env.values.len(),
             "group-by key column must align row-for-row with the served column"
         );
-        if workload
+        let groups = workload
             .specs
             .iter()
-            .any(|s| matches!(s.op, QueryOp::GroupBy { .. }))
-        {
+            .any(|s| matches!(s.op, QueryOp::GroupBy { .. }));
+        if groups {
             assert_eq!(
                 env.keys.len(),
                 env.values.len(),
@@ -562,6 +565,10 @@ impl<'a, 'e> Engine<'a, 'e> {
                 env.stage_outs.len(),
                 nunits,
                 "a group-by workload needs one staging buffer per unit"
+            );
+            assert!(
+                u32::try_from(env.values.len()).is_ok(),
+                "a group-by column has fewer than 2^32 rows"
             );
         }
 
@@ -624,6 +631,11 @@ impl<'a, 'e> Engine<'a, 'e> {
             makespan: cfg.start,
             finished: Vec::new(),
             shed: Vec::new(),
+            dict: if groups {
+                KeyDict::new(env.keys)
+            } else {
+                KeyDict::default()
+            },
             env,
         }
     }
@@ -1564,12 +1576,7 @@ impl Engine<'_, '_> {
             let mut v: Option<i64> = None;
             for &x in slice.iter().filter(|&&x| x >= lo && x <= hi) {
                 c += 1;
-                v = Some(match (op, v) {
-                    (AggOp::Min, Some(p)) => p.min(x),
-                    (AggOp::Max, Some(p)) => p.max(x),
-                    (AggOp::Min | AggOp::Max, None) => x,
-                    (_, prev) => prev.unwrap_or(0).wrapping_add(x),
-                });
+                v = op.step(v, x);
             }
             let cost =
                 self.cfg.cpu_fixed + self.cfg.cpu_per_row * len + self.cfg.cpu_per_out_byte * 8;
@@ -1608,14 +1615,15 @@ impl Engine<'_, '_> {
     }
 
     /// Serves a keyed group-by as a rank-partitioned aggregation: the
-    /// qualifying rows' `(key, value)` pairs are partitioned across the
-    /// free units by key hash, each unit stages its partition's values
-    /// contiguously per group (64-byte-aligned groups in the unit's
-    /// staging buffer, priced per staged line plus a per-row scatter
-    /// charge), folds every group with one device aggregate kernel, and
-    /// the frontend merges the per-unit partials commutatively — so the
-    /// merged `(key, count, value)` rows are identical however the rows
-    /// were partitioned.
+    /// qualifying rows' values are partitioned across the free units by
+    /// key hash, each unit stages its partition's values contiguously per
+    /// group (64-byte-aligned groups in the unit's staging buffer, priced
+    /// per staged line plus a per-row scatter charge), folds every group
+    /// with one device aggregate kernel, and the frontend merges the
+    /// per-unit partials commutatively — so the merged `(key, count,
+    /// value)` rows are identical however the rows were partitioned.
+    /// [`stage_group_by`] lays the partitions out over the serve's key
+    /// dictionary.
     ///
     /// That order-independence is what makes the skew guard sound: a
     /// sampled key histogram at dispatch flags *hot* keys
@@ -1629,105 +1637,55 @@ impl Engine<'_, '_> {
     /// fold on the host, serialized on `host_free`; partials already
     /// folded on the device are kept (the merge is commutative).
     fn dispatch_group_by(&mut self, qid: u32, free: &[usize], t: Tick, f: AggFn) {
-        use std::collections::BTreeMap;
         let op = agg_op(f);
-        let values = self.env.values;
-        let keys = self.env.keys;
         let (lo, hi) = {
             let rec = &self.records[qid as usize];
             (rec.lo, rec.hi)
         };
-        let qualifying: Vec<usize> = (0..values.len())
-            .filter(|&i| values[i] >= lo && values[i] <= hi)
-            .collect();
         let units: Vec<usize> = free.iter().copied().take(self.cfg.fanout.max(1)).collect();
-
-        // Deterministic stride-sampled key histogram: a key holding at
-        // least `skew_hot_pct`% of the sample is hot and gets split.
-        let mut hot: Vec<i64> = Vec::new();
-        if self.cfg.skew_split && units.len() > 1 && !qualifying.is_empty() {
-            let sample_n = self.cfg.skew_sample.max(1).min(qualifying.len());
-            let stride = qualifying.len() / sample_n;
-            let mut hist: BTreeMap<i64, usize> = BTreeMap::new();
-            for s in 0..sample_n {
-                *hist.entry(keys[qualifying[s * stride]]).or_insert(0) += 1;
-            }
-            let cut = (sample_n * self.cfg.skew_hot_pct.clamp(1, 100) as usize).div_ceil(100);
-            hot = hist
-                .iter()
-                .filter(|&(_, &c)| c >= cut)
-                .map(|(&k, _)| k)
-                .collect();
-            for &k in &hot {
-                self.env.tracer.emit(
-                    t,
-                    EventKind::SkewSplit {
-                        query: qid,
-                        key: k,
-                        parts: units.len() as u32,
-                    },
-                );
-            }
+        let staged = stage_group_by(&self.dict, self.env.values, lo, hi, units.len(), self.cfg);
+        for &id in &staged.hot {
+            self.env.tracer.emit(
+                t,
+                EventKind::SkewSplit {
+                    query: qid,
+                    key: self.dict.keys[id as usize],
+                    parts: units.len() as u32,
+                },
+            );
         }
 
-        // Partition by key hash (Fibonacci mix, the device group-by's
-        // mixing); hot keys deal round-robin across every used unit.
-        let key_unit = |k: i64| {
-            (((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % units.len()
-        };
-        let mut parts: Vec<Vec<(i64, i64)>> = vec![Vec::new(); units.len()];
-        let mut rr = 0usize;
-        for &i in &qualifying {
-            let k = keys[i];
-            let p = if hot.binary_search(&k).is_ok() {
-                rr += 1;
-                (rr - 1) % units.len()
-            } else {
-                key_unit(k)
-            };
-            parts[p].push((k, values[i]));
-        }
-
-        let mut partials: BTreeMap<i64, (u64, Option<i64>)> = BTreeMap::new();
-        let mut host_groups: Vec<(i64, Vec<i64>)> = Vec::new();
+        // Per key id: rows folded and the merged partial.
+        let mut partials: Vec<(u64, Option<i64>)> = vec![(0, None); self.dict.keys.len()];
+        let mut host_groups: Vec<StagedGroup> = Vec::new();
         let mut used = 0u32;
         let mut end = t;
         let mut requeued = false;
-        for (pi, &u) in units.iter().enumerate() {
-            if parts[pi].is_empty() {
+        for (part, &u) in staged.units.iter().zip(&units) {
+            if part.rows == 0 {
                 continue;
             }
-            // Group this partition deterministically (sorted by key) and
-            // lay the groups out back-to-back in the unit's staging
-            // buffer, each group's values 64-byte-aligned so one aggregate
-            // kernel folds it in place.
-            let mut grouped: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
-            for &(k, v) in &parts[pi] {
-                grouped.entry(k).or_default().push(v);
-            }
+            // Lay the groups out in the unit's staging buffer, each one's
+            // values 64-byte-aligned so one aggregate kernel folds it in
+            // place.
+            let groups = &staged.groups[part.groups.clone()];
             let ch = self.env.pool.unit(u).channel;
             let base = self.env.stage_outs[u];
-            let mut layout: Vec<(i64, u64, Vec<i64>)> = Vec::new();
-            let mut off = 0u64;
-            for (k, vs) in grouped {
-                self.env.modules[ch]
-                    .data_mut()
-                    .write_i64s(PhysAddr(base.0 + off * 8), &vs);
-                let len = vs.len() as u64;
-                layout.push((k, off, vs));
-                off = (off + len).next_multiple_of(8);
+            let data = self.env.modules[ch].data_mut();
+            for g in groups {
+                data.write_i64s(PhysAddr(base.0 + g.off * 8), staged.values(g));
             }
             // Scatter pricing: a per-row partition charge plus one
             // degraded-line charge per staged 64-byte line.
             let mut unit_t = t
-                + self.cfg.cpu_per_row * (parts[pi].len() as u64)
-                + self.cfg.resilience.degraded_line_cost * off.div_ceil(8);
+                + self.cfg.cpu_per_row * part.rows
+                + self.cfg.resilience.degraded_line_cost * part.span.div_ceil(8);
             let mut failed_at: Option<Tick> = None;
             let mut done_groups = 0usize;
-            for (gi, (_, goff, vs)) in layout.iter().enumerate() {
+            for (gi, g) in groups.iter().enumerate() {
                 let job = AggregateJob {
-                    col_addr: PhysAddr(base.0 + goff * 8),
-                    rows: vs.len() as u64,
+                    col_addr: PhysAddr(base.0 + g.off * 8),
+                    rows: g.len as u64,
                     op,
                     filter: None,
                 };
@@ -1739,7 +1697,7 @@ impl Engine<'_, '_> {
                 ) {
                     Ok(out) => {
                         unit_t = out.end;
-                        let e = partials.entry(layout[gi].0).or_insert((0, None));
+                        let e = &mut partials[g.id as usize];
                         e.0 += out.count;
                         e.1 = merge_agg(op, e.1, out.value);
                         done_groups = gi + 1;
@@ -1759,9 +1717,7 @@ impl Engine<'_, '_> {
                         .tracer
                         .emit(t_fail, EventKind::QueryRequeued { query: qid });
                 }
-                for (k, _, vs) in layout.into_iter().skip(done_groups) {
-                    host_groups.push((k, vs));
-                }
+                host_groups.extend_from_slice(&groups[done_groups..]);
                 end = end.max(t_fail);
             } else {
                 self.unit_busy[u] = true;
@@ -1773,38 +1729,32 @@ impl Engine<'_, '_> {
             }
         }
 
-        // Whatever no healthy unit folded finishes on the host,
-        // serialized on `host_free`, with the device kernel's exact fold
-        // semantics — the merged groups stay byte-identical.
-        host_groups.sort_by_key(|&(k, _)| k);
-        for (k, vs) in host_groups {
+        // Whatever no healthy unit folded finishes on the host, in key
+        // order, serialized on `host_free`, with the device kernel's exact
+        // fold semantics — the merged groups stay byte-identical.
+        host_groups.sort_by_key(|g| g.id);
+        for g in &host_groups {
             let begin = self.host_free.max(t);
-            let mut acc: Option<i64> = None;
-            for &v in &vs {
-                acc = Some(match (op, acc) {
-                    (AggOp::Min, Some(p)) => p.min(v),
-                    (AggOp::Max, Some(p)) => p.max(v),
-                    (AggOp::Min | AggOp::Max, None) => v,
-                    (_, prev) => prev.unwrap_or(0).wrapping_add(v),
-                });
-            }
+            let vs = staged.values(g);
+            let acc = vs.iter().fold(None, |acc, &v| op.step(acc, v));
             let cost = self.cfg.cpu_fixed
                 + self.cfg.cpu_per_row * (vs.len() as u64)
                 + self.cfg.cpu_per_out_byte * 24;
             let done = begin + cost;
             self.host_free = done;
             end = end.max(done);
-            let e = partials.entry(k).or_insert((0, None));
+            let e = &mut partials[g.id as usize];
             e.0 += vs.len() as u64;
             e.1 = merge_agg(op, e.1, acc);
         }
-        if qualifying.is_empty() {
+        if staged.words.is_empty() {
             // Nothing qualified: one host setup pass discovers that.
             let done = self.host_free.max(t) + self.cfg.cpu_fixed;
             self.host_free = done;
             end = end.max(done);
         }
 
+        let keys = &self.dict.keys;
         let rec = &mut self.records[qid as usize];
         rec.started = Some(t);
         rec.mode = if used == 0 {
@@ -1812,8 +1762,13 @@ impl Engine<'_, '_> {
         } else {
             ExecMode::Device { ranks: used }
         };
-        rec.matched = qualifying.len() as u64;
-        rec.groups = partials.into_iter().map(|(k, (c, a))| (k, c, a)).collect();
+        rec.matched = staged.words.len() as u64;
+        rec.groups = partials
+            .iter()
+            .zip(keys)
+            .filter(|(&(c, _), _)| c > 0)
+            .map(|(&(c, a), &k)| (k, c, a))
+            .collect();
         self.env.tracer.emit(
             t,
             EventKind::QueryStarted {
@@ -1996,9 +1951,14 @@ impl Engine<'_, '_> {
                 );
                 return Ok(());
             }
-            let base = self.env.proj_outs[shard.unit].0 + shard.off * 8;
-            let vals: Vec<i64> = (0..emitted)
-                .map(|i| self.env.modules[ch].data().read_i64(PhysAddr(base + i * 8)))
+            let mut packed = vec![0u8; emitted as usize * 8];
+            self.env.modules[ch].data().read(
+                PhysAddr(self.env.proj_outs[shard.unit].0 + shard.off * 8),
+                &mut packed,
+            );
+            let vals = packed
+                .chunks_exact(8)
+                .map(|w| i64::from_le_bytes(w.try_into().expect("8 bytes")))
                 .collect();
             proj_part = Some((shard.off, vals));
         }
@@ -2215,14 +2175,6 @@ impl Engine<'_, '_> {
 pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
     let (lo, hi) = (rec.lo, rec.hi);
     let hit = |v: i64| v >= lo && v <= hi;
-    // Same fold semantics as the device kernel: wrapping sum, `None`
-    // extremum when no row qualifies.
-    let fold = |f: AggFn, acc: Option<i64>, v: i64| match (f, acc) {
-        (AggFn::Sum, prev) => prev.unwrap_or(0).wrapping_add(v),
-        (AggFn::Min | AggFn::Max, None) => v,
-        (AggFn::Min, Some(p)) => p.min(v),
-        (AggFn::Max, Some(p)) => p.max(v),
-    };
     match rec.op {
         QueryOp::Select | QueryOp::Project { .. } => {
             (rec.bitset, rec.matched) = host_bitset(values, hit);
@@ -2240,7 +2192,7 @@ pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
             let mut acc: Option<i64> = None;
             for &v in values.iter().filter(|&&v| hit(v)) {
                 matched += 1;
-                acc = Some(fold(f, acc, v));
+                acc = agg_op(f).step(acc, v);
             }
             rec.matched = matched;
             rec.agg = acc;
@@ -2259,7 +2211,7 @@ pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
                     matched += 1;
                     let e = groups.entry(keys[i]).or_insert((0, None));
                     e.0 += 1;
-                    e.1 = Some(fold(agg, e.1, v));
+                    e.1 = agg_op(agg).step(e.1, v);
                 }
             }
             rec.matched = matched;
@@ -2303,6 +2255,192 @@ pub(crate) fn host_scan_cost(cfg: &ServeConfig, rows: u64, op: QueryOp) -> Tick 
     cfg.cpu_fixed + cfg.cpu_per_row * rows + cfg.cpu_per_out_byte * out_bytes
 }
 
+/// The group-by key column as a dictionary, built once per serve: the
+/// distinct keys in ascending order and each row's dense id into them.
+/// Ids follow key order, so whatever is laid out by id is laid out by
+/// key, and no hash order can reach a result.
+#[derive(Default)]
+struct KeyDict {
+    keys: Vec<i64>,
+    ids: Vec<u32>,
+}
+
+impl KeyDict {
+    fn new(column: &[i64]) -> KeyDict {
+        let mut keys = column.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.shrink_to_fit();
+        let ids = column
+            .iter()
+            .map(|k| keys.partition_point(|x| x < k) as u32)
+            .collect();
+        KeyDict { keys, ids }
+    }
+}
+
+/// One staged group: `len` values of key id `id`, at word `off` of its
+/// unit's staging region and at `at` in [`Staging::words`].
+#[derive(Clone, Copy)]
+struct StagedGroup {
+    id: u32,
+    off: u64,
+    at: usize,
+    len: usize,
+}
+
+/// One unit's share of a staged group-by.
+struct UnitStage {
+    /// Qualifying rows dealt to the unit.
+    rows: u64,
+    /// The unit's groups in key order, as a range of [`Staging::groups`].
+    groups: std::ops::Range<usize>,
+    /// Words of staging region the groups span, each rounded up to a
+    /// whole 64-byte line.
+    span: u64,
+}
+
+/// A group-by's qualifying rows, dealt to units and laid out as each
+/// unit's staging region holds them.
+struct Staging {
+    /// Hot key ids, ascending: their rows were dealt round-robin.
+    hot: Vec<u32>,
+    /// One entry per unit the group-by was dealt over.
+    units: Vec<UnitStage>,
+    groups: Vec<StagedGroup>,
+    /// Every qualifying value, group by group and unit by unit, each
+    /// group's in row order.
+    words: Vec<i64>,
+}
+
+impl Staging {
+    fn values(&self, g: &StagedGroup) -> &[i64] {
+        &self.words[g.at..g.at + g.len]
+    }
+}
+
+/// Stages the group-by `lo..=hi` over `units` units in three passes over
+/// the key dictionary, with work proportional to the qualifying rows plus
+/// `units` × distinct keys:
+///
+/// 1. a branch-free filter collects the qualifying rows; a stride sample
+///    of their key ids finds the hot keys;
+/// 2. a branch-free pass gives each qualifying row its (unit, key id)
+///    slot and counts it: a hot key's rows are dealt round-robin in row
+///    order, every other key goes to its Fibonacci-hashed unit (the
+///    device group-by's mixing);
+/// 3. each unit's groups are laid out in key order, 64-byte aligned, and
+///    a scatter pass drops every value into its slot, so each group keeps
+///    its values in row order.
+///
+/// The fold does not need row order within a group: wrapping sums and
+/// extrema commute. It is kept so that the staged bytes depend only on
+/// the column, the predicate and the unit count, never on how the
+/// layout was computed.
+fn stage_group_by(
+    dict: &KeyDict,
+    values: &[i64],
+    lo: i64,
+    hi: i64,
+    units: usize,
+    cfg: &ServeConfig,
+) -> Staging {
+    // Pass 1: every row is written at the fill point, which advances only
+    // past qualifying ones.
+    let mut rows = vec![0u32; values.len()];
+    let mut matched = 0usize;
+    for (i, &v) in values.iter().enumerate() {
+        rows[matched] = i as u32;
+        matched += usize::from((lo <= v) & (v <= hi));
+    }
+    rows.truncate(matched);
+
+    // Deterministic stride-sampled key histogram: a key holding at least
+    // `skew_hot_pct`% of the sample is hot and gets split.
+    let mut hot = Vec::new();
+    if cfg.skew_split && units > 1 && matched > 0 {
+        let n = cfg.skew_sample.max(1).min(matched);
+        let stride = matched / n;
+        let mut sample: Vec<u32> = (0..n)
+            .map(|s| dict.ids[rows[s * stride] as usize])
+            .collect();
+        sample.sort_unstable();
+        let cut = (n * cfg.skew_hot_pct.clamp(1, 100) as usize).div_ceil(100);
+        hot = sample
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= cut)
+            .map(|run| run[0])
+            .collect();
+    }
+
+    // Pass 2: each qualifying row's (unit, key id) slot, counted. A key id
+    // routes to its hashed unit, or is DEALT round-robin when hot.
+    const DEALT: u32 = u32::MAX;
+    let nkeys = dict.keys.len();
+    let mut route: Vec<u32> = dict
+        .keys
+        .iter()
+        .map(|&k| (((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % units as u64) as u32)
+        .collect();
+    for &id in &hot {
+        route[id as usize] = DEALT;
+    }
+    let mut counts = vec![0u32; units * nkeys];
+    let mut slots = Vec::with_capacity(matched);
+    let mut next = 0u32;
+    for &row in &rows {
+        let id = dict.ids[row as usize] as usize;
+        let dealt = route[id] == DEALT;
+        let unit = if dealt { next } else { route[id] };
+        next += u32::from(dealt);
+        next = if next == units as u32 { 0 } else { next };
+        let slot = unit as usize * nkeys + id;
+        counts[slot] += 1;
+        slots.push(slot);
+    }
+
+    // Pass 3: lay the groups out, turn each slot's count into the position
+    // of its first value in `words`, and scatter.
+    let mut groups = Vec::new();
+    let mut parts = Vec::with_capacity(units);
+    let mut at = 0usize;
+    for unit in 0..units {
+        let first = groups.len();
+        let (first_at, mut off) = (at, 0u64);
+        for id in 0..nkeys {
+            let slot = unit * nkeys + id;
+            let len = counts[slot] as usize;
+            if len > 0 {
+                groups.push(StagedGroup {
+                    id: id as u32,
+                    off,
+                    at,
+                    len,
+                });
+                off = (off + len as u64).next_multiple_of(8);
+            }
+            counts[slot] = at as u32;
+            at += len;
+        }
+        parts.push(UnitStage {
+            rows: (at - first_at) as u64,
+            groups: first..groups.len(),
+            span: off,
+        });
+    }
+    let mut words = vec![0i64; matched];
+    for (&row, &slot) in rows.iter().zip(&slots) {
+        words[counts[slot] as usize] = values[row as usize];
+        counts[slot] += 1;
+    }
+    Staging {
+        hot,
+        units: parts,
+        groups,
+        words,
+    }
+}
+
 /// The serving-layer aggregate functions mapped onto the device kernel's
 /// fold ops.
 fn agg_op(f: AggFn) -> AggOp {
@@ -2317,14 +2455,7 @@ fn agg_op(f: AggFn) -> AggOp {
 /// semantics: wrapping sum, `None`-respecting extremum. `Count` totals
 /// are carried in the count field instead.
 fn merge_agg(op: AggOp, a: Option<i64>, b: Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(a), Some(b)) => Some(match op {
-            AggOp::Min => a.min(b),
-            AggOp::Max => a.max(b),
-            _ => a.wrapping_add(b),
-        }),
-    }
+    b.map_or(a, |b| op.step(a, b))
 }
 
 #[cfg(test)]
@@ -3326,6 +3457,146 @@ mod tests {
                 "{f:?} qualifying-row count"
             );
         }
+    }
+
+    /// One unit's staging as the oracle reports it: partition rows, the
+    /// staged span in words and the `(key, offset, values)` layout.
+    type UnitLayout = (usize, u64, Vec<(i64, u64, Vec<i64>)>);
+
+    /// The group-by staging as first written — a qualifying-row list, a
+    /// `BTreeMap` key histogram, `(key, value)` pairs per unit and one
+    /// `BTreeMap<key, values>` per unit — kept as the oracle of
+    /// [`stage_group_by`]. Returns the hot keys and every unit's layout.
+    fn reference_staging(
+        values: &[i64],
+        keys: &[i64],
+        lo: i64,
+        hi: i64,
+        units: usize,
+        cfg: &ServeConfig,
+    ) -> (Vec<i64>, Vec<UnitLayout>) {
+        use std::collections::BTreeMap;
+        let qualifying: Vec<usize> = (0..values.len())
+            .filter(|&i| values[i] >= lo && values[i] <= hi)
+            .collect();
+        let mut hot: Vec<i64> = Vec::new();
+        if cfg.skew_split && units > 1 && !qualifying.is_empty() {
+            let sample_n = cfg.skew_sample.max(1).min(qualifying.len());
+            let stride = qualifying.len() / sample_n;
+            let mut hist: BTreeMap<i64, usize> = BTreeMap::new();
+            for s in 0..sample_n {
+                *hist.entry(keys[qualifying[s * stride]]).or_insert(0) += 1;
+            }
+            let cut = (sample_n * cfg.skew_hot_pct.clamp(1, 100) as usize).div_ceil(100);
+            hot = hist
+                .iter()
+                .filter(|&(_, &c)| c >= cut)
+                .map(|(&k, _)| k)
+                .collect();
+        }
+        let key_unit =
+            |k: i64| (((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % units;
+        let mut parts: Vec<Vec<(i64, i64)>> = vec![Vec::new(); units];
+        let mut rr = 0usize;
+        for &i in &qualifying {
+            let k = keys[i];
+            let p = if hot.binary_search(&k).is_ok() {
+                rr += 1;
+                (rr - 1) % units
+            } else {
+                key_unit(k)
+            };
+            parts[p].push((k, values[i]));
+        }
+        let layouts = parts
+            .iter()
+            .map(|part| {
+                let mut grouped: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+                for &(k, v) in part {
+                    grouped.entry(k).or_default().push(v);
+                }
+                let mut layout = Vec::new();
+                let mut off = 0u64;
+                for (k, vs) in grouped {
+                    let len = vs.len() as u64;
+                    layout.push((k, off, vs));
+                    off = (off + len).next_multiple_of(8);
+                }
+                (part.len(), off, layout)
+            })
+            .collect();
+        (hot, layouts)
+    }
+
+    #[test]
+    fn group_by_staging_over_the_dictionary_matches_the_btreemap_staging() {
+        use jafar_common::check::forall;
+        forall("group-by staging", 96, |rng| {
+            let rows = rng.next_range_inclusive(1, 3000) as usize;
+            // Key ids over 1, 4, 64 or all-distinct domains, Zipf or
+            // uniform, mapped onto keys that span the whole i64 range.
+            let domain = [1, 4, 64, rows][rng.next_below(4) as usize];
+            let ids = if domain == rows {
+                let mut ids: Vec<i64> = (0..rows as i64).collect();
+                rng.shuffle(&mut ids);
+                ids
+            } else if rng.next_below(2) == 0 {
+                zipf_keys(rows, domain, 1.0, rng.next_u64())
+            } else {
+                crate::workload::uniform_keys(rows, domain, rng.next_u64())
+            };
+            let spread = rng.next_u64() as i64 | 1;
+            let keys: Vec<i64> = ids
+                .iter()
+                .map(|&id| match id {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    2 => -1,
+                    id => id.wrapping_mul(spread),
+                })
+                .collect();
+            let values: Vec<i64> = (0..rows)
+                .map(|_| rng.next_range_inclusive(-1000, 1000))
+                .collect();
+            let (lo, hi) = match rng.next_below(4) {
+                0 => (i64::MAX, i64::MIN),
+                1 => (i64::MIN, i64::MAX),
+                _ => {
+                    let lo = rng.next_range_inclusive(-1000, 1000);
+                    (lo, rng.next_range_inclusive(lo, 1000))
+                }
+            };
+            let units = rng.next_range_inclusive(1, 4) as usize;
+            let cfg = ServeConfig {
+                skew_split: rng.next_below(4) != 0,
+                skew_sample: rng.next_range_inclusive(0, 128) as usize,
+                skew_hot_pct: rng.next_range_inclusive(0, 60) as u32,
+                ..ServeConfig::default()
+            };
+            let dict = KeyDict::new(&keys);
+            let staged = stage_group_by(&dict, &values, lo, hi, units, &cfg);
+            let (want_hot, want_units) = reference_staging(&values, &keys, lo, hi, units, &cfg);
+            let hot: Vec<i64> = staged
+                .hot
+                .iter()
+                .map(|&id| dict.keys[id as usize])
+                .collect();
+            assert_eq!(hot, want_hot, "hot keys");
+            let got_units: Vec<UnitLayout> = staged
+                .units
+                .iter()
+                .map(|part| {
+                    let layout = staged.groups[part.groups.clone()]
+                        .iter()
+                        .map(|g| (dict.keys[g.id as usize], g.off, staged.values(g).to_vec()))
+                        .collect();
+                    (part.rows as usize, part.span, layout)
+                })
+                .collect();
+            assert_eq!(got_units, want_units, "per-unit partitions and layouts");
+            let qualifying = values.iter().filter(|&&v| lo <= v && v <= hi).count();
+            assert_eq!(staged.words.len(), qualifying);
+        });
     }
 
     #[test]

@@ -73,31 +73,35 @@ impl KeyRanges {
     /// Compresses a build-side key multiset (unsorted, duplicates fine)
     /// into sorted disjoint ranges. An empty key set is a valid semi-join
     /// that matches nothing.
+    ///
+    /// Keys are first collapsed into runs of consecutive integers in input
+    /// order, and only the runs are sorted and merged, so a build side
+    /// that arrives as a few dense runs costs one linear pass.
     pub fn from_keys(keys: &[i64]) -> Result<Self, KeyRangeOverflow> {
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let ranges = sorted
-            .windows(2)
-            .filter(|w| w[0] == i64::MAX || w[1] != w[0] + 1)
-            .count()
-            + usize::from(!sorted.is_empty());
-        if ranges > MAX_KEY_RANGES {
-            return Err(KeyRangeOverflow { ranges });
-        }
-        let mut bounds = [(i64::MAX, i64::MIN); MAX_KEY_RANGES];
-        let mut len = 0usize;
-        for &k in &sorted {
-            if len > 0 && bounds[len - 1].1 != i64::MAX && k == bounds[len - 1].1 + 1 {
-                bounds[len - 1].1 = k;
-            } else {
-                bounds[len] = (k, k);
-                len += 1;
+        let mut runs: Vec<(i64, i64)> = Vec::new();
+        for &k in keys {
+            match runs.last_mut() {
+                Some((lo, hi)) if *lo <= k && k <= hi.saturating_add(1) => *hi = (*hi).max(k),
+                _ => runs.push((k, k)),
             }
         }
+        runs.sort_unstable();
+        // A sorted run that overlaps or touches the one before merges into it.
+        runs.dedup_by(|next, kept| {
+            let touches = next.0 <= kept.1.saturating_add(1);
+            if touches {
+                kept.1 = kept.1.max(next.1);
+            }
+            touches
+        });
+        if runs.len() > MAX_KEY_RANGES {
+            return Err(KeyRangeOverflow { ranges: runs.len() });
+        }
+        let mut bounds = [(i64::MAX, i64::MIN); MAX_KEY_RANGES];
+        bounds[..runs.len()].copy_from_slice(&runs);
         Ok(KeyRanges {
             bounds,
-            len: len as u8,
+            len: runs.len() as u8,
         })
     }
 
@@ -591,6 +595,58 @@ mod tests {
         // i64::MAX next to anything never coalesces past it (the +1 guard).
         let r = KeyRanges::from_keys(&[i64::MAX - 1, i64::MAX]).expect("one range");
         assert_eq!(r.as_slice(), &[(i64::MAX - 1, i64::MAX)]);
+    }
+
+    /// `from_keys` as first written — sort every key, dedup, coalesce
+    /// adjacent integers — kept as the oracle of the run-merging one.
+    fn reference_ranges(keys: &[i64]) -> Result<Vec<(i64, i64)>, KeyRangeOverflow> {
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut ranges: Vec<(i64, i64)> = Vec::new();
+        for &k in &sorted {
+            match ranges.last_mut() {
+                Some((_, hi)) if *hi != i64::MAX && k == *hi + 1 => *hi = k,
+                _ => ranges.push((k, k)),
+            }
+        }
+        if ranges.len() > MAX_KEY_RANGES {
+            return Err(KeyRangeOverflow {
+                ranges: ranges.len(),
+            });
+        }
+        Ok(ranges)
+    }
+
+    #[test]
+    fn run_merging_matches_the_sorting_compression() {
+        use jafar_common::check::forall;
+        forall("key ranges from runs", 512, |rng| {
+            // Up to 12 runs (some past the budget), each dense, repeated
+            // or shuffled, from anywhere in i64 — its ends included.
+            let mut keys: Vec<i64> = Vec::new();
+            for _ in 0..rng.next_below(13) {
+                let len = rng.next_range_inclusive(1, 40);
+                let lo = match rng.next_below(6) {
+                    0 => i64::MIN,
+                    1 => i64::MAX - len + 1,
+                    2 => rng.next_u64() as i64 / 2,
+                    _ => rng.next_range_inclusive(-300, 300),
+                };
+                let run: Vec<i64> = (0..len).map(|i| lo + i).collect();
+                keys.extend(&run);
+                if rng.next_below(3) == 0 {
+                    keys.extend(&run[..rng.next_below(len as u64) as usize]);
+                }
+            }
+            match rng.next_below(3) {
+                0 => rng.shuffle(&mut keys),
+                1 => keys.reverse(),
+                _ => {}
+            }
+            let got = KeyRanges::from_keys(&keys).map(|r| r.as_slice().to_vec());
+            assert_eq!(got, reference_ranges(&keys), "keys {keys:?}");
+        });
     }
 
     #[test]
