@@ -7,8 +7,48 @@ use jafar_bench::micro;
 use jafar_common::rng::SplitMix64;
 use jafar_common::time::Tick;
 use jafar_core::aggregate::{AggOp, AggregateJob};
-use jafar_core::{grant_ownership, JafarDevice, Predicate, SelectJob};
+use jafar_core::{
+    grant_ownership, JafarDevice, Predicate, ResilienceConfig, ResilientDriver, SelectJob,
+    SelectRequest,
+};
 use jafar_dram::{AddressMapping, DramGeometry, DramModule, DramTiming, PhysAddr};
+
+/// Times back-to-back one-lane selects of `rows` seeded uniform values
+/// through `ResilientDriver::run_select` on one module: every page's
+/// lease upkeep, device pass, completion discovery and release.
+fn driver_select(
+    name: &str,
+    geometry: DramGeometry,
+    timing: DramTiming,
+    rows: u64,
+    page_bytes: u64,
+) {
+    let mut module = DramModule::new(geometry, timing, AddressMapping::RankRowBankBlock);
+    let mut rng = SplitMix64::new(42);
+    for i in 0..rows {
+        module
+            .data_mut()
+            .write_i64(PhysAddr(i * 8), rng.next_range_inclusive(0, 999));
+    }
+    let req = SelectRequest {
+        col_addr: PhysAddr(0),
+        rows,
+        lo: 100,
+        hi: 499,
+        out_addr: PhysAddr((rows * 8).next_multiple_of(4096)),
+    };
+    let mut device = JafarDevice::paper_default();
+    let mut driver = ResilientDriver::new(ResilienceConfig {
+        page_bytes,
+        ..ResilienceConfig::default()
+    });
+    let mut t = Tick::ZERO;
+    micro::run(name, || {
+        let run = driver.run_select(&mut device, &mut module, req, t);
+        t = run.end;
+        run.matched
+    });
+}
 
 fn main() {
     micro::run_batched(
@@ -46,6 +86,35 @@ fn main() {
                 )
                 .expect("owned")
         },
+    );
+
+    // The serving benchmark's two select shapes, one lane each: a
+    // select-scan shard (87,552 rows in one 2 MiB page on perfbench's
+    // gem5-like DIMM, refresh on) and an op-mix shard (1,536 rows in
+    // three 4 KiB pages on the op-mix DIMM, refresh off).
+    driver_select(
+        "driver/select_one_lane_scan_shape",
+        DramGeometry {
+            ranks: 4,
+            banks_per_rank: 8,
+            rows_per_bank: 1024,
+            row_bytes: 8 * 1024,
+        },
+        DramTiming::ddr3_paper(),
+        87_552,
+        2 << 20,
+    );
+    driver_select(
+        "driver/select_one_lane_mix_shape",
+        DramGeometry {
+            ranks: 4,
+            banks_per_rank: 4,
+            rows_per_bank: 64,
+            row_bytes: 1024,
+        },
+        DramTiming::ddr3_paper().without_refresh(),
+        1_536,
+        4096,
     );
 
     let kernel = jafar_filter_kernel();

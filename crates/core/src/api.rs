@@ -18,10 +18,7 @@
 //! pushdown path, or `jafar-sim`'s driver which also charges the
 //! register-write and polling time) iterates pages.
 
-use crate::device::{
-    DeviceError, FusedSelectJob, FusedSelectRun, JafarDevice, SelectJob, SelectRun,
-};
-use crate::predicate::Predicate;
+use crate::device::{DeviceError, JafarDevice, LaneRun, SelectRun, MAX_FUSED_LANES};
 use crate::regs::Reg;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr};
@@ -186,32 +183,30 @@ impl Default for DriverCosts {
 }
 
 /// The Figure-2 entry point: programs the registers, runs the device,
-/// returns errno + match count.
+/// returns errno + match count. It is the one-lane page of the lane
+/// window the resilient driver pages through.
 pub fn select_jafar(
     device: &mut JafarDevice,
     module: &mut DramModule,
     args: SelectArgs,
     at: Tick,
 ) -> SelectOutcome {
-    // Program the memory-mapped registers the way the driver would.
-    let regs = device.regs_mut();
-    regs.write(Reg::ColAddr, args.col_data.0);
-    regs.write(Reg::NumRows, args.num_input_rows);
-    regs.write(Reg::RangeLo, args.range_low as u64);
-    regs.write(Reg::RangeHi, args.range_high as u64);
-    regs.write(Reg::OutAddr, args.out_buf.0);
-
-    let job = SelectJob {
-        col_addr: args.col_data,
-        rows: args.num_input_rows,
-        predicate: Predicate::Between(args.range_low, args.range_high),
-        out_addr: args.out_buf,
-    };
-    match device.run_select(module, job, at) {
+    let ranges = [(args.range_low, args.range_high)];
+    let page = select_jafar_lanes(
+        device,
+        module,
+        args.col_data,
+        args.num_input_rows,
+        &ranges,
+        &[args.out_buf],
+        0,
+        at,
+    );
+    match page {
         Ok(run) => SelectOutcome {
             errno: errno::OK,
-            num_output_rows: run.matched,
-            run: Some(run),
+            num_output_rows: run.matched[0],
+            run: Some(run.first_lane()),
         },
         Err(e) => SelectOutcome {
             errno: device_errno(e),
@@ -221,73 +216,43 @@ pub fn select_jafar(
     }
 }
 
-/// Arguments of one fused `select_jafar_fused` call: `k` predicates over
-/// one page of the column, one output bitset slice per lane.
-#[derive(Clone, Debug)]
-pub struct FusedSelectArgs {
-    /// Physical base of the page's column data.
-    pub col_data: PhysAddr,
-    /// Per-lane inclusive `(low, high)` bounds.
-    pub ranges: Vec<(i64, i64)>,
-    /// Per-lane physical bases of the page's output bitset slices.
-    pub out_bufs: Vec<PhysAddr>,
-    /// Rows in this page.
-    pub num_input_rows: u64,
-}
-
-/// Result of one fused call.
-#[derive(Clone, Debug)]
-pub struct FusedSelectOutcome {
-    /// 0 on success, else an `errno` value.
-    pub errno: i32,
-    /// Per-lane rows that passed.
-    pub num_output_rows: Vec<u64>,
-    /// Device-side timing, when the call succeeded.
-    pub run: Option<FusedSelectRun>,
-}
-
-/// The fused entry point: one register-programming pass per lane (the
-/// lane-indexed register window), one device pass over the page for all
-/// lanes. The driver charges the same per-invocation `setup` cost as the
-/// solo call — the lane registers are written in the same write-combined
-/// MMIO burst.
-pub fn select_jafar_fused(
+/// One page through the lane window of the control registers: the column
+/// registers once, then each lane's bounds and output slice in the same
+/// write-combined MMIO burst (so the driver charges the one-lane `setup`
+/// cost), and one device pass over the page for every lane. Lane `l`
+/// filters by `ranges[l]` into the bitset slice at `out_bases[l] +
+/// out_off`.
+///
+/// # Errors
+/// The device's rejection; more than [`MAX_FUSED_LANES`] lanes, or
+/// mismatched range and output counts, is [`DeviceError::LaneOverflow`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn select_jafar_lanes(
     device: &mut JafarDevice,
     module: &mut DramModule,
-    args: &FusedSelectArgs,
+    col_data: PhysAddr,
+    rows: u64,
+    ranges: &[(i64, i64)],
+    out_bases: &[PhysAddr],
+    out_off: u64,
     at: Tick,
-) -> FusedSelectOutcome {
+) -> Result<LaneRun, DeviceError> {
     let regs = device.regs_mut();
-    regs.write(Reg::ColAddr, args.col_data.0);
-    regs.write(Reg::NumRows, args.num_input_rows);
-    for (&(lo, hi), out) in args.ranges.iter().zip(&args.out_bufs) {
+    regs.write(Reg::ColAddr, col_data.0);
+    regs.write(Reg::NumRows, rows);
+    let mut outs = [PhysAddr(0); MAX_FUSED_LANES];
+    for (out, base) in outs.iter_mut().zip(out_bases) {
+        *out = PhysAddr(base.0 + out_off);
+    }
+    for (&(lo, hi), out) in ranges.iter().zip(&outs) {
         regs.write(Reg::RangeLo, lo as u64);
         regs.write(Reg::RangeHi, hi as u64);
         regs.write(Reg::OutAddr, out.0);
     }
-
-    let job = FusedSelectJob {
-        col_addr: args.col_data,
-        rows: args.num_input_rows,
-        predicates: args
-            .ranges
-            .iter()
-            .map(|&(lo, hi)| Predicate::Between(lo, hi))
-            .collect(),
-        out_addrs: args.out_bufs.clone(),
-    };
-    match device.run_select_fused(module, &job, at) {
-        Ok(run) => FusedSelectOutcome {
-            errno: errno::OK,
-            num_output_rows: run.matched.clone(),
-            run: Some(run),
-        },
-        Err(e) => FusedSelectOutcome {
-            errno: device_errno(e),
-            num_output_rows: vec![],
-            run: None,
-        },
-    }
+    // Past the lane budget the slices' lengths differ, which the device
+    // rejects as a lane overflow.
+    let lanes = out_bases.len().min(MAX_FUSED_LANES);
+    device.select_lanes(module, col_data, rows, ranges, &outs[..lanes], at)
 }
 
 #[cfg(test)]

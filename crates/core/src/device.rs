@@ -225,6 +225,43 @@ pub struct SelectRun {
     pub dram_wait: Tick,
 }
 
+/// One predicate lane of a select pass: its inclusive bounds, its
+/// *n*-bit output buffer, where that buffer drains next, and the rows it
+/// matched so far.
+struct Lane {
+    lo: i64,
+    hi: i64,
+    buf: FixedBitBuf,
+    cursor: u64,
+    matched: u64,
+}
+
+/// Outcome and timing of one select pass over its lanes: lane `l`'s
+/// match count is `matched[l]`, and the entries past the lane count are
+/// zero.
+pub(crate) struct LaneRun {
+    pub(crate) start: Tick,
+    pub(crate) end: Tick,
+    pub(crate) matched: [u64; MAX_FUSED_LANES],
+    pub(crate) bursts_read: u64,
+    pub(crate) bursts_written: u64,
+    pub(crate) dram_wait: Tick,
+}
+
+impl LaneRun {
+    /// The run as lane 0 saw it: the outcome of a one-lane select.
+    pub(crate) fn first_lane(&self) -> SelectRun {
+        SelectRun {
+            start: self.start,
+            end: self.end,
+            matched: self.matched[0],
+            bursts_read: self.bursts_read,
+            bursts_written: self.bursts_written,
+            dram_wait: self.dram_wait,
+        }
+    }
+}
+
 /// Accumulated device statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeviceStats {
@@ -376,34 +413,43 @@ impl JafarDevice {
         &self.stats
     }
 
+    /// The one validation of every select: 1..=[`MAX_FUSED_LANES`]
+    /// lanes with one output region each, every region 64-byte aligned
+    /// and on the column's rank, the rank owned and its lease not yet
+    /// expired at `start`.
     fn validate(
         &self,
         module: &DramModule,
-        job: &SelectJob,
+        col_addr: PhysAddr,
+        rows: u64,
+        lanes: usize,
+        outs: &[PhysAddr],
         start: Tick,
-    ) -> Result<u32, DeviceError> {
-        if job.col_addr.block_offset() != 0 || job.out_addr.block_offset() != 0 {
+    ) -> Result<(), DeviceError> {
+        let k = outs.len();
+        if k == 0 || k > MAX_FUSED_LANES || lanes != k {
+            return Err(DeviceError::LaneOverflow);
+        }
+        if col_addr.block_offset() != 0 || outs.iter().any(|a| a.block_offset() != 0) {
             return Err(DeviceError::Misaligned);
         }
-        let rank = job_rank(
-            module,
-            &[
-                (job.col_addr, job.rows.saturating_mul(8)),
-                (job.out_addr, job.rows.div_ceil(8)),
-            ],
-        )?;
+        let mut regions = [(col_addr, rows.saturating_mul(8)); MAX_FUSED_LANES + 1];
+        for (region, &out) in regions[1..].iter_mut().zip(outs) {
+            *region = (out, rows.div_ceil(8));
+        }
+        let rank = job_rank(module, &regions[..=k])?;
         if !module.rank_owned_by_ndp(rank) {
             return Err(DeviceError::NotOwned);
         }
         if start >= module.ndp_deadline(rank) {
             return Err(DeviceError::LeaseExpired);
         }
-        Ok(rank)
+        Ok(())
     }
 
     /// Executes one select job against `module`, starting no earlier than
-    /// `start`. The rank holding the data must already be owned (see
-    /// [`crate::ownership`]).
+    /// `start`: the one-lane select. The rank holding the data must
+    /// already be owned (see [`crate::ownership`]).
     ///
     /// # Errors
     /// Returns a [`DeviceError`] (and latches STATUS.ERROR) without
@@ -414,34 +460,133 @@ impl JafarDevice {
         job: SelectJob,
         start: Tick,
     ) -> Result<SelectRun, DeviceError> {
-        let _rank = self.validate(module, &job, start).inspect_err(|_| {
-            self.regs.set_error();
-        })?;
+        let run = self.select_lanes(
+            module,
+            job.col_addr,
+            job.rows,
+            &[job.predicate.bounds()],
+            &[job.out_addr],
+            start,
+        )?;
+        Ok(run.first_lane())
+    }
+
+    /// Executes one *fused* select job: the column is streamed from DRAM
+    /// exactly once and every word is evaluated against all `k` predicate
+    /// lanes in the same device cycle, each lane accumulating into its own
+    /// output buffer and draining to its own bitset region. Per-word time
+    /// is unchanged from [`Self::run_select`] — the comparator lanes run
+    /// in parallel — so one pass serves `k` queries for one scan's worth
+    /// of DRAM traffic and datapath time.
+    ///
+    /// Both calls run the same lane loop, so each lane's bitset bytes are
+    /// byte-identical to a [`Self::run_select`] of the same predicate over
+    /// the same segment; only the wall-clock stamps of the writebacks
+    /// differ.
+    ///
+    /// # Errors
+    /// Returns a [`DeviceError`] (and latches STATUS.ERROR) without
+    /// touching DRAM if the job is invalid.
+    pub fn run_select_fused(
+        &mut self,
+        module: &mut DramModule,
+        job: &FusedSelectJob,
+        start: Tick,
+    ) -> Result<FusedSelectRun, DeviceError> {
+        let bounds: Vec<(i64, i64)> = job.predicates.iter().map(|p| p.bounds()).collect();
+        let run = self.select_lanes(
+            module,
+            job.col_addr,
+            job.rows,
+            &bounds,
+            &job.out_addrs,
+            start,
+        )?;
+        Ok(FusedSelectRun {
+            start: run.start,
+            end: run.end,
+            matched: run.matched[..bounds.len()].to_vec(),
+            bursts_read: run.bursts_read,
+            bursts_written: run.bursts_written,
+            dram_wait: run.dram_wait,
+        })
+    }
+
+    /// Validates and runs one select pass over `preds.len()` lanes: lane
+    /// `l` filters by `preds[l]` into the bitset at `outs[l]`. One lane
+    /// scans as a `[Lane; 1]`, so a plain select builds no lane vector.
+    ///
+    /// # Errors
+    /// Returns a [`DeviceError`] (and latches STATUS.ERROR); a rejected
+    /// job touches no DRAM.
+    pub(crate) fn select_lanes(
+        &mut self,
+        module: &mut DramModule,
+        col_addr: PhysAddr,
+        rows: u64,
+        preds: &[(i64, i64)],
+        outs: &[PhysAddr],
+        start: Tick,
+    ) -> Result<LaneRun, DeviceError> {
+        self.validate(module, col_addr, rows, preds.len(), outs, start)
+            .inspect_err(|_| self.regs.set_error())?;
+        let bits = self.config.out_buf_bits;
+        let lane = |&(lo, hi): &(i64, i64), out: &PhysAddr| Lane {
+            lo,
+            hi,
+            buf: FixedBitBuf::new(bits),
+            cursor: out.0,
+            matched: 0,
+        };
+        match (preds, outs) {
+            ([pred], [out]) => self.scan(module, col_addr, rows, [lane(pred, out)], start),
+            _ => {
+                let lanes: Vec<Lane> = preds.iter().zip(outs).map(|(p, o)| lane(p, o)).collect();
+                self.scan(module, col_addr, rows, lanes, start)
+            }
+        }
+    }
+
+    /// The select datapath: streams `rows` words from `col_addr` once and
+    /// evaluates every word against each lane in the same device cycle.
+    /// Each lane fills its own *n*-bit buffer and drains it to its own
+    /// bitset region; the buffers fill at the same burst boundary and
+    /// drain in lane order, as a word-by-word push would drain them.
+    fn scan<L: AsMut<[Lane]>>(
+        &mut self,
+        module: &mut DramModule,
+        col_addr: PhysAddr,
+        rows: u64,
+        mut lanes: L,
+        start: Tick,
+    ) -> Result<LaneRun, DeviceError> {
+        let lanes = lanes.as_mut();
+        let (begin, done) = if lanes.len() == 1 {
+            ("select-start", "select-done")
+        } else {
+            ("select-fused-start", "select-fused-done")
+        };
         self.regs.set_busy();
         self.tracer.emit(
             start,
             EventKind::AccelStage {
-                stage: "select-start",
-                page: job.col_addr.0,
+                stage: begin,
+                page: col_addr.0,
             },
         );
-        let (lo, hi) = job.predicate.bounds();
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
 
-        let mut out_buf = FixedBitBuf::new(self.config.out_buf_bits);
         let mut issue_cursor = start; // when the next read may be requested
         let mut proc_free = start; // when the datapath frees up
         let mut dram_wait = Tick::ZERO;
-        let mut matched = 0u64;
         let mut bursts_read = 0u64;
         let mut bursts_written = 0u64;
-        let mut out_cursor = job.out_addr.0;
 
-        let total_bursts = job.rows.div_ceil(8);
-        let mut lookahead = RowLookahead::new(module, job.col_addr, total_bursts);
+        let total_bursts = rows.div_ceil(8);
+        let mut lookahead = RowLookahead::new(module, col_addr, total_bursts);
         for burst in 0..total_bursts {
-            let addr = PhysAddr(job.col_addr.0 + burst * 64);
+            let addr = PhysAddr(col_addr.0 + burst * 64);
             lookahead.before(module, burst, issue_cursor);
             let access = module
                 .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
@@ -461,199 +606,58 @@ impl JafarDevice {
                 dram_wait += ready - proc_free;
                 proc_free = ready;
             }
-            let words = (job.rows - burst * 8).min(8);
-            let hits = range_mask(&burst_words(&data), words as usize, lo, hi);
-            matched += u64::from(hits.count_ones());
-            // The buffer holds a multiple of 8 bits and every burst but
-            // the last pushes 8, so it fills only at a burst boundary and
-            // drains at the tick a word-by-word push would drain it.
-            out_buf.push_bits(hits, words as usize);
-            if out_buf.is_full() {
-                let bytes = out_buf.drain_bytes();
-                out_cursor = self.write_bitset_chunk(
-                    module,
-                    out_cursor,
-                    &bytes,
-                    proc_free,
-                    &mut bursts_written,
-                )?;
-            }
-            proc_free += Tick::from_ps(words * self.ps_per_word);
-        }
-        // Final partial flush.
-        if !out_buf.is_empty() {
-            let bytes = out_buf.drain_bytes();
-            self.write_bitset_chunk(module, out_cursor, &bytes, proc_free, &mut bursts_written)?;
-        }
-
-        self.regs.set_done(matched);
-        self.tracer.emit(
-            proc_free,
-            EventKind::AccelStage {
-                stage: "select-done",
-                page: job.col_addr.0,
-            },
-        );
-        self.stats.jobs.inc();
-        self.stats.words.add(job.rows);
-        self.stats.bursts_read.add(bursts_read);
-        self.stats.bursts_written.add(bursts_written);
-        Ok(SelectRun {
-            start,
-            end: proc_free,
-            matched,
-            bursts_read,
-            bursts_written,
-            dram_wait,
-        })
-    }
-
-    fn validate_fused(
-        &self,
-        module: &DramModule,
-        job: &FusedSelectJob,
-        start: Tick,
-    ) -> Result<u32, DeviceError> {
-        let k = job.predicates.len();
-        if k == 0 || k > MAX_FUSED_LANES || job.out_addrs.len() != k {
-            return Err(DeviceError::LaneOverflow);
-        }
-        if job.col_addr.block_offset() != 0 || job.out_addrs.iter().any(|a| a.block_offset() != 0) {
-            return Err(DeviceError::Misaligned);
-        }
-        let mut regions = vec![(job.col_addr, job.rows.saturating_mul(8))];
-        regions.extend(job.out_addrs.iter().map(|&out| (out, job.rows.div_ceil(8))));
-        let rank = job_rank(module, &regions)?;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
-        if start >= module.ndp_deadline(rank) {
-            return Err(DeviceError::LeaseExpired);
-        }
-        Ok(rank)
-    }
-
-    /// Executes one *fused* select job: the column is streamed from DRAM
-    /// exactly once and every word is evaluated against all `k` predicate
-    /// lanes in the same device cycle, each lane accumulating into its own
-    /// output buffer and draining to its own bitset region. Per-word time
-    /// is unchanged from [`Self::run_select`] — the comparator lanes run
-    /// in parallel — so one pass serves `k` queries for one scan's worth
-    /// of DRAM traffic and datapath time.
-    ///
-    /// Each lane's bitset bytes are byte-identical to a solo
-    /// [`Self::run_select`] of the same predicate over the same segment:
-    /// the lanes push through the same [`FixedBitBuf`] drain cadence and
-    /// the same line-split writeback path, only the wall-clock stamps of
-    /// the writebacks differ.
-    ///
-    /// # Errors
-    /// Returns a [`DeviceError`] (and latches STATUS.ERROR) without
-    /// touching DRAM if the job is invalid.
-    pub fn run_select_fused(
-        &mut self,
-        module: &mut DramModule,
-        job: &FusedSelectJob,
-        start: Tick,
-    ) -> Result<FusedSelectRun, DeviceError> {
-        let _rank = self.validate_fused(module, job, start).inspect_err(|_| {
-            self.regs.set_error();
-        })?;
-        let k = job.predicates.len();
-        self.regs.set_busy();
-        self.tracer.emit(
-            start,
-            EventKind::AccelStage {
-                stage: "select-fused-start",
-                page: job.col_addr.0,
-            },
-        );
-        let bounds: Vec<(i64, i64)> = job.predicates.iter().map(|p| p.bounds()).collect();
-        let t = *module.timing();
-        let cas_pipeline = t.cl + t.t_burst;
-
-        let mut out_bufs: Vec<FixedBitBuf> = (0..k)
-            .map(|_| FixedBitBuf::new(self.config.out_buf_bits))
-            .collect();
-        let mut out_cursors: Vec<u64> = job.out_addrs.iter().map(|a| a.0).collect();
-        let mut issue_cursor = start;
-        let mut proc_free = start;
-        let mut dram_wait = Tick::ZERO;
-        let mut matched = vec![0u64; k];
-        let mut bursts_read = 0u64;
-        let mut bursts_written = 0u64;
-
-        let total_bursts = job.rows.div_ceil(8);
-        let mut lookahead = RowLookahead::new(module, job.col_addr, total_bursts);
-        for burst in 0..total_bursts {
-            let addr = PhysAddr(job.col_addr.0 + burst * 64);
-            lookahead.before(module, burst, issue_cursor);
-            let access = module
-                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
-                .map_err(|e| {
-                    self.regs.set_error();
-                    device_error(e)
-                })?;
-            bursts_read += 1;
-            let cas_at = access.data_ready.saturating_sub(cas_pipeline);
-            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
-
-            let data = access.data.expect("read returns data");
-            let ready = access.data_ready;
-            if ready > proc_free {
-                dram_wait += ready - proc_free;
-                proc_free = ready;
-            }
-            let words = (job.rows - burst * 8).min(8);
+            let words = (rows - burst * 8).min(8) as usize;
             let values = burst_words(&data);
-            // Every lane fills at the same burst boundary and drains in
-            // lane order, as a word-by-word push would drain them.
-            for lane in 0..k {
-                let (lo, hi) = bounds[lane];
-                let hits = range_mask(&values, words as usize, lo, hi);
-                matched[lane] += u64::from(hits.count_ones());
-                out_bufs[lane].push_bits(hits, words as usize);
-                if out_bufs[lane].is_full() {
-                    let bytes = out_bufs[lane].drain_bytes();
-                    out_cursors[lane] = self.write_bitset_chunk(
+            for lane in lanes.iter_mut() {
+                let hits = range_mask(&values, words, lane.lo, lane.hi);
+                lane.matched += u64::from(hits.count_ones());
+                // The buffer holds a multiple of 8 bits and every burst
+                // but the last pushes 8, so it fills only at a burst
+                // boundary and drains at the tick a word-by-word push
+                // would drain it.
+                lane.buf.push_bits(hits, words);
+                if lane.buf.is_full() {
+                    let bytes = lane.buf.drain_bytes();
+                    lane.cursor = self.write_bitset_chunk(
                         module,
-                        out_cursors[lane],
+                        lane.cursor,
                         &bytes,
                         proc_free,
                         &mut bursts_written,
                     )?;
                 }
             }
-            proc_free += Tick::from_ps(words * self.ps_per_word);
+            proc_free += Tick::from_ps(words as u64 * self.ps_per_word);
         }
-        // Final partial flush per lane.
-        for lane in 0..k {
-            if !out_bufs[lane].is_empty() {
-                let bytes = out_bufs[lane].drain_bytes();
+        // Final partial flush, lane by lane.
+        let mut matched = [0u64; MAX_FUSED_LANES];
+        for (lane, count) in lanes.iter_mut().zip(&mut matched) {
+            if !lane.buf.is_empty() {
+                let bytes = lane.buf.drain_bytes();
                 self.write_bitset_chunk(
                     module,
-                    out_cursors[lane],
+                    lane.cursor,
                     &bytes,
                     proc_free,
                     &mut bursts_written,
                 )?;
             }
+            *count = lane.matched;
         }
 
-        let total_matched: u64 = matched.iter().sum();
-        self.regs.set_done(total_matched);
+        self.regs.set_done(matched.iter().sum());
         self.tracer.emit(
             proc_free,
             EventKind::AccelStage {
-                stage: "select-fused-done",
-                page: job.col_addr.0,
+                stage: done,
+                page: col_addr.0,
             },
         );
         self.stats.jobs.inc();
-        self.stats.words.add(job.rows);
+        self.stats.words.add(rows);
         self.stats.bursts_read.add(bursts_read);
         self.stats.bursts_written.add(bursts_written);
-        Ok(FusedSelectRun {
+        Ok(LaneRun {
             start,
             end: proc_free,
             matched,

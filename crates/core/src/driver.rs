@@ -1,8 +1,9 @@
 //! The resilient host driver: `select_jafar` with a recovery policy.
 //!
-//! [`select_jafar`] is the Figure-2 primitive — one page, one errno. This
-//! module wraps it in the machinery a production host would run it under,
-//! so a query survives the fault classes `jafar-dram`'s injector models:
+//! [`crate::api::select_jafar`] is the Figure-2 primitive — one page, one
+//! errno. This module wraps its lane-window form in the machinery a
+//! production host would run it under, so a query over one predicate lane
+//! or several survives the fault classes `jafar-dram`'s injector models:
 //!
 //! - **Expiring leases.** Ownership is granted for a bounded window
 //!   ([`crate::ownership::grant_ownership_for`]) — §2.2 hands the rank over
@@ -30,13 +31,18 @@
 //!
 //! Every recovery action is counted in [`DriverStats`], surfaced as a
 //! [`Scoreboard`] so the simulator's run report can say what the faults
-//! cost. Under an empty fault plan the driver's timing is identical to the
-//! bare per-page loop (`jafar-sim`'s `run_select_jafar`).
+//! cost. Under an empty fault plan no rung past the first invocation is
+//! entered, and each page costs its register setup, its device run and its
+//! completion discovery; `jafar-sim`'s `run_select_jafar` is this driver
+//! under the default policy.
+//!
+//! There is one select path: a [`SelectSession`] over 1..=
+//! [`crate::device::MAX_FUSED_LANES`] predicate lanes, one page step
+//! (fail-fast or fall back) and one CPU page fallback. A plain select
+//! ([`ResilientDriver::run_select`]) is the one-lane session.
 
 use crate::aggregate::{AggOp, AggregateJob};
-use crate::api::{
-    errno, issue_errno, select_jafar, select_jafar_fused, DriverCosts, FusedSelectArgs, SelectArgs,
-};
+use crate::api::{device_errno, errno, issue_errno, select_jafar_lanes, DriverCosts};
 use crate::device::{DeviceError, JafarDevice};
 use crate::ownership::{grant_ownership_for, release_ownership, renew_lease, Lease};
 use crate::project::ProjectJob;
@@ -49,7 +55,7 @@ use jafar_dram::{DramModule, PhysAddr, Requester};
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
     /// Per-invocation host costs (register programming, completion
-    /// discovery) — identical in meaning to the bare driver's.
+    /// discovery).
     pub costs: DriverCosts,
     /// Watchdog budget, fixed part. A page whose completion is not
     /// observed within `watchdog + watchdog_per_row · page_rows` of its
@@ -73,7 +79,11 @@ pub struct ResilienceConfig {
     pub lease_window: Tick,
     /// Renew the lease before invoking a page if less than this remains.
     pub renew_margin: Tick,
-    /// Bytes per `select_jafar` invocation (the Figure-2 page).
+    /// Bytes per `select_jafar` invocation (the Figure-2 page). The
+    /// driver pages in whole 64-byte bitset lines: a page holds
+    /// `page_bytes / 8` rows rounded down to a multiple of 512, and at
+    /// least 512, so every page's column slice and bitset slice start
+    /// 64-byte aligned. 4 KiB and 2 MiB pages are whole lines already.
     pub page_bytes: u64,
     /// CPU fallback: predicate cost per 64-bit word.
     pub cpu_word_cost: Tick,
@@ -185,8 +195,8 @@ pub struct SelectRequest {
     pub out_addr: PhysAddr,
 }
 
-/// One full-column *fused* select request: `k` range predicates over the
-/// same column, each with its own output bitset region
+/// One full-column select request over `k` lanes: `k` range predicates
+/// over the same column, each with its own output bitset region
 /// (1 ≤ k ≤ [`crate::device::MAX_FUSED_LANES`]).
 #[derive(Clone, Debug)]
 pub struct FusedSelectRequest {
@@ -200,7 +210,19 @@ pub struct FusedSelectRequest {
     pub out_addrs: Vec<PhysAddr>,
 }
 
-/// Outcome of one resilient fused run.
+impl From<SelectRequest> for FusedSelectRequest {
+    /// The one-lane request.
+    fn from(req: SelectRequest) -> Self {
+        FusedSelectRequest {
+            col_addr: req.col_addr,
+            rows: req.rows,
+            preds: vec![(req.lo, req.hi)],
+            out_addrs: vec![req.out_addr],
+        }
+    }
+}
+
+/// Outcome of one resilient run over `k` lanes.
 #[derive(Clone, Debug)]
 pub struct FusedDriverRun {
     /// End of the run (ownership released or final fallback write done).
@@ -217,7 +239,21 @@ pub struct FusedDriverRun {
     pub driver: Tick,
 }
 
-/// Outcome of one resilient run.
+impl FusedDriverRun {
+    /// The run as lane 0 saw it: the outcome of a one-lane select.
+    pub(crate) fn first_lane(&self) -> DriverRun {
+        DriverRun {
+            end: self.end,
+            matched: self.matched[0],
+            pages: self.pages,
+            cpu_wait: self.cpu_wait,
+            device: self.device,
+            driver: self.driver,
+        }
+    }
+}
+
+/// Outcome of one resilient one-lane run.
 #[derive(Clone, Copy, Debug)]
 pub struct DriverRun {
     /// End of the run (ownership released or final fallback write done).
@@ -261,27 +297,25 @@ pub struct ProjectOutcome {
     pub on_device: bool,
 }
 
-enum PageVerdict {
-    /// The device finished the page; match count inside.
-    Done(u64),
-    /// Give up on the device for this page (retries exhausted or a
-    /// permanent rejection) — fall back to the CPU scan.
-    GiveUp,
-}
-
-/// A select in progress, steppable one page at a time.
+/// A select in progress over `k` predicate lanes (1 ≤ k ≤
+/// [`crate::device::MAX_FUSED_LANES`]), steppable one page at a time. One page step
+/// streams the page once and advances every lane together; parking
+/// freezes all `k` lanes at the same page boundary, so a migration
+/// salvages `k` bitset prefixes of identical length. A plain select is
+/// the one-lane session.
 ///
-/// [`ResilientDriver::run_select`] is simply `start_session` + `step_page`
+/// [`ResilientDriver::run_select_fused`] is simply
+/// [`ResilientDriver::start_session`] + [`ResilientDriver::step_page`]
 /// until done; the rank-parallel scheduler ([`crate::parallel`]) instead
 /// holds one session per rank and always steps the one whose simulated
 /// clock is furthest behind, interleaving the per-rank timelines without
 /// any shard ever observing another's future.
 pub struct SelectSession {
-    req: SelectRequest,
+    req: FusedSelectRequest,
     rank: u32,
     row: u64,
     t: Tick,
-    matched: u64,
+    matched: Vec<u64>,
     pages: u64,
     cpu_wait: Tick,
     device_time: Tick,
@@ -304,84 +338,15 @@ impl SelectSession {
 
     /// True when a fail-fast step gave up on the device without falling
     /// back to the CPU scan: the session is frozen at a page boundary
-    /// ([`SelectSession::next_row`] rows complete,
-    /// [`SelectSession::matched`] matches banked) so a healthy rank can
-    /// resume it via [`ResilientDriver::resume_session`].
-    pub fn is_parked(&self) -> bool {
-        self.parked
-    }
-
-    /// Matches banked so far (complete up to [`SelectSession::next_row`]).
-    pub fn matched(&self) -> u64 {
-        self.matched
-    }
-
-    /// The rank this session's column lives on.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// The next unprocessed row (page-granular progress).
-    pub fn next_row(&self) -> u64 {
-        self.row
-    }
-
-    /// Folds the finished session into a [`DriverRun`].
-    ///
-    /// # Panics
-    /// Panics if the session is not done yet.
-    pub fn into_run(self) -> DriverRun {
-        assert!(self.done, "session still has pages to run");
-        DriverRun {
-            end: self.t,
-            matched: self.matched,
-            pages: self.pages,
-            cpu_wait: self.cpu_wait,
-            device: self.device_time,
-            driver: self.driver_time,
-        }
-    }
-}
-
-/// A fused select in progress, steppable one page at a time — the
-/// `k`-lane sibling of [`SelectSession`]. One page step streams the page
-/// once and advances every lane together; parking freezes all `k` lanes
-/// at the same page boundary, so a migration salvages `k` bitset
-/// prefixes of identical length.
-pub struct FusedSession {
-    req: FusedSelectRequest,
-    rank: u32,
-    row: u64,
-    t: Tick,
-    matched: Vec<u64>,
-    pages: u64,
-    cpu_wait: Tick,
-    device_time: Tick,
-    driver_time: Tick,
-    done: bool,
-    parked: bool,
-}
-
-impl FusedSession {
-    /// The session's simulated clock.
-    pub fn cursor(&self) -> Tick {
-        self.t
-    }
-
-    /// True once the final page completed and the lease was released.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// True when a fail-fast step parked the session at a page boundary
-    /// (see [`SelectSession::is_parked`]): all `k` lanes are frozen at
-    /// [`FusedSession::next_row`] rows complete.
+    /// (every lane complete up to [`SelectSession::next_row`], its
+    /// matches banked in [`SelectSession::matched`]) so a healthy rank
+    /// can resume it via [`ResilientDriver::resume_session`].
     pub fn is_parked(&self) -> bool {
         self.parked
     }
 
     /// Per-lane matches banked so far (complete up to
-    /// [`FusedSession::next_row`]).
+    /// [`SelectSession::next_row`]).
     pub fn matched(&self) -> &[u64] {
         &self.matched
     }
@@ -407,7 +372,7 @@ impl FusedSession {
     /// # Panics
     /// Panics if the session is not done yet.
     pub fn into_run(self) -> FusedDriverRun {
-        assert!(self.done, "fused session still has pages to run");
+        assert!(self.done, "session still has pages to run");
         FusedDriverRun {
             end: self.t,
             matched: self.matched,
@@ -423,6 +388,9 @@ impl FusedSession {
 /// the circuit-breaker state; accumulates [`DriverStats`] across runs.
 pub struct ResilientDriver {
     cfg: ResilienceConfig,
+    /// Rows per page, derived once from `cfg.page_bytes`: whole 512-row
+    /// (64-byte) bitset lines, at least one.
+    page_rows: u64,
     stats: DriverStats,
     lease: Option<Lease>,
     consecutive_failures: u32,
@@ -435,6 +403,7 @@ impl ResilientDriver {
     pub fn new(cfg: ResilienceConfig) -> Self {
         ResilientDriver {
             cfg,
+            page_rows: (cfg.page_bytes / 8 / 512 * 512).max(512),
             stats: DriverStats::default(),
             lease: None,
             consecutive_failures: 0,
@@ -483,8 +452,9 @@ impl ResilientDriver {
     }
 
     /// Runs the full select, page by page, recovering from injected faults
-    /// as configured. The result bitset at `req.out_addr` always equals the
-    /// software reference; [`DriverStats`] records what that cost.
+    /// as configured: the one-lane [`ResilientDriver::run_select_fused`].
+    /// The result bitset at `req.out_addr` always equals the software
+    /// reference; [`DriverStats`] records what that cost.
     pub fn run_select(
         &mut self,
         device: &mut JafarDevice,
@@ -492,6 +462,22 @@ impl ResilientDriver {
         req: SelectRequest,
         start: Tick,
     ) -> DriverRun {
+        self.run_select_fused(device, module, req.into(), start)
+            .first_lane()
+    }
+
+    /// Runs a full select over `k` predicate lanes, page by page,
+    /// recovering from injected faults as configured. Every lane's bitset
+    /// at its `out_addr` equals the software reference — and is
+    /// byte-identical to `k` one-lane [`ResilientDriver::run_select`]
+    /// runs of the same predicates — whichever rung produced each page.
+    pub fn run_select_fused(
+        &mut self,
+        device: &mut JafarDevice,
+        module: &mut DramModule,
+        req: FusedSelectRequest,
+        start: Tick,
+    ) -> FusedDriverRun {
         let mut session = self.start_session(module, req, start);
         while !session.is_done() {
             self.step_page(device, module, &mut session);
@@ -500,43 +486,34 @@ impl ResilientDriver {
     }
 
     /// Opens a steppable session for `req`. Pair with
-    /// [`ResilientDriver::step_page`]; [`ResilientDriver::run_select`] is
-    /// the convenience loop over the two.
+    /// [`ResilientDriver::step_page`] or
+    /// [`ResilientDriver::step_page_failfast`].
     pub fn start_session(
         &self,
         module: &DramModule,
-        req: SelectRequest,
+        req: FusedSelectRequest,
         start: Tick,
     ) -> SelectSession {
-        SelectSession {
-            rank: module.decoder().decode(req.col_addr).rank,
-            req,
-            row: 0,
-            t: start,
-            matched: 0,
-            pages: 0,
-            cpu_wait: Tick::ZERO,
-            device_time: Tick::ZERO,
-            driver_time: Tick::ZERO,
-            done: false,
-            parked: false,
-        }
+        let lanes = req.preds.len();
+        self.resume_session(module, req, 0, vec![0; lanes], start)
     }
 
-    /// Reopens a session for `req` that a previous rank left parked: the
-    /// first `rows_done` rows are already complete (their bitset bytes
-    /// salvaged by the caller) with `matched` matches banked, and this
-    /// driver's rank continues from that page boundary at `start` under a
-    /// fresh lease. Time accounting restarts at zero — the migrated
-    /// session reports only the work done on the new rank.
+    /// Reopens a session that a previous rank left parked: the first
+    /// `rows_done` rows of *every* lane are complete (their bitset
+    /// prefixes salvaged by the caller) with `matched[lane]` matches
+    /// banked, and this driver's rank continues from that shared page
+    /// boundary at `start` under a fresh lease. Time accounting restarts
+    /// at zero — the migrated session reports only the work done on the
+    /// new rank.
     pub fn resume_session(
         &self,
         module: &DramModule,
-        req: SelectRequest,
+        req: FusedSelectRequest,
         rows_done: u64,
-        matched: u64,
+        matched: Vec<u64>,
         start: Tick,
     ) -> SelectSession {
+        debug_assert_eq!(matched.len(), req.preds.len());
         SelectSession {
             rank: module.decoder().decode(req.col_addr).rank,
             req,
@@ -552,9 +529,10 @@ impl ResilientDriver {
         }
     }
 
-    /// Advances `session` by one page (device attempt with full recovery,
-    /// or CPU fallback), or — once every page is processed — releases the
-    /// lease and marks the session done. No-op on a done session.
+    /// Advances `session` by one page (device attempt with the full
+    /// recovery ladder, or the CPU fallback), or — once every page is
+    /// processed — releases the lease and marks the session done. No-op
+    /// on a done or parked session.
     pub fn step_page(
         &mut self,
         device: &mut JafarDevice,
@@ -565,12 +543,12 @@ impl ResilientDriver {
     }
 
     /// Like [`ResilientDriver::step_page`], but a page that exhausts the
-    /// device ladder *parks* the session at its current page boundary
-    /// instead of crawling through the CPU scan: `session.is_parked()`
-    /// turns true, the row cursor does not advance, and the caller decides
-    /// what happens next (typically migrating the shard to a healthy rank
-    /// via [`ResilientDriver::resume_session`]). Breaker accounting is
-    /// identical to the fallback path.
+    /// device ladder *parks* the session at its current page boundary —
+    /// all lanes together — instead of crawling through the CPU scan:
+    /// `session.is_parked()` turns true, the row cursor does not advance,
+    /// and the caller decides what happens next (typically migrating the
+    /// shard to a healthy rank via [`ResilientDriver::resume_session`]).
+    /// Breaker accounting is identical to the fallback path.
     pub fn step_page_failfast(
         &mut self,
         device: &mut JafarDevice,
@@ -580,155 +558,50 @@ impl ResilientDriver {
         self.step_page_inner(device, module, session, true);
     }
 
-    /// Runs a full fused select, page by page, recovering from injected
-    /// faults as configured: the `k`-lane sibling of
-    /// [`ResilientDriver::run_select`]. Every lane's bitset at its
-    /// `out_addr` equals the software reference — and is byte-identical
-    /// to `k` solo [`ResilientDriver::run_select`] runs of the same
-    /// predicates — whichever rung produced each page.
-    pub fn run_select_fused(
+    fn step_page_inner(
         &mut self,
         device: &mut JafarDevice,
         module: &mut DramModule,
-        req: FusedSelectRequest,
-        start: Tick,
-    ) -> FusedDriverRun {
-        let mut session = self.start_fused_session(module, req, start);
-        while !session.is_done() {
-            self.step_fused_page(device, module, &mut session);
-        }
-        session.into_run()
-    }
-
-    /// Opens a steppable fused session for `req`.
-    pub fn start_fused_session(
-        &self,
-        module: &DramModule,
-        req: FusedSelectRequest,
-        start: Tick,
-    ) -> FusedSession {
-        let lanes = req.preds.len();
-        FusedSession {
-            rank: module.decoder().decode(req.col_addr).rank,
-            req,
-            row: 0,
-            t: start,
-            matched: vec![0; lanes],
-            pages: 0,
-            cpu_wait: Tick::ZERO,
-            device_time: Tick::ZERO,
-            driver_time: Tick::ZERO,
-            done: false,
-            parked: false,
-        }
-    }
-
-    /// Reopens a fused session that a previous rank left parked: the
-    /// first `rows_done` rows of *every* lane are complete (their bitset
-    /// prefixes salvaged by the caller) with `matched[lane]` matches
-    /// banked, and this driver's rank continues from that shared page
-    /// boundary at `start` under a fresh lease. Time accounting restarts
-    /// at zero, as in [`ResilientDriver::resume_session`].
-    pub fn resume_fused_session(
-        &self,
-        module: &DramModule,
-        req: FusedSelectRequest,
-        rows_done: u64,
-        matched: Vec<u64>,
-        start: Tick,
-    ) -> FusedSession {
-        debug_assert_eq!(matched.len(), req.preds.len());
-        FusedSession {
-            rank: module.decoder().decode(req.col_addr).rank,
-            req,
-            row: rows_done,
-            t: start,
-            matched,
-            pages: 0,
-            cpu_wait: Tick::ZERO,
-            device_time: Tick::ZERO,
-            driver_time: Tick::ZERO,
-            done: false,
-            parked: false,
-        }
-    }
-
-    /// Advances a fused session by one page (device attempt with the full
-    /// recovery ladder, or the `k`-lane CPU fallback), or — once every
-    /// page is processed — releases the lease and marks the session done.
-    pub fn step_fused_page(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        session: &mut FusedSession,
-    ) {
-        self.step_fused_page_inner(device, module, session, false);
-    }
-
-    /// Like [`ResilientDriver::step_fused_page`], but a page that
-    /// exhausts the device ladder *parks* the session at its page
-    /// boundary — all lanes together — instead of crawling through the
-    /// CPU scan. See [`ResilientDriver::step_page_failfast`].
-    pub fn step_fused_page_failfast(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        session: &mut FusedSession,
-    ) {
-        self.step_fused_page_inner(device, module, session, true);
-    }
-
-    fn step_fused_page_inner(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        session: &mut FusedSession,
+        session: &mut SelectSession,
         failfast: bool,
     ) {
         if session.done || session.parked {
             return;
         }
         if session.row >= session.req.rows {
+            // Hand the rank back so host traffic resumes.
             if self.lease.is_some() {
                 self.release_current(module, &mut session.t);
             }
             session.done = true;
             return;
         }
-        let rows_per_page = self.cfg.page_bytes / 8;
-        let page_rows = rows_per_page.min(session.req.rows - session.row);
-        let args = FusedSelectArgs {
-            col_data: PhysAddr(session.req.col_addr.0 + session.row * 8),
-            ranges: session.req.preds.clone(),
-            out_bufs: session
-                .req
-                .out_addrs
-                .iter()
-                .map(|a| PhysAddr(a.0 + session.row / 8))
-                .collect(),
-            num_input_rows: page_rows,
-        };
+        let page_rows = self.page_rows.min(session.req.rows - session.row);
+        let col_data = PhysAddr(session.req.col_addr.0 + session.row * 8);
+        let out_off = session.row / 8;
+        let (preds, outs) = (&session.req.preds, &session.req.out_addrs);
         self.stats.pages.inc();
-        let per_lane = if self.breaker_open {
+        let counts = if self.breaker_open {
             None
         } else {
             self.run_page_ladder(
                 module,
                 session.rank,
                 page_rows,
-                args.col_data.0,
+                col_data.0,
                 &mut session.t,
                 &mut session.cpu_wait,
                 &mut session.device_time,
                 &mut session.driver_time,
-                |m, at| {
-                    let out = select_jafar_fused(device, m, &args, at);
-                    let run = out.run.as_ref().map(|r| (r.end, r.matched.clone()));
-                    (out.errno, run)
+                |m, at| match select_jafar_lanes(
+                    device, m, col_data, page_rows, preds, outs, out_off, at,
+                ) {
+                    Ok(run) => (errno::OK, Some((run.end, run.matched))),
+                    Err(e) => (device_errno(e), None),
                 },
             )
         };
-        match per_lane {
+        match counts {
             Some(counts) => {
                 for (banked, n) in session.matched.iter_mut().zip(&counts) {
                     *banked += n;
@@ -760,10 +633,7 @@ impl ResilientDriver {
                         page: session.pages,
                     },
                 );
-                let counts = self.run_fused_page_cpu(module, &args, &mut session.t);
-                for (banked, n) in session.matched.iter_mut().zip(&counts) {
-                    *banked += n;
-                }
+                self.run_page_cpu(module, session, page_rows);
                 self.stats.pages_cpu.inc();
             }
         }
@@ -771,52 +641,57 @@ impl ResilientDriver {
         session.pages += 1;
     }
 
-    /// The `k`-lane CPU fallback: release the lease if held, stream the
-    /// page once over timed host reads, evaluate every predicate lane in
-    /// software and write each lane's bitset slice back — byte-identical
-    /// to what the fused device pass would have produced per lane (and
-    /// hence to `k` solo fallbacks). The CPU has no parallel comparator
-    /// array, so predicate evaluation is charged per lane.
-    fn run_fused_page_cpu(
+    /// The CPU fallback of the session's next page (`page_rows` rows):
+    /// release the lease if held, stream the page once over timed host
+    /// reads, evaluate every lane's predicate in software, bank each
+    /// lane's matches and write each lane's bitset slice back —
+    /// byte-identical to what the device pass would have produced per
+    /// lane. The CPU has no parallel comparator array, so predicate
+    /// evaluation is charged per lane: `cpu_word_cost` per word and lane.
+    fn run_page_cpu(
         &mut self,
         module: &mut DramModule,
-        args: &FusedSelectArgs,
-        t: &mut Tick,
-    ) -> Vec<u64> {
+        session: &mut SelectSession,
+        page_rows: u64,
+    ) {
+        let t = &mut session.t;
         if self.lease.is_some() {
             self.release_current(module, t);
         }
-        let k = args.ranges.len();
-        let page_rows = args.num_input_rows;
+        let col_data = PhysAddr(session.req.col_addr.0 + session.row * 8);
+        let out_off = session.row / 8;
+        let (preds, matched) = (&session.req.preds, &mut session.matched);
+        let lanes = preds.len() as u64;
         let bursts = page_rows.div_ceil(8);
-        let nbytes = page_rows.div_ceil(8) as usize;
-        let mut out_bytes = vec![vec![0u8; nbytes]; k];
-        let mut matched = vec![0u64; k];
+        let mut out_bytes = vec![vec![0u8; page_rows.div_ceil(8) as usize]; preds.len()];
         let mut cursor = *t;
         for b in 0..bursts {
-            let addr = PhysAddr(args.col_data.0 + b * 64);
+            let addr = PhysAddr(col_data.0 + b * 64);
             let data = self.read_line(module, addr, &mut cursor);
             let words = (page_rows - b * 8).min(8);
             for w in 0..words {
                 let off = (w * 8) as usize;
                 let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                for (lane, &(lo, hi)) in args.ranges.iter().enumerate() {
+                for ((&(lo, hi), bytes), count) in
+                    preds.iter().zip(&mut out_bytes).zip(&mut *matched)
+                {
                     if lo <= v && v <= hi {
-                        matched[lane] += 1;
+                        *count += 1;
                         let bit = b * 8 + w;
-                        out_bytes[lane][(bit / 8) as usize] |= 1 << (bit % 8);
+                        bytes[(bit / 8) as usize] |= 1 << (bit % 8);
                     }
                 }
             }
-            cursor += self.cfg.cpu_word_cost * (words * k as u64);
+            cursor += self.cfg.cpu_word_cost * (words * lanes);
         }
         // Write each lane's slice back as whole 64-byte lines (zero-padded
-        // tail), matching the device's writeback footprint exactly.
-        for (lane, bytes) in out_bytes.iter().enumerate() {
+        // tail), matching the device's writeback footprint exactly. Pages
+        // hold whole bitset lines, so every slice starts line-aligned.
+        for (bytes, base) in out_bytes.iter().zip(&session.req.out_addrs) {
             for (i, chunk) in bytes.chunks(64).enumerate() {
                 let mut line = [0u8; 64];
                 line[..chunk.len()].copy_from_slice(chunk);
-                let addr = PhysAddr((args.out_bufs[lane].0 + i as u64 * 64) & !63);
+                let addr = PhysAddr(base.0 + out_off + i as u64 * 64);
                 match module.serve_addr(addr, true, Requester::Host, cursor, Some(&line)) {
                     Ok(access) => cursor = access.data_ready,
                     Err(_) => {
@@ -828,124 +703,9 @@ impl ResilientDriver {
             }
         }
         *t = cursor;
-        matched
     }
 
-    fn step_page_inner(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        session: &mut SelectSession,
-        failfast: bool,
-    ) {
-        if session.done || session.parked {
-            return;
-        }
-        if session.row >= session.req.rows {
-            // Hand the rank back so host traffic resumes.
-            if self.lease.is_some() {
-                self.release_current(module, &mut session.t);
-            }
-            session.done = true;
-            return;
-        }
-        let rows_per_page = self.cfg.page_bytes / 8;
-        let page_rows = rows_per_page.min(session.req.rows - session.row);
-        let args = SelectArgs {
-            col_data: PhysAddr(session.req.col_addr.0 + session.row * 8),
-            range_low: session.req.lo,
-            range_high: session.req.hi,
-            out_buf: PhysAddr(session.req.out_addr.0 + session.row / 8),
-            num_input_rows: page_rows,
-        };
-        self.stats.pages.inc();
-        let verdict = if self.breaker_open {
-            PageVerdict::GiveUp
-        } else {
-            self.run_page_jafar(
-                device,
-                module,
-                session.rank,
-                args,
-                &mut session.t,
-                &mut session.cpu_wait,
-                &mut session.device_time,
-                &mut session.driver_time,
-            )
-        };
-        match verdict {
-            PageVerdict::Done(n) => {
-                session.matched += n;
-                self.stats.pages_jafar.inc();
-                self.consecutive_failures = 0;
-            }
-            PageVerdict::GiveUp => {
-                if !self.breaker_open {
-                    self.consecutive_failures += 1;
-                    if self.consecutive_failures >= self.cfg.breaker_threshold {
-                        self.breaker_open = true;
-                        self.stats.breaker_trips.inc();
-                        self.tracer
-                            .emit(session.t, EventKind::BreakerTransition { open: true });
-                    }
-                }
-                if failfast {
-                    // Freeze at the page boundary: rows [0, session.row)
-                    // are complete and their bitset bytes are in DRAM;
-                    // the caller re-dispatches the remainder elsewhere.
-                    session.parked = true;
-                    return;
-                }
-                self.tracer.emit(
-                    session.t,
-                    EventKind::CpuFallback {
-                        page: session.pages,
-                    },
-                );
-                session.matched += self.run_page_cpu(module, args, &mut session.t);
-                self.stats.pages_cpu.inc();
-            }
-        }
-        session.row += page_rows;
-        session.pages += 1;
-    }
-
-    /// One page on the device: lease upkeep, invocation, watchdog, bounded
-    /// retries.
-    #[allow(clippy::too_many_arguments)]
-    fn run_page_jafar(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        rank: u32,
-        args: SelectArgs,
-        t: &mut Tick,
-        cpu_wait: &mut Tick,
-        device_time: &mut Tick,
-        driver_time: &mut Tick,
-    ) -> PageVerdict {
-        let verdict = self.run_page_ladder(
-            module,
-            rank,
-            args.num_input_rows,
-            args.col_data.0,
-            t,
-            cpu_wait,
-            device_time,
-            driver_time,
-            |m, at| {
-                let out = select_jafar(device, m, args, at);
-                (out.errno, out.run.map(|r| (r.end, r.matched)))
-            },
-        );
-        match verdict {
-            Some(matched) => PageVerdict::Done(matched),
-            None => PageVerdict::GiveUp,
-        }
-    }
-
-    /// The page-granular recovery ladder shared by the solo and fused
-    /// select paths: lease upkeep (grant / renew inside the margin),
+    /// The page-granular recovery ladder of the select path: lease upkeep (grant / renew inside the margin),
     /// invocation through `invoke`, watchdog on the observed completion,
     /// bounded backoff retries, errno-keyed recovery. `invoke` returns the
     /// call's errno plus `(device_end, result)` on success; `tag`
@@ -1131,68 +891,6 @@ impl ResilientDriver {
             },
         );
         true
-    }
-
-    /// The CPU fallback: release the lease if held, stream the page over
-    /// timed host reads, evaluate the predicate in software and write the
-    /// bitset slice back — bit-identical to the device's output.
-    fn run_page_cpu(&mut self, module: &mut DramModule, args: SelectArgs, t: &mut Tick) -> u64 {
-        if self.lease.is_some() {
-            self.release_current(module, t);
-        }
-        let page_rows = args.num_input_rows;
-        let bursts = page_rows.div_ceil(8);
-        let mut out_bytes = vec![0u8; page_rows.div_ceil(8) as usize];
-        let mut matched = 0u64;
-        let mut cursor = *t;
-        for b in 0..bursts {
-            let addr = PhysAddr(args.col_data.0 + b * 64);
-            let data = match module.serve_addr(addr, false, Requester::Host, cursor, None) {
-                Ok(access) => {
-                    cursor = access.data_ready;
-                    access.data.expect("read returns data")
-                }
-                Err(_) => {
-                    // Rank still owned (release failed) or the read burst
-                    // was uncorrectable: degrade to a functional read at a
-                    // modelled cost. Correctness is preserved — only the
-                    // timing fidelity drops.
-                    self.stats.degraded_lines.inc();
-                    let mut buf = [0u8; 64];
-                    module.data().read(addr, &mut buf);
-                    cursor += self.cfg.degraded_line_cost;
-                    buf
-                }
-            };
-            let words = (page_rows - b * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                if args.range_low <= v && v <= args.range_high {
-                    matched += 1;
-                    let bit = b * 8 + w;
-                    out_bytes[(bit / 8) as usize] |= 1 << (bit % 8);
-                }
-            }
-            cursor += self.cfg.cpu_word_cost * words;
-        }
-        // Write the slice back as whole 64-byte lines (zero-padded tail),
-        // matching the device's writeback footprint exactly.
-        for (i, chunk) in out_bytes.chunks(64).enumerate() {
-            let mut line = [0u8; 64];
-            line[..chunk.len()].copy_from_slice(chunk);
-            let addr = PhysAddr((args.out_buf.0 + i as u64 * 64) & !63);
-            match module.serve_addr(addr, true, Requester::Host, cursor, Some(&line)) {
-                Ok(access) => cursor = access.data_ready,
-                Err(_) => {
-                    self.stats.degraded_lines.inc();
-                    module.data_mut().write(addr, &line);
-                    cursor += self.cfg.degraded_line_cost;
-                }
-            }
-        }
-        *t = cursor;
-        matched
     }
 
     /// Releases the held lease, retrying transient MRS glitches. If the
@@ -1842,7 +1540,8 @@ mod tests {
             ..ResilienceConfig::default()
         });
         let req = request(2048, 100, 499);
-        let mut session = driver.start_session(&m, req, Tick::ZERO);
+        let mut session = driver.start_session(&m, req.into(), Tick::ZERO);
+        assert_eq!(session.lanes(), 1, "a plain select is the one-lane session");
         // Two clean pages, then the rank goes dark mid-query.
         driver.step_page_failfast(&mut device, &mut m, &mut session);
         driver.step_page_failfast(&mut device, &mut m, &mut session);
@@ -1853,7 +1552,7 @@ mod tests {
             Tick::ZERO,
             Tick::MAX,
         ))));
-        let banked = session.matched();
+        let banked = session.matched().to_vec();
         driver.step_page_failfast(&mut device, &mut m, &mut session);
         assert!(session.is_parked(), "dark rank must park the session");
         assert!(!session.is_done());
@@ -1878,7 +1577,7 @@ mod tests {
             ..ResilienceConfig::default()
         });
         let req = request(2048, 100, 499);
-        let mut session = sick.start_session(&m, req, Tick::ZERO);
+        let mut session = sick.start_session(&m, req.into(), Tick::ZERO);
         sick.step_page_failfast(&mut device, &mut m, &mut session);
         m.set_fault_injector(Some(FaultInjector::new(FaultPlan::none(0).with_outage(
             0,
@@ -1888,7 +1587,7 @@ mod tests {
         sick.step_page_failfast(&mut device, &mut m, &mut session);
         assert!(session.is_parked());
         let row = session.next_row();
-        let banked = session.matched();
+        let banked = session.matched().to_vec();
         assert_eq!(row, 512, "one clean page before the outage");
 
         // The rank repairs; a fresh driver resumes from the boundary under
@@ -1896,14 +1595,14 @@ mod tests {
         // stale one is legal) and the final bitset matches the reference.
         m.set_fault_injector(None);
         let mut healthy = ResilientDriver::new(ResilienceConfig::default());
-        let mut resumed = healthy.resume_session(&m, req, row, banked, session.cursor());
+        let mut resumed = healthy.resume_session(&m, req.into(), row, banked, session.cursor());
         assert_eq!(resumed.next_row(), row);
         while !resumed.is_done() {
             healthy.step_page(&mut device, &mut m, &mut resumed);
         }
         let run = resumed.into_run();
         let expect = reference(&values, 100, 499);
-        assert_eq!(run.matched as usize, expect.len());
+        assert_eq!(run.matched, [expect.len() as u64]);
         assert_eq!(bitset_at(&m, OUT, 2048), expect);
         assert_eq!(healthy.stats().pages_cpu.get(), 0, "all-device resume");
         assert!(!m.rank_owned_by_ndp(0), "resumed run releases the rank");
@@ -2100,15 +1799,15 @@ mod tests {
             ..ResilienceConfig::default()
         });
         let req = fused_request(rows, &preds);
-        let mut session = sick.start_fused_session(&m, req.clone(), Tick::ZERO);
-        sick.step_fused_page_failfast(&mut device, &mut m, &mut session);
+        let mut session = sick.start_session(&m, req.clone(), Tick::ZERO);
+        sick.step_page_failfast(&mut device, &mut m, &mut session);
         assert!(!session.is_parked());
         m.set_fault_injector(Some(FaultInjector::new(FaultPlan::none(0).with_outage(
             0,
             Tick::ZERO,
             Tick::MAX,
         ))));
-        sick.step_fused_page_failfast(&mut device, &mut m, &mut session);
+        sick.step_page_failfast(&mut device, &mut m, &mut session);
         assert!(session.is_parked(), "dark rank parks every lane together");
         assert_eq!(session.next_row(), 512, "one clean page before the outage");
         let banked = session.matched().to_vec();
@@ -2117,10 +1816,9 @@ mod tests {
         m.set_fault_injector(None);
         let healthy_driver = ResilientDriver::new(ResilienceConfig::default());
         let mut healthy = healthy_driver;
-        let mut resumed =
-            healthy.resume_fused_session(&m, req.clone(), 512, banked, session.cursor());
+        let mut resumed = healthy.resume_session(&m, req.clone(), 512, banked, session.cursor());
         while !resumed.is_done() {
-            healthy.step_fused_page(&mut device, &mut m, &mut resumed);
+            healthy.step_page(&mut device, &mut m, &mut resumed);
         }
         let run = resumed.into_run();
         for (lane, &(lo, hi)) in preds.iter().enumerate() {
@@ -2229,6 +1927,49 @@ mod tests {
                         "outage lane {lane} bitset (dark from {dark_from})"
                     );
                 }
+            }
+        });
+    }
+
+    #[test]
+    fn any_page_size_returns_the_reference_bitset() {
+        use jafar_common::check::forall;
+        // Page sizes that are not whole 64-byte bitset lines, and none at
+        // all, over row counts that end mid-byte and mid-line: the driver
+        // pages in whole lines, so every run ends with the reference
+        // bitset and count, on the device for every page.
+        const PAGE_BYTES: [u64; 7] = [0, 512, 1000, 2048, 4096, 6144, 2 << 20];
+        forall("any-page-size", 8, |rng| {
+            let rows = loop {
+                let rows = 1 + rng.next_below(7999);
+                if rows % 8 != 0 {
+                    break rows;
+                }
+            };
+            let seed = rng.next_u64();
+            for page_bytes in PAGE_BYTES {
+                let (mut m, values) = module_with_column(rows, seed);
+                // Stale bits from an earlier query must be overwritten.
+                m.data_mut()
+                    .write(OUT, &vec![0xA5; rows.div_ceil(8) as usize]);
+                let mut device = JafarDevice::paper_default();
+                let mut driver = ResilientDriver::new(ResilienceConfig {
+                    page_bytes,
+                    ..ResilienceConfig::default()
+                });
+                let run =
+                    driver.run_select(&mut device, &mut m, request(rows, 100, 499), Tick::ZERO);
+                let expect = reference(&values, 100, 499);
+                let case = format!("{rows} rows, {page_bytes}-byte pages");
+                assert_eq!(run.matched as usize, expect.len(), "{case}: count");
+                assert!(bitset_at(&m, OUT, rows) == expect, "{case}: bitset differs");
+                assert_eq!(driver.stats().pages_cpu.get(), 0, "{case}: CPU pages");
+                assert_eq!(
+                    run.pages,
+                    rows.div_ceil(driver.page_rows),
+                    "{case}: pages of whole bitset lines"
+                );
+                assert_eq!(driver.page_rows % 512, 0, "{case}: whole lines");
             }
         });
     }

@@ -48,16 +48,15 @@ pub mod rowstore;
 pub mod sort;
 
 pub use api::{
-    device_errno, issue_errno, select_jafar, select_jafar_fused, CompletionMode, DriverCosts,
-    FusedSelectArgs, FusedSelectOutcome, SelectArgs, SelectOutcome,
+    device_errno, issue_errno, select_jafar, CompletionMode, DriverCosts, SelectArgs, SelectOutcome,
 };
 pub use device::{
     DeviceConfig, DeviceError, FusedSelectJob, FusedSelectRun, JafarDevice, SelectJob, SelectRun,
     MAX_FUSED_LANES,
 };
 pub use driver::{
-    AggregateOutcome, DriverRun, DriverStats, FusedDriverRun, FusedSelectRequest, FusedSession,
-    ProjectOutcome, ResilienceConfig, ResilientDriver, SelectRequest,
+    AggregateOutcome, DriverRun, DriverStats, FusedDriverRun, FusedSelectRequest, ProjectOutcome,
+    ResilienceConfig, ResilientDriver, SelectRequest, SelectSession,
 };
 pub use ownership::{grant_ownership, grant_ownership_for, release_ownership, renew_lease, Lease};
 pub use parallel::{run_select_parallel, ParallelRun, ShardRun};

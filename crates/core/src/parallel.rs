@@ -6,7 +6,8 @@
 //! the host keeps using the others. This module is that scheduler: given a
 //! column striped across K ranks (one [`SelectRequest`] shard per rank,
 //! each 64-byte-aligned within its own rank), it opens one steppable
-//! [`SelectSession`] per shard and interleaves them in simulated time.
+//! one-lane [`SelectSession`] per shard and interleaves them in simulated
+//! time.
 //!
 //! **Scheduling discipline.** Each session carries its own simulated
 //! clock ([`SelectSession::cursor`]). The scheduler always advances the
@@ -81,7 +82,7 @@ pub fn run_select_parallel(
     let mut sessions: Vec<Option<SelectSession>> = shards
         .iter()
         .zip(drivers.iter())
-        .map(|(req, driver)| Some(driver.start_session(module, *req, start)))
+        .map(|(req, driver)| Some(driver.start_session(module, (*req).into(), start)))
         .collect();
     for (i, a) in sessions.iter().flatten().enumerate() {
         for b in sessions.iter().flatten().skip(i + 1) {
@@ -112,7 +113,7 @@ pub fn run_select_parallel(
         if session.is_done() {
             let session = sessions[i].take().expect("just stepped it");
             let rank = session.rank();
-            let run = session.into_run();
+            let run = session.into_run().first_lane();
             tracer.emit(
                 run.end,
                 EventKind::ShardDone {

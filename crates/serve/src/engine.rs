@@ -18,6 +18,9 @@
 //! units and runs as one steppable [`SelectSession`] per shard, exactly
 //! the rank-parallel machinery of [`jafar_core::parallel`], so many
 //! in-flight queries interleave in simulated time instead of serializing.
+//! A session scans one predicate lane per query it serves (a fused batch
+//! has several) or per key range of a multi-range semi-join; a plain
+//! select is the one-lane session.
 //!
 //! # Event loop and determinism
 //!
@@ -98,10 +101,7 @@ use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
 use jafar_core::aggregate::{AggOp, AggregateJob};
 use jafar_core::device::{JafarDevice, MAX_FUSED_LANES};
-use jafar_core::driver::{
-    FusedSelectRequest, FusedSession, ResilienceConfig, ResilientDriver, SelectRequest,
-    SelectSession,
-};
+use jafar_core::driver::{FusedSelectRequest, ResilienceConfig, ResilientDriver, SelectSession};
 use jafar_core::interleave::aligned_chunk;
 use jafar_core::predicate::Predicate;
 use jafar_core::project::ProjectJob;
@@ -141,8 +141,8 @@ pub struct ServeConfig {
     /// to `fuse_window - 1` more selects waiting in the queue (they all
     /// scan the same served column) ride the same device pass as extra
     /// predicate lanes, each materializing its own bitset. Clamped to
-    /// [`MAX_FUSED_LANES`]; `1` (the default) disables fusion and keeps
-    /// the solo dispatch path byte-for-byte. Callers sizing output
+    /// [`MAX_FUSED_LANES`]; `1` (the default) disables fusion, so every
+    /// select scans as its own one-lane session. Callers sizing output
     /// buffers must provide `fuse_window` bitset slots per unit (one
     /// full-column bitset rounded up to a 64-byte line, per lane).
     pub fuse_window: usize,
@@ -298,63 +298,17 @@ pub struct ServeEnv<'a> {
     pub tracer: &'a SharedTracer,
 }
 
-/// The steppable session driving one in-flight shard: a solo
-/// [`SelectSession`] for an unfused query, or a [`FusedSession`]
-/// evaluating one predicate lane per fused query in a single shared
-/// scan of the shard's rows.
-enum ShardSession {
-    Solo(SelectSession),
-    Fused(FusedSession),
-}
-
-impl ShardSession {
-    fn cursor(&self) -> Tick {
-        match self {
-            ShardSession::Solo(s) => s.cursor(),
-            ShardSession::Fused(s) => s.cursor(),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            ShardSession::Solo(s) => s.is_done(),
-            ShardSession::Fused(s) => s.is_done(),
-        }
-    }
-
-    fn is_parked(&self) -> bool {
-        match self {
-            ShardSession::Solo(s) => s.is_parked(),
-            ShardSession::Fused(s) => s.is_parked(),
-        }
-    }
-
-    fn next_row(&self) -> u64 {
-        match self {
-            ShardSession::Solo(s) => s.next_row(),
-            ShardSession::Fused(s) => s.next_row(),
-        }
-    }
-
-    /// Per-lane match counts so far — one entry for a solo shard.
-    fn matched(&self) -> Vec<u64> {
-        match self {
-            ShardSession::Solo(s) => vec![s.matched()],
-            ShardSession::Fused(s) => s.matched().to_vec(),
-        }
-    }
-}
-
-/// One in-flight shard: which queries and filter unit it belongs to and
-/// where its rows sit within the column. `qids` has one entry per
-/// predicate lane of the shard's scan — exactly one for a solo shard,
-/// up to [`MAX_FUSED_LANES`] for a fused one.
+/// One in-flight shard: which queries and filter unit it belongs to,
+/// where its rows sit within the column, and the session scanning them.
+/// `qids` has one entry per predicate lane of the session — one for a
+/// plain select, up to [`MAX_FUSED_LANES`] for a fused batch — except a
+/// multi-range semi-join, whose one query owns every lane.
 struct ActiveShard {
     qids: Vec<u32>,
     unit: usize,
     off: u64,
     rows: u64,
-    session: ShardSession,
+    session: SelectSession,
 }
 
 /// Progress of a dispatched device query across its shards.
@@ -1041,8 +995,8 @@ impl Engine<'_, '_> {
             // they all scan the same served column, so grouping "by
             // column" is grouping every queued select. Co-riders join
             // in queue order behind the policy's pick; projections keep
-            // their solo path (their chained projection passes don't
-            // fuse) and scalar aggregates their one-shot kernels.
+            // one lane (their chained projection passes don't fuse) and
+            // scalar aggregates their one-shot kernels.
             let mut group = vec![qid];
             let cap = self.cfg.fuse_window.min(MAX_FUSED_LANES);
             if cap >= 2 && self.records[qid as usize].op == QueryOp::Select {
@@ -1083,8 +1037,8 @@ impl Engine<'_, '_> {
     /// buffer: the full column's bitset rounded up to a whole 64-byte
     /// line, so every lane's slot starts block-aligned (the device
     /// requires it, and the CPU fallback writes whole aligned lines).
-    /// Lane 0 sits at the buffer base — solo dispatch is the one-lane
-    /// special case and its addressing is unchanged.
+    /// Lane 0 sits at the buffer base, so a one-lane select's slot is the
+    /// buffer itself.
     fn lane_stride(&self) -> u64 {
         (self.env.values.len() as u64)
             .div_ceil(8)
@@ -1230,39 +1184,21 @@ impl Engine<'_, '_> {
         // its envelope).
         let preds = self.lane_preds(&shard.qids);
         debug_assert_eq!(preds.len(), shard.matched.len(), "lane count is stable");
-        let session = if preds.len() == 1 {
-            let (lo, hi) = preds[0];
-            let req = SelectRequest {
-                col_addr,
-                rows: shard.rows,
-                lo,
-                hi,
-                out_addr: PhysAddr(base),
-            };
-            ShardSession::Solo(self.env.drivers[u].resume_session(
-                self.env.modules[ch],
-                req,
-                shard.rows_done,
-                shard.matched[0],
-                t + cost,
-            ))
-        } else {
-            let req = FusedSelectRequest {
-                col_addr,
-                rows: shard.rows,
-                out_addrs: (0..preds.len())
-                    .map(|lane| PhysAddr(base + lane as u64 * stride))
-                    .collect(),
-                preds,
-            };
-            ShardSession::Fused(self.env.drivers[u].resume_fused_session(
-                self.env.modules[ch],
-                req,
-                shard.rows_done,
-                shard.matched.clone(),
-                t + cost,
-            ))
+        let req = FusedSelectRequest {
+            col_addr,
+            rows: shard.rows,
+            out_addrs: (0..preds.len())
+                .map(|lane| PhysAddr(base + lane as u64 * stride))
+                .collect(),
+            preds,
         };
+        let session = self.env.drivers[u].resume_session(
+            self.env.modules[ch],
+            req,
+            shard.rows_done,
+            shard.matched,
+            t + cost,
+        );
         for &qid in &shard.qids {
             self.env.tracer.emit(
                 t,
@@ -1310,56 +1246,19 @@ impl Engine<'_, '_> {
     /// ignored — recounting the whole shard from the host copy is simpler
     /// and byte-identical. A fused shard's lanes are independent host
     /// scans here: the host has no parallel comparator array, so each
-    /// lane pays the full degraded-scan cost in turn.
+    /// lane pays the full degraded-scan cost in turn, while a multi-range
+    /// semi-join's union comes out of one scan and is priced as one.
     fn host_finish_shard(&mut self, shard: RescueShard, t: Tick) -> Result<(), EngineInvariant> {
-        let lo_idx = shard.off as usize;
-        let hi_idx = (shard.off + shard.rows) as usize;
+        let rows = &self.env.values[shard.off as usize..(shard.off + shard.rows) as usize];
         for &qid in &shard.qids {
             let begin = self.host_free.max(t);
-            let rec = &self.records[qid as usize];
-            let (lo, hi, op) = (rec.lo, rec.hi, rec.op);
-            // The host recount evaluates the query's *full* predicate in
-            // one pass: a multi-range semi-join's union bitset comes out
-            // of a single scan (the host has no lane array to pay k× for
-            // — and is priced for one lane's output accordingly).
-            let hit = |v: i64| match op {
-                QueryOp::SemiJoin { ranges } => ranges.contains(v),
-                _ => v >= lo && v <= hi,
-            };
-            let slice = &self.env.values[lo_idx..hi_idx];
-            let mut matched = 0u64;
-            let mut bytes = vec![0u8; shard.rows.div_ceil(8) as usize];
-            for (i, &v) in slice.iter().enumerate() {
-                if hit(v) {
-                    bytes[i / 8] |= 1 << (i % 8);
-                    matched += 1;
-                }
-            }
-            let proj_part = if let QueryOp::Project { .. } = op {
-                Some((
-                    shard.off,
-                    slice
-                        .iter()
-                        .copied()
-                        .filter(|&v| hit(v))
-                        .collect::<Vec<i64>>(),
-                ))
-            } else {
-                None
-            };
-            let out_bytes = match op {
-                QueryOp::Project { k } => u64::from(k.max(1)) * 8 * shard.rows,
-                _ => shard.rows.div_ceil(8),
-            };
-            let cost = self.cfg.cpu_fixed
-                + self.cfg.cpu_per_row * shard.rows
-                + self.cfg.cpu_per_out_byte * out_bytes;
-            let done = begin + cost;
+            let rec = &mut self.records[qid as usize];
+            let (bytes, matched, projected) = host_select(rows, rec.lo, rec.hi, rec.op);
+            let done = begin + host_scan_cost(self.cfg, shard.rows, rec.op);
             self.host_free = done;
             let at = (shard.off / 8) as usize;
-            let rec = &mut self.records[qid as usize];
             rec.bitset[at..at + bytes.len()].copy_from_slice(&bytes);
-            self.complete_shard(qid, done, matched, proj_part)?;
+            self.complete_shard(qid, done, matched, projected.map(|vals| (shard.off, vals)))?;
         }
         Ok(())
     }
@@ -1379,10 +1278,10 @@ impl Engine<'_, '_> {
             QueryOp::SelectCount => self.dispatch_agg(qid, free, t, AggOp::Count),
             QueryOp::SelectAgg(f) => self.dispatch_agg(qid, free, t, agg_op(f)),
             // A semi-join is a select datapath client: 0/1 ranges run as
-            // the solo select over the envelope (`[lo,hi]` == the single
-            // range, or the canonical empty predicate); more ranges fuse
-            // into one multi-lane scan per shard, all lanes owned by the
-            // one query.
+            // the one-lane select over the envelope (`[lo,hi]` == the
+            // single range, or the canonical empty predicate); more ranges
+            // fuse into one multi-lane scan per shard, all lanes owned by
+            // the one query.
             QueryOp::SemiJoin { .. } => self.dispatch_select(qids, free, t),
             QueryOp::GroupBy { agg } => self.dispatch_group_by(qid, free, t, agg),
         }
@@ -1391,8 +1290,7 @@ impl Engine<'_, '_> {
     /// The predicate lanes a dispatch group scans: one `(lo, hi)` per
     /// fused query — except a solo multi-range semi-join, whose lanes are
     /// its build-side key ranges (disjoint, so the union bitset is the
-    /// lanes' OR and the match count the lanes' sum). One lane means a
-    /// plain solo session.
+    /// lanes' OR and the match count the lanes' sum).
     fn lane_preds(&self, qids: &[u32]) -> Vec<(i64, i64)> {
         if let [qid] = qids {
             if let QueryOp::SemiJoin { ranges } = self.records[*qid as usize].op {
@@ -1410,12 +1308,10 @@ impl Engine<'_, '_> {
     }
 
     /// Shards a select (or the select pass of a projection, or a
-    /// semi-join) over the free units and opens one session per shard. A
-    /// one-lane group opens the plain solo session; a multi-lane group
-    /// opens one *fused* session per shard, each lane's bitset landing in
-    /// its own stride-separated slot of the unit's output buffer — one
-    /// scan of the shard serves every lane, whether the lanes are fused
-    /// queries or one semi-join's key ranges.
+    /// semi-join) over the free units and opens one session per shard,
+    /// each lane's bitset landing in its own stride-separated slot of the
+    /// unit's output buffer — one scan of the shard serves every lane,
+    /// whether the lanes are fused queries or one semi-join's key ranges.
     fn dispatch_select(&mut self, qids: &[u32], free: &[usize], t: Tick) {
         let rows = self.env.values.len() as u64;
         let k = free.len().min(self.cfg.fanout.max(1)) as u64;
@@ -1430,32 +1326,15 @@ impl Engine<'_, '_> {
             }
             let len = chunk.min(rows - off);
             let ch = self.env.pool.unit(u).channel;
-            let col_addr = PhysAddr(self.env.replicas[u].0 + off * 8);
-            let session = if preds.len() == 1 {
-                let (lo, hi) = preds[0];
-                let req = SelectRequest {
-                    col_addr,
-                    rows: len,
-                    lo,
-                    hi,
-                    out_addr: PhysAddr(self.env.outs[u].0 + off / 8),
-                };
-                ShardSession::Solo(self.env.drivers[u].start_session(self.env.modules[ch], req, t))
-            } else {
-                let req = FusedSelectRequest {
-                    col_addr,
-                    rows: len,
-                    preds: preds.clone(),
-                    out_addrs: (0..preds.len())
-                        .map(|lane| PhysAddr(self.env.outs[u].0 + lane as u64 * stride + off / 8))
-                        .collect(),
-                };
-                ShardSession::Fused(self.env.drivers[u].start_fused_session(
-                    self.env.modules[ch],
-                    req,
-                    t,
-                ))
+            let req = FusedSelectRequest {
+                col_addr: PhysAddr(self.env.replicas[u].0 + off * 8),
+                rows: len,
+                preds: preds.clone(),
+                out_addrs: (0..preds.len())
+                    .map(|lane| PhysAddr(self.env.outs[u].0 + lane as u64 * stride + off / 8))
+                    .collect(),
             };
+            let session = self.env.drivers[u].start_session(self.env.modules[ch], req, t);
             self.active.push(ActiveShard {
                 qids: qids.to_vec(),
                 unit: u,
@@ -1788,18 +1667,11 @@ impl Engine<'_, '_> {
     fn step_shard(&mut self, idx: usize) -> Result<(), EngineInvariant> {
         let shard = &mut self.active[idx];
         let ch = self.env.pool.unit(shard.unit).channel;
-        match &mut shard.session {
-            ShardSession::Solo(session) => self.env.drivers[shard.unit].step_page_failfast(
-                &mut self.env.devices[shard.unit],
-                self.env.modules[ch],
-                session,
-            ),
-            ShardSession::Fused(session) => self.env.drivers[shard.unit].step_fused_page_failfast(
-                &mut self.env.devices[shard.unit],
-                self.env.modules[ch],
-                session,
-            ),
-        }
+        self.env.drivers[shard.unit].step_page_failfast(
+            &mut self.env.devices[shard.unit],
+            self.env.modules[ch],
+            &mut shard.session,
+        );
         if shard.session.is_parked() {
             // The unit's fail-fast ladder gave up on a page: freeze the
             // shard at its page boundary and let the rescue event (same
@@ -1809,7 +1681,7 @@ impl Engine<'_, '_> {
             let shard = self.active.swap_remove(idx);
             let (rows_done, matched, at) = (
                 shard.session.next_row(),
-                shard.session.matched(),
+                shard.session.matched().to_vec(),
                 shard.session.cursor(),
             );
             self.park_shard(
@@ -1821,86 +1693,43 @@ impl Engine<'_, '_> {
             return Ok(());
         }
         let shard = self.active.swap_remove(idx);
-        let session = match shard.session {
-            ShardSession::Solo(session) => session,
-            ShardSession::Fused(session) => {
-                // A finished fused shard lands k bitset slices at once:
-                // read every lane's stride-separated slot into its own
-                // query record, then book one shard completion per lane.
-                // A solo semi-join's lanes all belong to the one query:
-                // OR them into its bitset (ranges are disjoint, so the
-                // union's popcount is the lane counts' sum) and book a
-                // single completion.
-                let run = session.into_run();
-                let nbytes = shard.rows.div_ceil(8) as usize;
-                let at = (shard.off / 8) as usize;
-                let stride = self.lane_stride();
-                let lanes = run.matched.len();
-                if shard.qids.len() == 1 && lanes > 1 {
-                    let qid = shard.qids[0];
-                    let mut union = vec![0u8; nbytes];
-                    let mut buf = vec![0u8; nbytes];
-                    for lane in 0..lanes {
-                        self.env.modules[ch].data().read(
-                            PhysAddr(
-                                self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8,
-                            ),
-                            &mut buf,
-                        );
-                        for (u_byte, b) in union.iter_mut().zip(&buf) {
-                            *u_byte |= b;
-                        }
-                    }
-                    if !shard.rows.is_multiple_of(8) {
-                        union[nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
-                    }
-                    self.records[qid as usize].bitset[at..at + nbytes].copy_from_slice(&union);
-                    self.unit_free_ev
-                        .push(Reverse((run.end.max(self.now), shard.unit as u32)));
-                    return self.complete_shard(qid, run.end, run.matched.iter().sum(), None);
-                }
-                for (lane, &qid) in shard.qids.iter().enumerate() {
-                    let rec = &mut self.records[qid as usize];
-                    self.env.modules[ch].data().read(
-                        PhysAddr(
-                            self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8,
-                        ),
-                        &mut rec.bitset[at..at + nbytes],
-                    );
-                    if !shard.rows.is_multiple_of(8) {
-                        rec.bitset[at + nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
-                    }
-                }
-                self.unit_free_ev
-                    .push(Reverse((run.end.max(self.now), shard.unit as u32)));
-                for (lane, &qid) in shard.qids.iter().enumerate() {
-                    self.complete_shard(qid, run.end, run.matched[lane], None)?;
-                }
-                return Ok(());
-            }
-        };
-        let qid = shard.qids[0];
-        let run = session.into_run();
-        // Pull the shard's slice of the selection vector out of DRAM now:
-        // the unit is reused only after its unit-free event, which is
-        // processed strictly later.
+        let run = shard.session.into_run();
+        // Pull the shard's slice of every lane's selection vector out of
+        // DRAM now: the unit is reused only after its unit-free event,
+        // which is processed strictly later. Lane `l`'s stride-separated
+        // slot goes into its query's bitset. A multi-range semi-join owns
+        // every lane and ORs them (its ranges are disjoint, so the union's
+        // popcount is the lanes' sum).
         let nbytes = shard.rows.div_ceil(8) as usize;
         let at = (shard.off / 8) as usize;
-        let rec = &mut self.records[qid as usize];
-        self.env.modules[ch].data().read(
-            PhysAddr(self.env.outs[shard.unit].0 + shard.off / 8),
-            &mut rec.bitset[at..at + nbytes],
-        );
+        let stride = self.lane_stride();
+        let union = shard.qids.len() < run.matched.len();
+        let mut lane_bits = Vec::new();
+        for lane in 0..run.matched.len() {
+            let qid = shard.qids[if union { 0 } else { lane }];
+            let slot = PhysAddr(self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8);
+            let bits = &mut self.records[qid as usize].bitset[at..at + nbytes];
+            if union && lane > 0 {
+                lane_bits.resize(nbytes, 0);
+                self.env.modules[ch].data().read(slot, &mut lane_bits);
+                for (b, l) in bits.iter_mut().zip(&lane_bits) {
+                    *b |= l;
+                }
+            } else {
+                self.env.modules[ch].data().read(slot, bits);
+            }
+        }
         if !shard.rows.is_multiple_of(8) {
             // The buffer is reused across queries and the device
             // preserves (rather than zeroes) bits past the last row in
             // the final partial byte — mask the stale tail off.
-            rec.bitset[at + nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
+            for &qid in &shard.qids {
+                self.records[qid as usize].bitset[at + nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
+            }
         }
-        let op = rec.op;
         let mut shard_end = run.end;
         let mut proj_part = None;
-        if let QueryOp::Project { k } = op {
+        if let QueryOp::Project { k } = self.records[shard.qids[0] as usize].op {
             // A projection chains k one-shot kernel passes off the
             // finished select: the engine models projecting k same-width
             // columns by re-running the kernel k times against the served
@@ -1941,12 +1770,12 @@ impl Engine<'_, '_> {
                 // new unit and the k passes re-run there — passes are
                 // byte-identical, so re-running them all is correct.
                 self.park_shard(
-                    vec![qid],
+                    shard.qids,
                     shard.unit,
                     shard.off,
                     shard.rows,
                     shard.rows,
-                    vec![run.matched],
+                    run.matched,
                     t_fail,
                 );
                 return Ok(());
@@ -1964,7 +1793,15 @@ impl Engine<'_, '_> {
         }
         self.unit_free_ev
             .push(Reverse((shard_end.max(self.now), shard.unit as u32)));
-        self.complete_shard(qid, shard_end, run.matched, proj_part)
+        for (lane, &qid) in shard.qids.iter().enumerate() {
+            let matched = if union {
+                run.matched.iter().sum()
+            } else {
+                run.matched[lane]
+            };
+            self.complete_shard(qid, shard_end, matched, proj_part.take())?;
+        }
+        Ok(())
     }
 
     /// Books one finished shard (device or host) against its query's
@@ -2029,12 +1866,11 @@ impl Engine<'_, '_> {
             .canary_rows
             .min(self.env.values.len() as u64)
             .max(1);
-        let req = SelectRequest {
+        let req = FusedSelectRequest {
             col_addr: self.env.replicas[u],
             rows,
-            lo: 0,
-            hi: -1,
-            out_addr: self.env.outs[u],
+            preds: vec![(0, -1)],
+            out_addrs: vec![self.env.outs[u]],
         };
         let ch = self.env.pool.unit(u).channel;
         let mut session = self.env.drivers[u].start_session(self.env.modules[ch], req, t);
@@ -2176,10 +2012,11 @@ pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
     let (lo, hi) = (rec.lo, rec.hi);
     let hit = |v: i64| v >= lo && v <= hi;
     match rec.op {
-        QueryOp::Select | QueryOp::Project { .. } => {
-            (rec.bitset, rec.matched) = host_bitset(values, hit);
-            if let QueryOp::Project { .. } = rec.op {
-                rec.projected = values.iter().copied().filter(|&v| hit(v)).collect();
+        QueryOp::Select | QueryOp::Project { .. } | QueryOp::SemiJoin { .. } => {
+            let projected;
+            (rec.bitset, rec.matched, projected) = host_select(values, lo, hi, rec.op);
+            if let Some(vals) = projected {
+                rec.projected = vals;
             }
         }
         QueryOp::SelectCount => {
@@ -2197,11 +2034,6 @@ pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
             rec.matched = matched;
             rec.agg = acc;
         }
-        QueryOp::SemiJoin { ranges } => {
-            // One pass over the full range set — bit-identical to the OR
-            // of the device path's disjoint lane bitsets.
-            (rec.bitset, rec.matched) = host_bitset(values, |v| ranges.contains(v));
-        }
         QueryOp::GroupBy { agg } => {
             let mut matched = 0u64;
             let mut groups: std::collections::BTreeMap<i64, (u64, Option<i64>)> =
@@ -2218,6 +2050,25 @@ pub(crate) fn host_scan(values: &[i64], keys: &[i64], rec: &mut QueryRecord) {
             rec.groups = groups.into_iter().map(|(k, (c, a))| (k, c, a)).collect();
         }
     }
+}
+
+/// A select-datapath query (select, projection or semi-join) with
+/// bounds `[lo, hi]` evaluated on the host over `values`: the selection
+/// bitset, its match count and, for a projection, the qualifying values
+/// in row order. A semi-join evaluates its whole range set in one pass —
+/// bit-identical to the OR of the device path's disjoint lane bitsets.
+/// Shared by [`host_scan`] over the full column and the engine's host
+/// finish of a rescued shard over the shard's rows.
+fn host_select(values: &[i64], lo: i64, hi: i64, op: QueryOp) -> (Vec<u8>, u64, Option<Vec<i64>>) {
+    if let QueryOp::SemiJoin { ranges } = op {
+        let (bytes, matched) = host_bitset(values, |v| ranges.contains(v));
+        return (bytes, matched, None);
+    }
+    let hit = |v: i64| v >= lo && v <= hi;
+    let (bytes, matched) = host_bitset(values, hit);
+    let projected = matches!(op, QueryOp::Project { .. })
+        .then(|| values.iter().copied().filter(|&v| hit(v)).collect());
+    (bytes, matched, projected)
 }
 
 /// The selection bitset (LSB-first within each byte) and match count of

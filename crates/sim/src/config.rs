@@ -55,7 +55,9 @@ pub struct SystemConfig {
     pub query_overhead: Tick,
     /// Virtual-memory page size for the per-page `select_jafar` contract
     /// (2 MiB huge pages — the natural choice for a pinning storage
-    /// engine).
+    /// engine). The driver pages in whole 64-byte bitset lines: a page
+    /// holds `page_bytes / 8` rows rounded down to a multiple of 512, and
+    /// at least 512 (see `ResilienceConfig::page_bytes`).
     pub page_bytes: u64,
 }
 

@@ -7,9 +7,9 @@
 //! - [`System::run_select_cpu`]: the baseline — the scan kernel streams
 //!   the column through the cache hierarchy, recording positions;
 //! - [`System::run_select_jafar`]: the pushdown — the query manager
-//!   drains the controller, grants rank ownership via MR3/MPR, then the
-//!   driver invokes `select_jafar` once per (huge) page, polling the
-//!   completion flag, and finally releases the rank.
+//!   drains the controller, then the resilient driver grants rank
+//!   ownership via MR3/MPR, invokes `select_jafar` once per (huge) page,
+//!   polling the completion flag, and finally releases the rank.
 //!
 //! Both runs are preceded by the same fixed query-setup overhead
 //! (planning, allocation, result finalisation) so the in-text "93% of
@@ -27,10 +27,9 @@ use jafar_common::obs::{
 };
 use jafar_common::stats::Scoreboard;
 use jafar_common::time::Tick;
-use jafar_core::api::{select_jafar, SelectArgs};
 use jafar_core::{
-    grant_ownership, release_ownership, run_select_parallel, DriverStats, JafarDevice,
-    ResilienceConfig, ResilientDriver, SelectRequest, ShardRun,
+    run_select_parallel, DriverStats, JafarDevice, ResilienceConfig, ResilientDriver,
+    SelectRequest, ShardRun,
 };
 use jafar_cpu::{ScanEngine, ScanVariant};
 use jafar_dram::{DramModule, FaultInjector, FaultPlan, FaultStats, PhysAddr};
@@ -521,11 +520,12 @@ impl System {
     }
 
     /// Runs the JAFAR pushdown select: ownership handoff, per-page
-    /// `select_jafar` invocations with completion polling, release.
+    /// `select_jafar` invocations with completion polling, release. This
+    /// is [`System::run_select_jafar_resilient`] under the default
+    /// recovery policy, whose ladder an undisturbed run never enters.
     ///
     /// # Panics
-    /// Panics if the system has no device or a page fails (placement bugs
-    /// are programming errors in experiments).
+    /// Panics if the system has no device.
     pub fn run_select_jafar(
         &mut self,
         col_addr: PhysAddr,
@@ -534,90 +534,40 @@ impl System {
         hi: i64,
         start: Tick,
     ) -> JafarSelectStats {
-        assert!(!self.core.devices.is_empty(), "system has no JAFAR device");
+        let run = self.run_select_jafar_resilient(
+            col_addr,
+            rows,
+            lo,
+            hi,
+            start,
+            ResilienceConfig::default(),
+        );
         let setup = self.cfg.query_overhead;
-        let page_bytes = self.cfg.page_bytes;
-        let out_addr = self.core.arenas[0].alloc_blocks(rows.div_ceil(8).max(64));
-        let rank = self.mc.module().decoder().decode(col_addr).rank;
-
-        let mut t = start + setup;
-        // Quiesce host traffic, then hand the rank to the device.
-        self.mc.drain();
-        self.mc.advance_cursor(t);
-        let module = self.mc.module_mut();
-        let lease = grant_ownership(module, rank, t).expect("rank quiesced");
-        let owned_at = lease.acquired_at;
-        let mut ownership = owned_at - t;
-        t = owned_at;
-
-        let device = self.core.devices.first_mut().expect("checked above");
-        let rows_per_page = page_bytes / 8;
-        let mut pages = 0u64;
-        let mut device_time = Tick::ZERO;
-        let mut driver_time = Tick::ZERO;
-        let mut cpu_wait = Tick::ZERO;
-        let mut matched = 0u64;
-        let mut row = 0u64;
-        while row < rows {
-            let page_rows = rows_per_page.min(rows - row);
-            let invoke_at = t + self.cfg.driver.setup;
-            let outcome = select_jafar(
-                device,
-                module,
-                SelectArgs {
-                    col_data: PhysAddr(col_addr.0 + row * 8),
-                    range_low: lo,
-                    range_high: hi,
-                    out_buf: PhysAddr(out_addr.0 + row / 8),
-                    num_input_rows: page_rows,
-                },
-                invoke_at,
-            );
-            assert_eq!(outcome.errno, 0, "select_jafar failed: {}", outcome.errno);
-            let run = outcome.run.expect("success carries a run");
-            matched += outcome.num_output_rows;
-            // Completion discovery: the next poll edge, or interrupt
-            // delivery (§2.2's two mechanisms).
-            let (observed_done, cpu_waited) =
-                self.cfg.driver.completion.observe(invoke_at, run.end);
-            cpu_wait += cpu_waited;
-            device_time += run.end - invoke_at;
-            driver_time += observed_done.saturating_sub(run.end) + self.cfg.driver.setup;
-            t = observed_done.max(run.end);
-            row += page_rows;
-            pages += 1;
-        }
-
-        // Release the rank back to the host.
-        let released = release_ownership(module, lease, t).expect("release");
-        ownership += released - t;
-        self.mc.advance_cursor(released);
-        let bursts = device.stats().bursts_read.get();
-
         JafarSelectStats {
-            end: released,
-            matched,
-            out_addr,
-            device: device_time,
-            driver: driver_time,
-            cpu_wait,
-            ownership,
+            end: run.end,
+            matched: run.matched,
+            out_addr: run.out_addr,
+            device: run.device,
+            driver: run.driver,
+            cpu_wait: run.cpu_wait,
+            // Each page advances the clock by its device time plus its
+            // driver time, so the rest of the run is the grant and the
+            // release.
+            ownership: run.end - start - setup - run.device - run.driver,
             setup,
-            pages,
-            device_bursts_read: bursts,
+            pages: run.pages,
+            device_bursts_read: self.core.devices[0].stats().bursts_read.get(),
         }
     }
 
     /// Runs the JAFAR pushdown select under the resilient driver: expiring
     /// leases with renewal, watchdog timeouts, bounded retry/backoff, a
-    /// circuit breaker and a CPU-scan fallback. Under an empty fault plan
-    /// this takes exactly as long as [`System::run_select_jafar`]; under
-    /// any seeded plan the bitset still equals the software reference and
-    /// the returned [`ResilientSelectStats::report`] says what it cost.
+    /// circuit breaker and a CPU-scan fallback. Under any seeded plan the
+    /// bitset still equals the software reference and the returned
+    /// [`ResilientSelectStats::report`] says what it cost.
     ///
     /// The per-invocation costs and the page size come from the system
-    /// config (mirroring the bare driver); the rest of the recovery policy
-    /// from `resilience`.
+    /// config; the rest of the recovery policy from `resilience`.
     ///
     /// # Panics
     /// Panics if the system has no device.
@@ -635,8 +585,7 @@ impl System {
         let mut driver = self.core.driver(resilience, &self.tracer);
 
         let t = start + self.cfg.query_overhead;
-        // Quiesce host traffic before the first grant, as the bare path
-        // does.
+        // Quiesce host traffic before the first grant.
         self.mc.drain();
         self.mc.advance_cursor(t);
         let module = self.mc.module_mut();
@@ -978,39 +927,50 @@ mod tests {
     }
 
     #[test]
-    fn resilient_path_matches_bare_path_under_empty_plan() {
-        // Identical systems, identical columns; the resilient driver with
-        // no faults injected must cost exactly what the bare per-page loop
-        // costs and touch none of its recovery machinery.
+    fn resilient_path_under_an_empty_plan_recovers_nothing() {
+        // The pushdown select is the resilient driver under its default
+        // policy. With a plan installed that injects nothing, no rung of
+        // the ladder is entered, and the time outside the pages' device
+        // and driver time is exactly the grant plus the release.
         let vals = values(8000, 999, 21);
-        let mut bare = small_system();
-        let col_b = bare.write_column(&vals);
-        let plain = bare.run_select_jafar(col_b, 8000, 100, 399, Tick::ZERO);
-
         let mut sys = small_system();
         let col = sys.write_column(&vals);
         sys.inject_faults(FaultPlan::none(5));
+        let jf = sys.run_select_jafar(col, 8000, 100, 399, Tick::ZERO);
+        assert_eq!(jf.end, jf.setup + jf.ownership + jf.device + jf.driver);
+        assert!(
+            jf.ownership > Tick::ZERO,
+            "the grant and the release take time"
+        );
+        assert_eq!(jf.pages, 16, "8,000 rows in 512-row pages");
+        let faults = sys.fault_stats().expect("plan installed");
+        assert_eq!(faults.total(), 0);
+
         let resilient = sys.run_select_jafar_resilient(
             col,
             8000,
             100,
             399,
-            Tick::ZERO,
+            jf.end,
             ResilienceConfig::default(),
         );
-        assert_eq!(resilient.matched, plain.matched);
-        assert_eq!(resilient.pages, plain.pages);
-        assert_eq!(resilient.end, plain.end, "empty plan: timing parity");
+        assert_eq!(resilient.matched, jf.matched);
+        assert_eq!(resilient.pages, jf.pages);
         assert_eq!(resilient.recovery.recovery_total(), 0);
+        assert_eq!(resilient.recovery.lease_grants.get(), 1);
         assert_eq!(resilient.faults.expect("plan installed").total(), 0);
         let mut bytes = vec![0u8; 1000];
         sys.mc()
             .module()
             .data()
             .read(resilient.out_addr, &mut bytes);
-        let mut bytes_b = vec![0u8; 1000];
-        bare.mc().module().data().read(plain.out_addr, &mut bytes_b);
-        assert_eq!(bytes, bytes_b, "bit-identical output");
+        let mut first = vec![0u8; 1000];
+        sys.mc().module().data().read(jf.out_addr, &mut first);
+        assert_eq!(bytes, first, "bit-identical output");
+        assert_eq!(
+            BitSet::from_bytes(&bytes, 8000).to_positions(),
+            reference_positions(&vals, 100, 399)
+        );
     }
 
     #[test]
