@@ -7,11 +7,38 @@ use jafar_bench::micro;
 use jafar_common::rng::SplitMix64;
 use jafar_common::time::Tick;
 use jafar_core::aggregate::{AggOp, AggregateJob};
+use jafar_core::project::ProjectJob;
 use jafar_core::{
-    grant_ownership, JafarDevice, Predicate, ResilienceConfig, ResilientDriver, SelectJob,
-    SelectRequest,
+    grant_ownership, FusedSelectJob, JafarDevice, Predicate, ResilienceConfig, ResilientDriver,
+    SelectJob, SelectRequest,
 };
 use jafar_dram::{AddressMapping, DramGeometry, DramModule, DramTiming, PhysAddr};
+
+/// perfbench's gem5-like DIMM (4 ranks × 8 banks × 1024 rows × 8 KiB,
+/// refresh on) holding `rows` seeded uniform values over perfbench's
+/// value domain `0..1_000_000` at address 0, with rank 0 granted to the
+/// device. Returns the module and the tick the grant took effect.
+fn gem5_like_shard(rows: u64) -> (DramModule, Tick) {
+    let mut module = DramModule::new(
+        DramGeometry {
+            ranks: 4,
+            banks_per_rank: 8,
+            rows_per_bank: 1024,
+            row_bytes: 8 * 1024,
+        },
+        DramTiming::ddr3_paper(),
+        AddressMapping::RankRowBankBlock,
+    );
+    let mut rng = SplitMix64::new(42);
+    let values: Vec<i64> = (0..rows)
+        .map(|_| rng.next_range_inclusive(0, 999_999))
+        .collect();
+    module.data_mut().write_i64s(PhysAddr(0), &values);
+    let now = grant_ownership(&mut module, 0, Tick::ZERO)
+        .expect("fresh module")
+        .acquired_at;
+    (module, now)
+}
 
 /// Times back-to-back one-lane selects of `rows` seeded uniform values
 /// through `ResilientDriver::run_select` on one module: every page's
@@ -116,6 +143,59 @@ fn main() {
         1_536,
         4096,
     );
+
+    // grid-mixed's projection pass: one 11,264-row shard (32,768 rows
+    // over a node's three units, in 512-row chunks) under a seeded
+    // bitset with about a quarter of its bits set.
+    let rows = 11_264u64;
+    let (mut module, mut t) = gem5_like_shard(rows);
+    let bitset_addr = (rows * 8).next_multiple_of(4096);
+    let mut rng = SplitMix64::new(7);
+    let bits: Vec<u8> = (0..rows.div_ceil(8))
+        .map(|_| (0..8).fold(0u8, |b, i| b | u8::from(rng.next_bool(0.25)) << i))
+        .collect();
+    module.data_mut().write(PhysAddr(bitset_addr), &bits);
+    let mut device = JafarDevice::paper_default();
+    let job = ProjectJob {
+        col_addr: PhysAddr(0),
+        rows,
+        bitset_addr: PhysAddr(bitset_addr),
+        out_addr: PhysAddr((bitset_addr + rows / 8).next_multiple_of(4096)),
+    };
+    micro::run("device/project_shard", || {
+        let run = device.run_project(&mut module, job, t).expect("owned");
+        t = run.end;
+        run.emitted
+    });
+
+    // join-groupby's semi-join: four key ranges fused into one pass over
+    // an 8,192-row shard (32,768 rows over a fan-out of four), each lane
+    // draining to its own 64-byte-rounded bitset slot.
+    let rows = 8_192u64;
+    let (mut module, mut t) = gem5_like_shard(rows);
+    let out = (rows * 8).next_multiple_of(4096);
+    let stride = rows.div_ceil(8).next_multiple_of(64);
+    let job = FusedSelectJob {
+        col_addr: PhysAddr(0),
+        rows,
+        predicates: [
+            (40_000, 40_799),
+            (212_000, 212_411),
+            (503_000, 503_999),
+            (870_000, 870_120),
+        ]
+        .map(|(lo, hi)| Predicate::Between(lo, hi))
+        .to_vec(),
+        out_addrs: (0..4).map(|l| PhysAddr(out + l * stride)).collect(),
+    };
+    let mut device = JafarDevice::paper_default();
+    micro::run("device/fused_select_4_lanes", || {
+        let run = device
+            .run_select_fused(&mut module, &job, t)
+            .expect("owned");
+        t = run.end;
+        run.matched
+    });
 
     let kernel = jafar_filter_kernel();
     micro::run("accel/schedule_1k_iterations", || {

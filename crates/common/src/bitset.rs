@@ -286,29 +286,6 @@ impl FixedBitBuf {
         self.filled += 1;
     }
 
-    /// Pushes the outcomes of `n` filter operations at once: bit `i` of
-    /// `bits` is the `i`-th outcome, as if by `n` calls of
-    /// [`FixedBitBuf::push`]. Bits of `bits` above `n` are ignored.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds 64 or the buffer's free space.
-    pub fn push_bits(&mut self, bits: u64, n: usize) {
-        assert!(
-            n <= WORD_BITS && n <= self.capacity - self.filled,
-            "output buffer overflow: drain before push"
-        );
-        if n == 0 {
-            return;
-        }
-        let bits = bits & (u64::MAX >> (WORD_BITS - n));
-        let (word, shift) = (self.filled / WORD_BITS, self.filled % WORD_BITS);
-        self.words[word] |= bits << shift;
-        if shift + n > WORD_BITS {
-            self.words[word + 1] |= bits >> (WORD_BITS - shift);
-        }
-        self.filled += n;
-    }
-
     /// Drains the buffered bits as little-endian bytes (the DRAM writeback
     /// image) and resets the buffer. Partial fills drain `ceil(filled/8)`
     /// bytes, which is how the final, possibly short, flush works.
@@ -486,48 +463,5 @@ mod tests {
     #[should_panic(expected = "byte-aligned")]
     fn fixed_buf_unaligned_capacity_rejected() {
         let _ = FixedBitBuf::new(12);
-    }
-
-    #[test]
-    fn push_bits_equals_n_pushes() {
-        use crate::check::forall;
-        let mut straddles = 0;
-        forall("push_bits equals n pushes", 64, |rng| {
-            let capacity = match rng.next_below(4) {
-                0 => 8,
-                1 => 24,
-                2 => 520,
-                _ => 8 * (1 + rng.next_below(80) as usize),
-            };
-            let mut batched = FixedBitBuf::new(capacity);
-            let mut single = FixedBitBuf::new(capacity);
-            for _ in 0..400 {
-                let free = capacity - batched.filled();
-                let n = (rng.next_below(9) as usize).min(free);
-                let bits = rng.next_u64();
-                let shift = batched.filled() % 64;
-                if shift + n > 64 {
-                    straddles += 1;
-                }
-                batched.push_bits(bits, n);
-                for i in 0..n {
-                    single.push(bits >> i & 1 == 1);
-                }
-                assert_eq!(batched.filled(), single.filled());
-                if batched.is_full() || rng.next_bool(0.05) {
-                    assert_eq!(batched.drain_bytes(), single.drain_bytes());
-                }
-            }
-            assert_eq!(batched.drain_bytes(), single.drain_bytes());
-        });
-        assert!(straddles > 0, "some pushes cross a 64-bit word");
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn push_bits_past_capacity_panics() {
-        let mut buf = FixedBitBuf::new(8);
-        buf.push(true);
-        buf.push_bits(0xFF, 8);
     }
 }

@@ -164,7 +164,7 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
             proc_free = proc_free.max(access.data_ready);
-            let values = burst_words(&access.data.expect("read"));
+            let values = burst_words(access.data.expect("read"));
             let words = (job.rows - burst * 8).min(8) as usize;
             let live = match bounds {
                 Some((lo, hi)) => range_mask(&values, words, lo, hi),
@@ -254,6 +254,8 @@ impl JafarDevice {
 
         let total_bursts = job.rows.div_ceil(8);
         for burst in 0..total_bursts {
+            // The key burst is held while the value burst is read, so each
+            // lent burst is copied out.
             let mut fetch = |col: PhysAddr, cursor: &mut Tick, free: &mut Tick| {
                 let addr = PhysAddr(col.0 + burst * 64);
                 let access = module
@@ -262,7 +264,7 @@ impl JafarDevice {
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 *cursor = cas_at.max(*cursor) + t.bus_clock.period();
                 *free = (*free).max(access.data_ready);
-                Ok::<_, DeviceError>(access.data.expect("read"))
+                Ok::<_, DeviceError>(*access.data.expect("read"))
             };
             let keys = fetch(job.key_addr, &mut issue_cursor, &mut proc_free)?;
             let vals = fetch(job.val_addr, &mut issue_cursor, &mut proc_free)?;

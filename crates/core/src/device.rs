@@ -22,7 +22,6 @@ use crate::datapath::Datapath;
 use crate::predicate::Predicate;
 use crate::regs::RegisterFile;
 use jafar_accel::schedule::Resources;
-use jafar_common::bitset::FixedBitBuf;
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::stats::Counter;
 use jafar_common::time::{ClockDomain, Tick};
@@ -129,9 +128,18 @@ pub(crate) fn job_rank(
     Ok(rank)
 }
 
-/// The eight `i64` words of one 64-byte burst.
+/// The eight `i64` words of one 64-byte burst, read in place from the
+/// burst the module lends.
+#[inline]
 pub(crate) fn burst_words(data: &[u8; 64]) -> [i64; 8] {
-    std::array::from_fn(|w| i64::from_le_bytes(data[w * 8..w * 8 + 8].try_into().expect("8 bytes")))
+    let (words, _) = data.as_chunks::<8>();
+    std::array::from_fn(|w| i64::from_le_bytes(words[w]))
+}
+
+/// Set bits in a drained output buffer: the rows it matched. A lane
+/// counts its matches once per drain rather than once per burst.
+fn popcount(bytes: &[u8]) -> u64 {
+    bytes.iter().map(|b| u64::from(b.count_ones())).sum()
 }
 
 /// The low `n` bits set: the words of a burst that belong to the job (a
@@ -226,12 +234,15 @@ pub struct SelectRun {
 }
 
 /// One predicate lane of a select pass: its inclusive bounds, its
-/// *n*-bit output buffer, where that buffer drains next, and the rows it
-/// matched so far.
+/// *n*-bit output buffer (`n / 8` bytes, of which `fill` hold outcomes),
+/// where that buffer drains next, and the rows it matched in the buffers
+/// drained so far. Each burst adds one byte: bit `w` is word `w`'s
+/// outcome, the layout a bit-by-bit push would leave.
 struct Lane {
     lo: i64,
     hi: i64,
-    buf: FixedBitBuf,
+    buf: Vec<u8>,
+    fill: usize,
     cursor: u64,
     matched: u64,
 }
@@ -531,10 +542,15 @@ impl JafarDevice {
         self.validate(module, col_addr, rows, preds.len(), outs, start)
             .inspect_err(|_| self.regs.set_error())?;
         let bits = self.config.out_buf_bits;
+        assert!(
+            bits > 0 && bits.is_multiple_of(8),
+            "output buffer must hold a whole, nonzero number of bytes, got {bits} bits"
+        );
         let lane = |&(lo, hi): &(i64, i64), out: &PhysAddr| Lane {
             lo,
             hi,
-            buf: FixedBitBuf::new(bits),
+            buf: vec![0; bits / 8],
+            fill: 0,
             cursor: out.0,
             matched: 0,
         };
@@ -597,34 +613,33 @@ impl JafarDevice {
             bursts_read += 1;
             // Pipelined command issue: the next read may be requested one
             // bus cycle after this one's CAS went out.
-            let cas_at = access.data_ready.saturating_sub(cas_pipeline);
-            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
-
-            let data = access.data.expect("read returns data");
             let ready = access.data_ready;
+            let cas_at = ready.saturating_sub(cas_pipeline);
+            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
+            let values = burst_words(access.data.expect("read returns data"));
+
             if ready > proc_free {
                 dram_wait += ready - proc_free;
                 proc_free = ready;
             }
             let words = (rows - burst * 8).min(8) as usize;
-            let values = burst_words(&data);
             for lane in lanes.iter_mut() {
-                let hits = range_mask(&values, words, lane.lo, lane.hi);
-                lane.matched += u64::from(hits.count_ones());
-                // The buffer holds a multiple of 8 bits and every burst
-                // but the last pushes 8, so it fills only at a burst
-                // boundary and drains at the tick a word-by-word push
-                // would drain it.
-                lane.buf.push_bits(hits, words);
-                if lane.buf.is_full() {
-                    let bytes = lane.buf.drain_bytes();
+                lane.buf[lane.fill] = range_mask(&values, words, lane.lo, lane.hi) as u8;
+                lane.fill += 1;
+                // Every burst but the last adds 8 outcomes, so the buffer
+                // fills on a burst boundary and drains at the tick a
+                // word-by-word push would drain it. A last, partial burst
+                // leaves it short of full: the final flush drains it.
+                if lane.fill == lane.buf.len() && words == 8 {
+                    lane.matched += popcount(&lane.buf);
                     lane.cursor = self.write_bitset_chunk(
                         module,
                         lane.cursor,
-                        &bytes,
+                        &lane.buf,
                         proc_free,
                         &mut bursts_written,
                     )?;
+                    lane.fill = 0;
                 }
             }
             proc_free += Tick::from_ps(words as u64 * self.ps_per_word);
@@ -632,12 +647,13 @@ impl JafarDevice {
         // Final partial flush, lane by lane.
         let mut matched = [0u64; MAX_FUSED_LANES];
         for (lane, count) in lanes.iter_mut().zip(&mut matched) {
-            if !lane.buf.is_empty() {
-                let bytes = lane.buf.drain_bytes();
+            if lane.fill > 0 {
+                let bytes = &lane.buf[..lane.fill];
+                lane.matched += popcount(bytes);
                 self.write_bitset_chunk(
                     module,
                     lane.cursor,
-                    &bytes,
+                    bytes,
                     proc_free,
                     &mut bursts_written,
                 )?;

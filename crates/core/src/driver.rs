@@ -1297,7 +1297,7 @@ impl ResilientDriver {
         match module.serve_addr(addr, false, Requester::Host, *cursor, None) {
             Ok(access) => {
                 *cursor = access.data_ready;
-                access.data.expect("read returns data")
+                *access.data.expect("read returns data")
             }
             Err(_) => {
                 self.stats.degraded_lines.inc();

@@ -187,7 +187,7 @@ impl JafarDevice {
                 .map_err(device_error)?;
             rmw_reads += 1;
             proc_free = proc_free.max(access.data_ready);
-            let mut burst = access.data.expect("read");
+            let mut burst = *access.data.expect("read");
             merge_masked_bits(&mut burst, &local_bits, ob * 512, job.ways, job.phase);
             module
                 .serve_addr(addr, true, Requester::Ndp, proc_free, Some(&burst))

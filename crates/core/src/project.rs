@@ -109,8 +109,13 @@ impl JafarDevice {
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
                 proc_free = proc_free.max(access.data_ready);
-                bitset_cache = Some((bitset_burst, access.data.expect("read")));
+                // Cached across the column bursts below, so copied out.
+                bitset_cache = Some((bitset_burst, *access.data.expect("read")));
             }
+            // This burst's eight rows are one byte of the bitset burst.
+            let (_, bits) = bitset_cache.expect("fetched above");
+            let words = (job.rows - burst * 8).min(8);
+            let mask = u32::from(bits[(burst % 64) as usize]) & ((1u32 << words) - 1);
             let access = module
                 .serve_addr(
                     PhysAddr(job.col_addr.0 + burst * 64),
@@ -124,13 +129,8 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
             proc_free = proc_free.max(access.data_ready);
-            let data = access.data.expect("read");
-            let (_, bits) = bitset_cache.expect("fetched above");
-
-            // This burst's eight rows are one byte of the bitset burst.
-            let words = (job.rows - burst * 8).min(8);
-            let mask = u32::from(bits[(burst % 64) as usize]) & ((1u32 << words) - 1);
-            for (w, word) in data.chunks_exact(8).enumerate() {
+            let (data, _) = access.data.expect("read").as_chunks::<8>();
+            for (w, word) in data.iter().enumerate() {
                 pending[fill * 8..fill * 8 + 8].copy_from_slice(word);
                 fill += (mask >> w & 1) as usize;
             }
@@ -347,7 +347,7 @@ mod tests {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             *cursor = cas_at.max(*cursor) + t.bus_clock.period();
             *free = (*free).max(access.data_ready);
-            access.data.unwrap()
+            *access.data.unwrap()
         };
         for burst in 0..job.rows.div_ceil(8) {
             let bitset_burst = burst * 8 / 512;

@@ -122,7 +122,7 @@ impl JafarDevice {
             let cas_at = access.data_ready.saturating_sub(cas_pipeline);
             issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
             proc_free = proc_free.max(access.data_ready);
-            pending.extend_from_slice(&access.data.expect("read"));
+            pending.extend_from_slice(access.data.expect("read"));
 
             let stride = job.row_bytes as usize;
             let mut consumed = 0usize;

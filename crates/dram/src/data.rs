@@ -27,6 +27,10 @@ const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
 type Page = [u8; PAGE_SIZE];
 type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
+/// What a block of a page never written reads: lent by
+/// [`DramData::block`], so an unwritten page needs no storage.
+static ZERO_LINE: [u8; 64] = [0; 64];
+
 /// Sparse byte-addressable storage. Unwritten bytes read as zero, like
 /// zero-initialised DRAM in a fresh simulation.
 #[derive(Default)]
@@ -156,21 +160,29 @@ impl DramData {
         }
     }
 
-    /// Reads one 64-byte burst. A burst inside one page (every burst the
-    /// module serves: they are 64-byte aligned) costs one directory walk
-    /// and a fixed-size copy.
+    /// The 64-byte block holding `addr`, lent in place: a line of its
+    /// page, or [`ZERO_LINE`] for a page never written. One directory
+    /// walk and no copy; the module serves every read burst through it.
     #[inline]
-    pub fn read_burst(&self, addr: PhysAddr) -> [u8; 64] {
-        let Some((page, off)) = in_one_page(addr, 64) else {
-            let mut buf = [0u8; 64];
-            self.read(addr, &mut buf);
-            return buf;
-        };
-        self.check(addr, 64);
-        match self.page(page) {
-            Some(p) => p[off..off + 64].try_into().expect("64 bytes"),
-            None => [0; 64],
+    pub(crate) fn block(&self, addr: PhysAddr) -> &[u8; 64] {
+        let base = addr.block_base();
+        self.check(base, 64);
+        let line = (base.0 as usize & (PAGE_SIZE - 1)) / 64;
+        match self.page(base.0 >> PAGE_SHIFT) {
+            Some(p) => &p.as_chunks::<64>().0[line],
+            None => &ZERO_LINE,
         }
+    }
+
+    /// Reads one 64-byte burst: a copy of its block when `addr` is
+    /// 64-byte aligned, a page-by-page read otherwise.
+    pub fn read_burst(&self, addr: PhysAddr) -> [u8; 64] {
+        if addr.block_offset() == 0 {
+            return *self.block(addr);
+        }
+        let mut buf = [0u8; 64];
+        self.read(addr, &mut buf);
+        buf
     }
 
     /// Writes one 64-byte burst, like [`DramData::read_burst`] reads one.

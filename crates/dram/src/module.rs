@@ -87,14 +87,20 @@ pub enum RowOutcome {
 }
 
 /// Result of a block-level access performed by [`DramModule::serve_block`].
-#[derive(Clone, Debug)]
-pub struct BlockAccess {
+///
+/// A read lends its burst rather than copying it: the borrow points into
+/// the functional store's page, at a shared zero line for a page never
+/// written, or at the module's one line holding the copy an installed
+/// fault injector perturbed. It lives until the module's next command; a
+/// caller that keeps the bytes longer copies them.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockAccess<'a> {
     /// Row-buffer outcome.
     pub outcome: RowOutcome,
     /// When the burst completed on the data bus.
     pub data_ready: Tick,
     /// The bytes read (reads only).
-    pub data: Option<[u8; 64]>,
+    pub data: Option<&'a [u8; 64]>,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -169,6 +175,10 @@ pub struct DramModule {
     /// inside the DIMM, one stream per rank.
     ndp_bus: Vec<Option<BusOp>>,
     data: DramData,
+    /// The copy of the last read burst a fault injector saw (and may have
+    /// perturbed): what a read lends while an injector is installed, so
+    /// the functional store is never touched.
+    perturbed: [u8; 64],
     stats: DramStats,
     fault: Option<FaultInjector>,
     tracer: SharedTracer,
@@ -199,6 +209,7 @@ impl DramModule {
             host_bus: None,
             ndp_bus: vec![None; geometry.ranks as usize],
             data: DramData::new(geometry.capacity_bytes()),
+            perturbed: [0; 64],
             stats: DramStats::default(),
             fault: None,
             tracer: SharedTracer::disabled(),
@@ -547,8 +558,10 @@ impl DramModule {
     }
 
     /// Applies a READ CAS at `at` to bank `idx` of `rank`; `addr` is the
-    /// burst's block address. The caller has traced the command.
-    #[inline]
+    /// burst's block address. The caller has traced the command. Returns
+    /// when the first beat appears and when the burst completes, and lends
+    /// the burst (see [`BlockAccess`]).
+    #[inline(always)]
     fn apply_read(
         &mut self,
         idx: usize,
@@ -556,47 +569,61 @@ impl DramModule {
         addr: PhysAddr,
         requester: Requester,
         at: Tick,
-    ) -> Result<ReadResult, IssueError> {
-        let (bus_start, mut data_ready) = self.banks[idx].read(at, &self.timing);
+    ) -> Result<(Tick, Tick, &[u8; 64]), IssueError> {
+        let (bus_start, data_ready) = self.banks[idx].read(at, &self.timing);
         *self.bus_slot_mut(requester, rank) = Some(BusOp {
             is_write: false,
             rank,
             end: data_ready,
         });
-        let mut data = self.data.read_burst(addr);
         self.stats.read_bursts.inc();
-        if let Some(fault) = self.fault.as_mut() {
-            // Faults perturb only the returned copy and the
-            // requester-observed completion time; bank/bus reservations
-            // stay normal so retries can recover.
-            let dark = fault.rank_dark(rank, at);
-            let disturbance = fault.on_read_burst(&mut data, rank, at);
-            data_ready = data_ready
-                .checked_add(disturbance.extra_delay)
-                .unwrap_or(Tick::MAX);
-            if disturbance.extra_delay > Tick::ZERO {
-                self.tracer.emit(
-                    at,
-                    EventKind::FaultInjected {
-                        kind: if dark { "outage" } else { "stall" },
-                    },
-                );
-            }
-            if disturbance.uncorrectable {
-                self.tracer.emit(
-                    at,
-                    EventKind::FaultInjected {
-                        kind: "uncorrectable",
-                    },
-                );
-                return Err(IssueError::Uncorrectable);
-            }
+        if self.fault.is_none() {
+            return Ok((bus_start, data_ready, self.data.block(addr)));
         }
-        Ok(ReadResult {
-            data,
-            bus_start,
-            data_ready,
-        })
+        let data_ready = self.disturb_read(rank, addr, at, data_ready)?;
+        Ok((bus_start, data_ready, &self.perturbed))
+    }
+
+    /// Runs the installed fault injector over a copy of the burst at
+    /// `addr` of `rank`, read at `at` and complete at `data_ready`: the
+    /// copy [`Self::apply_read`] lends. Faults perturb only that copy and
+    /// the requester-observed completion time, which this returns;
+    /// bank/bus reservations stay normal so retries can recover.
+    #[cold]
+    fn disturb_read(
+        &mut self,
+        rank: u32,
+        addr: PhysAddr,
+        at: Tick,
+        data_ready: Tick,
+    ) -> Result<Tick, IssueError> {
+        self.perturbed = *self.data.block(addr);
+        let Some(fault) = self.fault.as_mut() else {
+            return Ok(data_ready);
+        };
+        let dark = fault.rank_dark(rank, at);
+        let disturbance = fault.on_read_burst(&mut self.perturbed, rank, at);
+        let data_ready = data_ready
+            .checked_add(disturbance.extra_delay)
+            .unwrap_or(Tick::MAX);
+        if disturbance.extra_delay > Tick::ZERO {
+            self.tracer.emit(
+                at,
+                EventKind::FaultInjected {
+                    kind: if dark { "outage" } else { "stall" },
+                },
+            );
+        }
+        if disturbance.uncorrectable {
+            self.tracer.emit(
+                at,
+                EventKind::FaultInjected {
+                    kind: "uncorrectable",
+                },
+            );
+            return Err(IssueError::Uncorrectable);
+        }
+        Ok(data_ready)
     }
 
     /// Applies a WRITE CAS at `at`, like [`Self::apply_read`]; `payload`
@@ -661,7 +688,13 @@ impl DramModule {
             DramCommand::Read { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
                 let addr = self.open_block_addr(idx, rank, bank, block);
-                self.apply_read(idx, rank, addr, requester, at).map(Some)
+                let (bus_start, data_ready, data) =
+                    self.apply_read(idx, rank, addr, requester, at)?;
+                Ok(Some(ReadResult {
+                    data: *data,
+                    bus_start,
+                    data_ready,
+                }))
             }
             DramCommand::Write { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
@@ -849,6 +882,8 @@ impl DramModule {
     /// open-page policy: precharge/activate as needed, then CAS — each step
     /// at its earliest legal tick ≥ `now`. This is the transaction-level
     /// interface the memory controller and the JAFAR device both use.
+    /// A read lends its burst until the module's next command (see
+    /// [`BlockAccess`]).
     ///
     /// For writes, `write_data` of `None` performs a timing-only write (see
     /// [`DramModule::issue`]).
@@ -865,7 +900,7 @@ impl DramModule {
         requester: Requester,
         now: Tick,
         write_data: Option<&[u8; 64]>,
-    ) -> Result<BlockAccess, IssueError> {
+    ) -> Result<BlockAccess<'_>, IssueError> {
         let addr = self.decoder.encode(coord);
         self.serve(coord, addr, is_write, requester, now, write_data)
     }
@@ -875,6 +910,7 @@ impl DramModule {
     ///
     /// # Errors
     /// Propagates ownership errors.
+    #[inline]
     pub fn serve_addr(
         &mut self,
         addr: PhysAddr,
@@ -882,7 +918,7 @@ impl DramModule {
         requester: Requester,
         now: Tick,
         write_data: Option<&[u8; 64]>,
-    ) -> Result<BlockAccess, IssueError> {
+    ) -> Result<BlockAccess<'_>, IssueError> {
         let addr = addr.block_base();
         let coord = self.decoder.decode(addr);
         self.serve(coord, addr, is_write, requester, now, write_data)
@@ -891,6 +927,7 @@ impl DramModule {
     /// The transaction behind [`Self::serve_block`] and
     /// [`Self::serve_addr`]; `addr` is `coord`'s block address, which the
     /// entry point already holds, so no step re-encodes it.
+    #[inline(always)]
     fn serve(
         &mut self,
         coord: Coord,
@@ -899,12 +936,14 @@ impl DramModule {
         requester: Requester,
         now: Tick,
         write_data: Option<&[u8; 64]>,
-    ) -> Result<BlockAccess, IssueError> {
+    ) -> Result<BlockAccess<'_>, IssueError> {
         assert!(
             write_data.is_none() || is_write,
             "payload supplied for a read"
         );
-        let Coord { rank, bank, .. } = coord;
+        let Coord {
+            rank, bank, row, ..
+        } = coord;
         // The transaction's one ownership check, before mutating anything.
         self.check_data_ownership(rank, requester)
             .inspect_err(|e| {
@@ -913,6 +952,64 @@ impl DramModule {
                 }
             })?;
 
+        let idx = self.bank_index(rank, bank);
+        // A row hit with nothing to prepare goes straight to its CAS: no
+        // refresh is due, no injector is installed to draw a storm, no
+        // tracer records the row access, and the bank holds the row. In
+        // that case `prepare_row` would change nothing but the tick it
+        // returns, which is `now`; every other case runs it.
+        let (outcome, cursor) = if !self.refresh_due(rank, now)
+            && self.fault.is_none()
+            && !self.tracer.is_enabled()
+            && self.banks[idx].open_row() == Some(row)
+        {
+            (RowOutcome::Hit, now)
+        } else {
+            self.prepare_row(coord, idx, requester, now)?
+        };
+        match outcome {
+            RowOutcome::Hit => self.stats.row_hits.inc(),
+            RowOutcome::Miss => self.stats.row_misses.inc(),
+            RowOutcome::Conflict => self.stats.row_conflicts.inc(),
+        }
+
+        if is_write {
+            let at = self.earliest_write(idx, rank, requester, cursor);
+            self.trace_cmd(at, DramCommand::write(coord), requester);
+            let data_end = self.apply_write(idx, rank, addr, requester, at, write_data);
+            Ok(BlockAccess {
+                outcome,
+                data_ready: data_end,
+                data: None,
+            })
+        } else {
+            let at = self.earliest_read(idx, rank, requester, cursor);
+            self.trace_cmd(at, DramCommand::read(coord), requester);
+            // The only fallible outcome of a read scheduled at its earliest
+            // legal tick is an injected ECC failure.
+            let (_, data_ready, data) = self.apply_read(idx, rank, addr, requester, at)?;
+            Ok(BlockAccess {
+                outcome,
+                data_ready,
+                data: Some(data),
+            })
+        }
+    }
+
+    /// Readies `coord`'s row in bank `idx` for a CAS at or after `now`:
+    /// catches up on overdue refresh, lets an installed injector preempt
+    /// the transaction with a refresh storm, records the row access, and
+    /// precharges and activates as the bank's state requires. Returns the
+    /// row-buffer outcome and the tick from which the CAS may issue.
+    #[cold]
+    fn prepare_row(
+        &mut self,
+        coord: Coord,
+        idx: usize,
+        requester: Requester,
+        now: Tick,
+    ) -> Result<(RowOutcome, Tick), IssueError> {
+        let Coord { rank, bank, .. } = coord;
         let mut cursor = if self.refresh_due(rank, now) {
             self.maintain_refresh(rank, now, requester)?
         } else {
@@ -927,7 +1024,6 @@ impl DramModule {
             cursor = self.apply_refresh_storm(rank, requester, cursor, n)?;
         }
 
-        let idx = self.bank_index(rank, bank);
         let outcome = match self.banks[idx].state() {
             BankState::Active { row } if row == coord.row => RowOutcome::Hit,
             BankState::Idle => RowOutcome::Miss,
@@ -946,9 +1042,9 @@ impl DramModule {
             },
         );
         // Each command is applied at the earliest tick just computed for
-        // it; ownership was checked once above, for the whole transaction.
+        // it; ownership was checked once, for the whole transaction.
         match outcome {
-            RowOutcome::Hit => self.stats.row_hits.inc(),
+            RowOutcome::Hit => {}
             RowOutcome::Conflict => {
                 let pre = DramCommand::precharge(coord);
                 let at = self
@@ -956,35 +1052,10 @@ impl DramModule {
                     .expect("precharge always legal");
                 self.apply(pre, requester, at, None).expect("legal");
                 cursor = self.activate(coord, requester, at);
-                self.stats.row_conflicts.inc();
             }
-            RowOutcome::Miss => {
-                cursor = self.activate(coord, requester, cursor);
-                self.stats.row_misses.inc();
-            }
+            RowOutcome::Miss => cursor = self.activate(coord, requester, cursor),
         }
-
-        if is_write {
-            let at = self.earliest_write(idx, rank, requester, cursor);
-            self.trace_cmd(at, DramCommand::write(coord), requester);
-            let data_end = self.apply_write(idx, rank, addr, requester, at, write_data);
-            Ok(BlockAccess {
-                outcome,
-                data_ready: data_end,
-                data: None,
-            })
-        } else {
-            let at = self.earliest_read(idx, rank, requester, cursor);
-            self.trace_cmd(at, DramCommand::read(coord), requester);
-            // The only fallible outcome of a read scheduled at its earliest
-            // legal tick is an injected ECC failure.
-            let result = self.apply_read(idx, rank, addr, requester, at)?;
-            Ok(BlockAccess {
-                outcome,
-                data_ready: result.data_ready,
-                data: Some(result.data),
-            })
-        }
+        Ok((outcome, cursor))
     }
 
     /// Opens `coord`'s row in its idle bank at the earliest legal tick ≥
@@ -1039,11 +1110,10 @@ mod tests {
         for block in 0..8 {
             let a = m
                 .serve_block(coord(0, 0, 0, block), false, Requester::Host, now, None)
-                .unwrap();
-            now = a
-                .data_ready
-                .saturating_sub(m.timing().cl + m.timing().t_burst);
-            ready.push(a.data_ready);
+                .unwrap()
+                .data_ready;
+            now = a.saturating_sub(m.timing().cl + m.timing().t_burst);
+            ready.push(a);
         }
         // After the first access, every subsequent burst completes exactly
         // tCCD (= tBURST = 4 ns) after the previous: streaming at full
@@ -1060,15 +1130,10 @@ mod tests {
         let mut m = module();
         let a0 = m
             .serve_block(coord(0, 0, 0, 0), false, Requester::Host, Tick::ZERO, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         let a1 = m
-            .serve_block(
-                coord(0, 0, 1, 0),
-                false,
-                Requester::Host,
-                a0.data_ready,
-                None,
-            )
+            .serve_block(coord(0, 0, 1, 0), false, Requester::Host, a0, None)
             .unwrap();
         assert_eq!(a1.outcome, RowOutcome::Conflict);
         // Conflict path: wait for tRAS (35ns from ACT@0), PRE, +tRP, ACT,
@@ -1083,15 +1148,17 @@ mod tests {
         // Same rank, different banks, issued "simultaneously".
         let a = m
             .serve_block(coord(0, 0, 0, 0), false, Requester::Host, Tick::ZERO, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         let b = m
             .serve_block(coord(0, 1, 0, 0), false, Requester::Host, Tick::ZERO, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         // Bank 1's ACT can overlap bank 0's, but its data burst must queue
         // behind bank 0's on the shared bus: at least tBURST later.
-        assert!(b.data_ready >= a.data_ready + m.timing().t_burst);
+        assert!(b >= a + m.timing().t_burst);
         // And much sooner than a serial closed-row access pair (60 ns).
-        assert!(b.data_ready < Tick::from_ns(60));
+        assert!(b < Tick::from_ns(60));
     }
 
     #[test]
@@ -1113,11 +1180,13 @@ mod tests {
         // latency, where the old shared bus would queue the second burst.
         let a = m
             .serve_block(coord(0, 0, 0, 0), false, Requester::Ndp, Tick::ZERO, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         let b = m
             .serve_block(coord(1, 0, 0, 0), false, Requester::Ndp, Tick::ZERO, None)
-            .unwrap();
-        assert_eq!(a.data_ready, b.data_ready, "rank-local IO paths overlap");
+            .unwrap()
+            .data_ready;
+        assert_eq!(a, b, "rank-local IO paths overlap");
         // Host traffic on an unowned rank? Both ranks are owned here, so
         // release rank 1 and check the channel bus ignores NDP activity.
         let quiet = Tick::from_us(1);
@@ -1134,14 +1203,16 @@ mod tests {
         let host_t0 = at + m.timing().t_mod;
         let ndp = m
             .serve_block(coord(0, 0, 0, 1), false, Requester::Ndp, host_t0, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         let host = m
             .serve_block(coord(1, 0, 0, 0), false, Requester::Host, host_t0, None)
-            .unwrap();
+            .unwrap()
+            .data_ready;
         // The host's burst ends one row cycle after issue, unaffected by
         // the NDP burst occupying rank 0's IO path at the same instant.
-        assert_eq!(host.data_ready, host_t0 + Tick::from_ns(30));
-        assert!(ndp.data_ready <= host.data_ready);
+        assert_eq!(host, host_t0 + Tick::from_ns(30));
+        assert!(ndp <= host);
     }
 
     #[test]
@@ -1156,18 +1227,14 @@ mod tests {
                 Tick::ZERO,
                 Some(&payload),
             )
-            .unwrap();
+            .unwrap()
+            .data_ready;
         let r = m
-            .serve_block(
-                coord(0, 0, 0, 1),
-                false,
-                Requester::Host,
-                w.data_ready,
-                None,
-            )
-            .unwrap();
+            .serve_block(coord(0, 0, 0, 1), false, Requester::Host, w, None)
+            .unwrap()
+            .data_ready;
         // Read CAS must wait tWTR after write data end; data returns CL later.
-        assert!(r.data_ready >= w.data_ready + m.timing().t_wtr + m.timing().cl);
+        assert!(r >= w + m.timing().t_wtr + m.timing().cl);
         // Functional: the write landed.
         assert_eq!(m.data().read_burst(PhysAddr(0)), payload);
     }
@@ -1185,7 +1252,7 @@ mod tests {
         let a = m
             .serve_block(coord(0, 0, 0, 5), false, Requester::Host, Tick::ZERO, None)
             .unwrap();
-        assert_eq!(a.data.unwrap(), want);
+        assert_eq!(*a.data.unwrap(), want);
     }
 
     #[test]
@@ -1471,6 +1538,27 @@ mod tests {
         );
     }
 
+    /// What a test compares between twin modules after every access:
+    /// the counters, every bank's state and timing reservations, and the
+    /// injector's counters.
+    fn snapshot(m: &DramModule) -> String {
+        let g = m.geometry();
+        let banks: Vec<String> = (0..g.ranks)
+            .flat_map(|r| (0..g.banks_per_rank).map(move |b| (r, b)))
+            .map(|(r, b)| format!("{:?}", m.bank(r, b)))
+            .collect();
+        format!("{:?} {banks:?} {:?}", m.stats(), m.fault_stats())
+    }
+
+    /// Three twins run one random stream and must agree after every
+    /// access: `serve_addr`, `serve_block` on the decoded coordinate, and
+    /// `serve_addr` with a tracer attached. A traced module never takes
+    /// `serve`'s row-hit guard, so the third twin runs the full
+    /// preparation on every burst and checks that the guard skips only
+    /// preparation that would do nothing. The stream mixes host and NDP
+    /// requesters, reads and writes with payloads, same-row runs and jumps
+    /// (row conflicts), idle gaps past tREFI, refresh on and off, and no
+    /// injector or `FaultPlan::light`.
     #[test]
     fn serve_addr_and_serve_block_agree() {
         use crate::fault::{FaultInjector, FaultPlan};
@@ -1487,11 +1575,14 @@ mod tests {
                 DramTiming::ddr3_paper().without_refresh()
             };
             let faults = rng.next_bool(0.5).then(|| FaultPlan::light(rng.next_u64()));
-            let twin = || {
+            let twin = |traced: bool| {
                 let mut m = DramModule::new(DramGeometry::tiny(), timing, mapping);
                 m.set_fault_injector(faults.map(FaultInjector::new));
+                if traced {
+                    m.set_tracer(jafar_common::obs::SharedTracer::ring(16).0);
+                }
                 // Rank 0 belongs to the NDP device (a glitched grant is
-                // fine: both twins glitch alike).
+                // fine: every twin glitches alike).
                 let mrs = DramCommand::ModeRegisterSet {
                     rank: 0,
                     mr: 3,
@@ -1500,10 +1591,18 @@ mod tests {
                 let _ = m.issue(mrs, Requester::Host, Tick::ZERO, None);
                 m
             };
-            let (mut by_addr, mut by_block) = (twin(), twin());
+            let (mut by_addr, mut by_block, mut traced) = (twin(false), twin(false), twin(true));
+            let capacity = DramGeometry::tiny().capacity_bytes();
+            let mut addr = PhysAddr(0);
             let mut now = Tick::ZERO;
-            for i in 0..300u64 {
-                let addr = PhysAddr(rng.next_below(DramGeometry::tiny().capacity_bytes()));
+            for i in 0..400u64 {
+                // Half the accesses continue a run into the next block
+                // (mostly row hits); the rest jump anywhere.
+                addr = if rng.next_bool(0.5) {
+                    PhysAddr((addr.block_base().0 + 64) % capacity)
+                } else {
+                    PhysAddr(rng.next_below(capacity))
+                };
                 let write = rng.next_bool(0.3);
                 let payload = [i as u8; 64];
                 let data = write.then_some(&payload);
@@ -1512,17 +1611,40 @@ mod tests {
                 } else {
                     Requester::Ndp
                 };
-                let a = by_addr.serve_addr(addr, write, requester, now, data);
+                let before = *by_addr.stats();
+                let owned = |a: BlockAccess| (a.outcome, a.data_ready, a.data.copied());
+                let a = by_addr
+                    .serve_addr(addr, write, requester, now, data)
+                    .map(owned);
                 let coord = by_block.decoder().decode(addr.block_base());
-                let b = by_block.serve_block(coord, write, requester, now, data);
-                match (a, b) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            (a.outcome, a.data_ready, a.data),
-                            (b.outcome, b.data_ready, b.data)
-                        );
+                let b = by_block
+                    .serve_block(coord, write, requester, now, data)
+                    .map(owned);
+                let c = traced
+                    .serve_addr(addr, write, requester, now, data)
+                    .map(owned);
+                assert_eq!(a, b, "access {i}: serve_block");
+                assert_eq!(a, c, "access {i}: the full preparation");
+                let snap = snapshot(&by_addr);
+                assert_eq!(snap, snapshot(&by_block), "access {i}: serve_block");
+                assert_eq!(snap, snapshot(&traced), "access {i}: the full preparation");
+                // The returned outcome's counter rose by exactly one; a
+                // failed ECC read was counted before its CAS, a rejected
+                // or preempted access not at all.
+                let after = by_addr.stats();
+                let rose = [
+                    after.row_hits.get() - before.row_hits.get(),
+                    after.row_misses.get() - before.row_misses.get(),
+                    after.row_conflicts.get() - before.row_conflicts.get(),
+                ];
+                match a {
+                    Ok((outcome, ..)) => {
+                        let mut want = [0; 3];
+                        want[outcome as usize] = 1;
+                        assert_eq!(rose, want, "access {i}: {outcome:?} counted");
                     }
-                    (a, b) => assert_eq!(a.err(), b.err()),
+                    Err(IssueError::Uncorrectable) => assert_eq!(rose.iter().sum::<u64>(), 1),
+                    Err(_) => assert_eq!(rose, [0; 3]),
                 }
                 // Mostly back-to-back, sometimes past several refreshes.
                 now += if rng.next_bool(0.02) {
@@ -1531,14 +1653,6 @@ mod tests {
                     Tick::from_ps(rng.next_below(60_000))
                 };
             }
-            assert_eq!(
-                format!("{:?}", by_addr.stats()),
-                format!("{:?}", by_block.stats())
-            );
-            assert_eq!(
-                format!("{:?}", by_addr.fault_stats()),
-                format!("{:?}", by_block.fault_stats())
-            );
         });
     }
 

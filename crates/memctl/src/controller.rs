@@ -27,7 +27,7 @@ use crate::request::{Completion, MemRequest, ReqId};
 use crate::sched::{pick, Policy};
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
-use jafar_dram::{BlockAccess, DramCommand, DramModule, IssueError, Requester, RowOutcome};
+use jafar_dram::{DramCommand, DramModule, IssueError, Requester, RowOutcome};
 
 /// Why a request could not be enqueued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,12 +288,20 @@ impl MemoryController {
                 .expect("present");
             queue.remove(pos);
 
-            let access =
+            let done =
                 match self
                     .module
                     .serve_addr(req.addr, req.is_write, Requester::Host, now, None)
                 {
-                    Ok(a) => a,
+                    // The completion outlives the module's next command,
+                    // so it keeps a copy of the lent burst.
+                    Ok(a) => Completion {
+                        id: ReqId(id),
+                        request: req,
+                        done: a.data_ready,
+                        outcome: a.outcome,
+                        data: a.data.copied(),
+                    },
                     Err(e) => {
                         // Requeue with the arrival bumped to the earliest
                         // retry tick and advance the cursor by at least one
@@ -326,38 +334,32 @@ impl MemoryController {
                         continue;
                     }
                 };
-            return Some(self.complete(id, req, access, now));
+            return Some(self.complete(done, now));
         }
     }
 
-    fn complete(&mut self, id: u64, req: MemRequest, access: BlockAccess, now: Tick) -> Completion {
-        match access.outcome {
+    fn complete(&mut self, done: Completion, now: Tick) -> Completion {
+        let req = done.request;
+        match done.outcome {
             RowOutcome::Hit => self.counters.row_hits.inc(),
             RowOutcome::Miss => self.counters.row_misses.inc(),
             RowOutcome::Conflict => self.counters.row_conflicts.inc(),
         }
         if req.is_write {
             self.counters.writes.inc();
-            self.write_busy.push(req.arrival, access.data_ready);
+            self.write_busy.push(req.arrival, done.done);
         } else {
             self.counters.reads.inc();
-            self.read_busy.push(req.arrival, access.data_ready);
+            self.read_busy.push(req.arrival, done.done);
         }
 
         // Next decision: one bus cycle after this CAS issued, so command
         // work for other banks overlaps the in-flight burst.
         let t = self.module.timing();
         let cas_lead = if req.is_write { t.cwl } else { t.cl };
-        let cas_at = access.data_ready.saturating_sub(cas_lead + t.t_burst);
+        let cas_at = done.done.saturating_sub(cas_lead + t.t_burst);
         self.cursor = cas_at.max(now) + t.bus_clock.period();
-
-        Completion {
-            id: ReqId(id),
-            request: req,
-            done: access.data_ready,
-            outcome: access.outcome,
-            data: access.data,
-        }
+        done
     }
 
     /// Services every servable queued transaction, in policy order. Requests

@@ -1277,26 +1277,30 @@ impl Engine<'_, '_> {
             QueryOp::Select | QueryOp::Project { .. } => self.dispatch_select(qids, free, t),
             QueryOp::SelectCount => self.dispatch_agg(qid, free, t, AggOp::Count),
             QueryOp::SelectAgg(f) => self.dispatch_agg(qid, free, t, agg_op(f)),
-            // A semi-join is a select datapath client: 0/1 ranges run as
-            // the one-lane select over the envelope (`[lo,hi]` == the
-            // single range, or the canonical empty predicate); more ranges
-            // fuse into one multi-lane scan per shard, all lanes owned by
-            // the one query.
+            // A semi-join is a select datapath client whose lanes are its
+            // key ranges: one range runs as the one-lane select over it,
+            // the empty set as the one-lane select over its empty
+            // envelope, and more ranges fuse into one multi-lane scan per
+            // shard, all lanes owned by the one query.
             QueryOp::SemiJoin { .. } => self.dispatch_select(qids, free, t),
             QueryOp::GroupBy { agg } => self.dispatch_group_by(qid, free, t, agg),
         }
     }
 
     /// The predicate lanes a dispatch group scans: one `(lo, hi)` per
-    /// fused query — except a solo multi-range semi-join, whose lanes are
-    /// its build-side key ranges (disjoint, so the union bitset is the
-    /// lanes' OR and the match count the lanes' sum).
+    /// fused query — except a semi-join, which never fuses and whose lanes
+    /// always come from its build-side key ranges, never from its record's
+    /// `[lo, hi]`: one lane per range (disjoint, so the union bitset is the
+    /// lanes' OR and the match count the lanes' sum), and one lane over
+    /// the empty envelope `(i64::MAX, i64::MIN)` for the empty set. The
+    /// host rungs read the same ranges, so no rung answers differently.
     fn lane_preds(&self, qids: &[u32]) -> Vec<(i64, i64)> {
         if let [qid] = qids {
             if let QueryOp::SemiJoin { ranges } = self.records[*qid as usize].op {
-                if ranges.len() >= 2 {
-                    return ranges.as_slice().to_vec();
+                if ranges.is_empty() {
+                    return vec![ranges.envelope()];
                 }
+                return ranges.as_slice().to_vec();
             }
         }
         qids.iter()

@@ -366,11 +366,16 @@ impl Workload {
 
     /// Assigns operators round-robin: query `i` runs `ops[i % ops.len()]`
     /// over its generated predicate, turning a single-operator stream
-    /// into an interleaved mixed-operator one (the §4 serving mix).
+    /// into an interleaved mixed-operator one (the §4 serving mix). A
+    /// semi-join's predicate is its key ranges, so its spec takes their
+    /// envelope as `[lo, hi]`, as [`QuerySpec::semi_join`] gives it.
     pub fn with_op_mix(mut self, ops: &[QueryOp]) -> Self {
         if !ops.is_empty() {
             for (i, spec) in self.specs.iter_mut().enumerate() {
                 spec.op = ops[i % ops.len()];
+                if let QueryOp::SemiJoin { ranges } = spec.op {
+                    (spec.lo, spec.hi) = ranges.envelope();
+                }
             }
         }
         self
