@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the DDR3 model's hot paths: address decoding, the
-//! bank state machine, and transaction-level streaming — the inner loops
-//! every Figure-3/Figure-4 simulation spends its time in.
+//! bank state machine, and transaction-level and run-level streaming —
+//! the inner loops every Figure-3/Figure-4 simulation spends its time in.
 
 use jafar_bench::micro;
 use jafar_common::time::Tick;
@@ -43,6 +43,20 @@ fn stream_ndp(module: &mut DramModule, now: &mut Tick) -> Tick {
             .serve_addr(PhysAddr(i * 64), false, Requester::Ndp, *now, None)
             .expect("owned rank, in range");
         *now = access.data_ready.saturating_sub(cas_pipeline).max(*now) + t.bus_clock.period();
+    }
+    *now
+}
+
+/// The same stream as [`stream_ndp`], served in runs of up to 64 bursts:
+/// what a select lane asks for between drains of its 512-bit buffer.
+fn stream_ndp_runs(module: &mut DramModule, now: &mut Tick) -> Tick {
+    let mut burst = 0;
+    while burst < 1024u64 {
+        let run = module
+            .serve_run(PhysAddr(burst * 64), 64, Requester::Ndp, *now)
+            .expect("owned rank, in range");
+        *now = run.next_request;
+        burst += run.lines.len() as u64;
     }
     *now
 }
@@ -95,6 +109,10 @@ fn main() {
     let (mut ndp, mut now) = owned(gem5_like_module());
     micro::run("dram/serve_addr_ndp_streaming_gem5", || {
         stream_ndp(&mut ndp, &mut now)
+    });
+    let (mut ndp, mut now) = owned(gem5_like_module());
+    micro::run("dram/serve_run_ndp_streaming_gem5", || {
+        stream_ndp_runs(&mut ndp, &mut now)
     });
 
     // Building a machine builds its modules: a page-table set-up cost

@@ -144,8 +144,6 @@ impl JafarDevice {
         };
         let ps_per_word = datapath.ps_per_word(self.config());
         let bounds = job.filter.map(Predicate::bounds);
-        let t = *module.timing();
-        let cas_pipeline = t.cl + t.t_burst;
 
         let mut issue_cursor = start;
         let mut proc_free = start;
@@ -155,44 +153,53 @@ impl JafarDevice {
         let (mut sum, mut min, mut max) = (0i64, i64::MAX, i64::MIN);
 
         let total_bursts = job.rows.div_ceil(8);
-        for burst in 0..total_bursts {
-            let addr = PhysAddr(job.col_addr.0 + burst * 64);
-            let access = module
-                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+        let mut burst = 0;
+        while burst < total_bursts {
+            // The fold never writes, so it asks for the rest of the column.
+            let run = module
+                .serve_run(
+                    PhysAddr(job.col_addr.0 + burst * 64),
+                    usize::try_from(total_bursts - burst).unwrap_or(usize::MAX),
+                    Requester::Ndp,
+                    issue_cursor,
+                )
                 .map_err(device_error)?;
-            bursts_read += 1;
-            let cas_at = access.data_ready.saturating_sub(cas_pipeline);
-            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
-            proc_free = proc_free.max(access.data_ready);
-            let values = burst_words(access.data.expect("read"));
-            let words = (job.rows - burst * 8).min(8) as usize;
-            let live = match bounds {
-                Some((lo, hi)) => range_mask(&values, words, lo, hi),
-                None => live_mask(words),
-            };
-            count += u64::from(live.count_ones());
-            // A word that does not qualify folds in as the fold's
-            // identity, so all eight fold without a branch on the filter.
-            // The wrapping sum is associative: the result is the
-            // word-by-word one.
-            let qualifying = |identity: i64| -> [i64; 8] {
-                std::array::from_fn(|w| {
-                    if live >> w & 1 == 1 {
-                        values[w]
-                    } else {
-                        identity
+            issue_cursor = run.next_request;
+            for (i, line) in run.lines.iter().enumerate() {
+                proc_free = proc_free.max(run.data_ready(i));
+                let values = burst_words(line);
+                let words = (job.rows - (burst + i as u64) * 8).min(8) as usize;
+                let live = match bounds {
+                    Some((lo, hi)) => range_mask(&values, words, lo, hi),
+                    None => live_mask(words),
+                };
+                count += u64::from(live.count_ones());
+                // A word that does not qualify folds in as the fold's
+                // identity, so all eight fold without a branch on the
+                // filter. The wrapping sum is associative: the result is
+                // the word-by-word one.
+                let qualifying = |identity: i64| -> [i64; 8] {
+                    std::array::from_fn(|w| {
+                        if live >> w & 1 == 1 {
+                            values[w]
+                        } else {
+                            identity
+                        }
+                    })
+                };
+                match job.op {
+                    AggOp::Sum | AggOp::Avg => {
+                        sum = qualifying(0).into_iter().fold(sum, i64::wrapping_add)
                     }
-                })
-            };
-            match job.op {
-                AggOp::Sum | AggOp::Avg => {
-                    sum = qualifying(0).into_iter().fold(sum, i64::wrapping_add)
+                    AggOp::Min => min = qualifying(i64::MAX).into_iter().fold(min, i64::min),
+                    AggOp::Max => max = qualifying(i64::MIN).into_iter().fold(max, i64::max),
+                    AggOp::Count => {}
                 }
-                AggOp::Min => min = qualifying(i64::MAX).into_iter().fold(min, i64::min),
-                AggOp::Max => max = qualifying(i64::MIN).into_iter().fold(max, i64::max),
-                AggOp::Count => {}
+                proc_free += Tick::from_ps(words as u64 * ps_per_word);
             }
-            proc_free += Tick::from_ps(words as u64 * ps_per_word);
+            let n = run.lines.len() as u64;
+            burst += n;
+            bursts_read += n;
         }
 
         let value = match job.op {

@@ -590,8 +590,6 @@ impl JafarDevice {
                 page: col_addr.0,
             },
         );
-        let t = *module.timing();
-        let cas_pipeline = t.cl + t.t_burst;
 
         let mut issue_cursor = start; // when the next read may be requested
         let mut proc_free = start; // when the datapath frees up
@@ -600,37 +598,56 @@ impl JafarDevice {
         let mut bursts_written = 0u64;
 
         let total_bursts = rows.div_ceil(8);
+        let buf_bytes = lanes[0].buf.len();
         let mut lookahead = RowLookahead::new(module, col_addr, total_bursts);
-        for burst in 0..total_bursts {
-            let addr = PhysAddr(col_addr.0 + burst * 64);
+        let mut burst = 0;
+        while burst < total_bursts {
+            // A run never crosses a row, so every row crossing starts one.
             lookahead.before(module, burst, issue_cursor);
-            let access = module
-                .serve_addr(addr, false, Requester::Ndp, issue_cursor, None)
+            // The lanes' buffers fill together and drain by writes between
+            // reads: ask for the bursts up to the next drain.
+            let max = (total_bursts - burst).min((buf_bytes - lanes[0].fill) as u64);
+            let run = module
+                .serve_run(
+                    PhysAddr(col_addr.0 + burst * 64),
+                    max as usize,
+                    Requester::Ndp,
+                    issue_cursor,
+                )
                 .map_err(|e| {
                     self.regs.set_error();
                     device_error(e)
                 })?;
-            bursts_read += 1;
             // Pipelined command issue: the next read may be requested one
-            // bus cycle after this one's CAS went out.
-            let ready = access.data_ready;
-            let cas_at = ready.saturating_sub(cas_pipeline);
-            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
-            let values = burst_words(access.data.expect("read returns data"));
-
-            if ready > proc_free {
-                dram_wait += ready - proc_free;
-                proc_free = ready;
+            // bus cycle after the run's last CAS went out.
+            issue_cursor = run.next_request;
+            let mut words = 0;
+            for (i, line) in run.lines.iter().enumerate() {
+                if i > 0 {
+                    proc_free += Tick::from_ps(words as u64 * self.ps_per_word);
+                }
+                let ready = run.data_ready(i);
+                if ready > proc_free {
+                    dram_wait += ready - proc_free;
+                    proc_free = ready;
+                }
+                words = (rows - (burst + i as u64) * 8).min(8) as usize;
+                let values = burst_words(line);
+                for lane in lanes.iter_mut() {
+                    lane.buf[lane.fill] = range_mask(&values, words, lane.lo, lane.hi) as u8;
+                    lane.fill += 1;
+                }
             }
-            let words = (rows - burst * 8).min(8) as usize;
+            let n = run.lines.len() as u64;
+            burst += n;
+            bursts_read += n;
             for lane in lanes.iter_mut() {
-                lane.buf[lane.fill] = range_mask(&values, words, lane.lo, lane.hi) as u8;
-                lane.fill += 1;
                 // Every burst but the last adds 8 outcomes, so the buffer
-                // fills on a burst boundary and drains at the tick a
-                // word-by-word push would drain it. A last, partial burst
-                // leaves it short of full: the final flush drains it.
-                if lane.fill == lane.buf.len() && words == 8 {
+                // fills on a burst boundary, the run's last, and drains at
+                // the tick a word-by-word push would drain it. A last,
+                // partial burst leaves it short of full: the final flush
+                // drains it.
+                if lane.fill == buf_bytes && words == 8 {
                     lane.matched += popcount(&lane.buf);
                     lane.cursor = self.write_bitset_chunk(
                         module,

@@ -205,6 +205,14 @@ impl AddressDecoder {
         PhysAddr(bits << 6)
     }
 
+    /// The end of the address range holding the rest of `addr`'s row,
+    /// when the mapping keeps a row's blocks at consecutive addresses (the
+    /// block field is the lowest); `None` when it scatters them.
+    #[inline]
+    pub(crate) fn row_end(&self, addr: PhysAddr) -> Option<u64> {
+        (self.block.shift == 0).then(|| ((addr.block_index() | self.block.mask) + 1) << 6)
+    }
+
     /// The contiguous byte range owned by `rank` under the
     /// rank-contiguous mapping.
     ///

@@ -155,11 +155,20 @@ impl Bank {
         let row = self.open_row().expect("READ on idle bank");
         let earliest = self.earliest_read(row, now).expect("row just checked");
         assert!(now >= earliest, "READ at {now} before {earliest}");
-        self.rd_allowed = self.rd_allowed.max(now + t.t_ccd);
-        self.wr_allowed = self.wr_allowed.max(now + t.t_ccd);
-        self.pre_allowed = self.pre_allowed.max(now + t.t_rtp);
-        self.stats.reads.inc();
+        self.apply_reads(now, 1, t);
         (now + t.cl, now + t.cl + t.t_burst)
+    }
+
+    /// Applies `n` READ CASes to the open row, the last at `last`, which
+    /// the module has scheduled at or after each one's earliest tick.
+    /// Every reservation a read makes is a `max` with a tick that grows
+    /// with the CAS, so `n` reads leave what their last one leaves.
+    #[inline]
+    pub(crate) fn apply_reads(&mut self, last: Tick, n: u64, t: &DramTiming) {
+        self.rd_allowed = self.rd_allowed.max(last + t.t_ccd);
+        self.wr_allowed = self.wr_allowed.max(last + t.t_ccd);
+        self.pre_allowed = self.pre_allowed.max(last + t.t_rtp);
+        self.stats.reads.add(n);
     }
 
     /// Applies a WRITE CAS at `now`; returns the interval `[start, end)` the

@@ -19,7 +19,9 @@
 use crate::address::PhysAddr;
 
 const PAGE_SHIFT: u32 = 12;
-const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+/// The functional store's page: a read run never crosses one, since its
+/// lines are lent as one slice.
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Pages per leaf: one leaf covers a 2 MiB region.
 const LEAF_SHIFT: u32 = 9;
 const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
@@ -27,9 +29,9 @@ const LEAF_PAGES: usize = 1 << LEAF_SHIFT;
 type Page = [u8; PAGE_SIZE];
 type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 
-/// What a block of a page never written reads: lent by
-/// [`DramData::block`], so an unwritten page needs no storage.
-static ZERO_LINE: [u8; 64] = [0; 64];
+/// What a page never written reads: lent by [`DramData::lines`], so an
+/// unwritten page needs no storage.
+static ZERO_PAGE: [[u8; 64]; PAGE_SIZE / 64] = [[0; 64]; PAGE_SIZE / 64];
 
 /// Sparse byte-addressable storage. Unwritten bytes read as zero, like
 /// zero-initialised DRAM in a fresh simulation.
@@ -40,6 +42,12 @@ pub struct DramData {
     regions: Vec<Option<Box<Leaf>>>,
     resident: usize,
     capacity: u64,
+}
+
+#[cold]
+#[inline(never)]
+fn beyond_capacity(addr: PhysAddr, len: usize, capacity: u64) -> ! {
+    panic!("access [{addr}, +{len}) beyond capacity {capacity:#x}")
 }
 
 /// The page and in-page offset of a `len`-byte access at `addr`, when it
@@ -70,14 +78,16 @@ impl DramData {
         self.resident
     }
 
+    /// Only the compare is inlined; the panic stays out of line.
+    #[inline]
     fn check(&self, addr: PhysAddr, len: usize) {
-        assert!(
-            addr.0
-                .checked_add(len as u64)
-                .is_some_and(|end| end <= self.capacity),
-            "access [{addr}, +{len}) beyond capacity {:#x}",
-            self.capacity
-        );
+        if addr
+            .0
+            .checked_add(len as u64)
+            .is_none_or(|end| end > self.capacity)
+        {
+            beyond_capacity(addr, len, self.capacity);
+        }
     }
 
     /// Page number `page`, if it has been written.
@@ -160,18 +170,28 @@ impl DramData {
         }
     }
 
-    /// The 64-byte block holding `addr`, lent in place: a line of its
-    /// page, or [`ZERO_LINE`] for a page never written. One directory
-    /// walk and no copy; the module serves every read burst through it.
+    /// Up to `max` consecutive 64-byte blocks from the one holding
+    /// `addr`, lent in place and never past the end of its page: lines of
+    /// the page, or of [`ZERO_PAGE`] for a page never written. One
+    /// directory walk and no copy; the module serves every read burst
+    /// through it. At least one line, whatever `max`.
     #[inline]
-    pub(crate) fn block(&self, addr: PhysAddr) -> &[u8; 64] {
+    pub(crate) fn lines(&self, addr: PhysAddr, max: usize) -> &[[u8; 64]] {
         let base = addr.block_base();
         self.check(base, 64);
         let line = (base.0 as usize & (PAGE_SIZE - 1)) / 64;
+        let end = line + max.clamp(1, PAGE_SIZE / 64 - line);
         match self.page(base.0 >> PAGE_SHIFT) {
-            Some(p) => &p.as_chunks::<64>().0[line],
-            None => &ZERO_LINE,
+            Some(p) => &p.as_chunks::<64>().0[line..end],
+            None => &ZERO_PAGE[line..end],
         }
+    }
+
+    /// The 64-byte block holding `addr`, lent in place (see
+    /// [`DramData::lines`]).
+    #[inline]
+    pub(crate) fn block(&self, addr: PhysAddr) -> &[u8; 64] {
+        &self.lines(addr, 1)[0]
     }
 
     /// Reads one 64-byte burst: a copy of its block when `addr` is

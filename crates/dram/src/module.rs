@@ -29,7 +29,7 @@
 use crate::address::{AddressDecoder, AddressMapping, Coord, PhysAddr};
 use crate::bank::{Bank, BankState};
 use crate::command::{DramCommand, Requester};
-use crate::data::DramData;
+use crate::data::{DramData, PAGE_SIZE};
 use crate::fault::{FaultInjector, FaultStats};
 use crate::geometry::DramGeometry;
 use crate::mode::ModeRegs;
@@ -101,6 +101,34 @@ pub struct BlockAccess<'a> {
     pub data_ready: Tick,
     /// The bytes read (reads only).
     pub data: Option<&'a [u8; 64]>,
+}
+
+/// Result of a read run served by [`DramModule::serve_run`]: consecutive
+/// bursts of one row, the first of which may have opened it. Burst `i`
+/// completes at `first_ready + i·step`. Like [`BlockAccess`], the run
+/// lends its lines until the module's next command.
+#[derive(Clone, Copy, Debug)]
+pub struct ReadRun<'a> {
+    /// Row-buffer outcome of the first burst; the rest are row hits.
+    pub outcome: RowOutcome,
+    /// When the first burst completed on the data bus.
+    pub first_ready: Tick,
+    /// The spacing of the bursts' completions.
+    pub step: Tick,
+    /// When the reader may request its next read: one bus cycle after
+    /// the last burst's CAS, as the reader sees it (its completion less
+    /// CL + tBURST, and never before the run was requested).
+    pub next_request: Tick,
+    /// The bursts read, one 64-byte line each, at consecutive addresses.
+    pub lines: &'a [[u8; 64]],
+}
+
+impl ReadRun<'_> {
+    /// When burst `i` of the run completed on the data bus.
+    #[inline]
+    pub fn data_ready(&self, i: usize) -> Tick {
+        self.first_ready + self.step * i as u64
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -557,20 +585,20 @@ impl DramModule {
         })
     }
 
-    /// Applies a READ CAS at `at` to bank `idx` of `rank`; `addr` is the
-    /// burst's block address. The caller has traced the command. Returns
-    /// when the first beat appears and when the burst completes, and lends
-    /// the burst (see [`BlockAccess`]).
+    /// Finishes a READ CAS at `at` on `rank`, whose bank has applied it:
+    /// books the requester's data bus until `data_ready` and lets an
+    /// installed injector disturb the burst at `addr`. The caller has
+    /// traced the command. Returns when the requester sees the burst
+    /// complete; [`Self::read_line`] lends it.
     #[inline(always)]
-    fn apply_read(
+    fn finish_read(
         &mut self,
-        idx: usize,
         rank: u32,
         addr: PhysAddr,
         requester: Requester,
         at: Tick,
-    ) -> Result<(Tick, Tick, &[u8; 64]), IssueError> {
-        let (bus_start, data_ready) = self.banks[idx].read(at, &self.timing);
+        data_ready: Tick,
+    ) -> Result<Tick, IssueError> {
         *self.bus_slot_mut(requester, rank) = Some(BusOp {
             is_write: false,
             rank,
@@ -578,15 +606,24 @@ impl DramModule {
         });
         self.stats.read_bursts.inc();
         if self.fault.is_none() {
-            return Ok((bus_start, data_ready, self.data.block(addr)));
+            return Ok(data_ready);
         }
-        let data_ready = self.disturb_read(rank, addr, at, data_ready)?;
-        Ok((bus_start, data_ready, &self.perturbed))
+        self.disturb_read(rank, addr, at, data_ready)
+    }
+
+    /// The burst a read of `addr` just finished lends: its line in the
+    /// functional store, or the copy an installed injector saw.
+    #[inline]
+    fn read_line(&self, addr: PhysAddr) -> &[u8; 64] {
+        match self.fault {
+            None => self.data.block(addr),
+            Some(_) => &self.perturbed,
+        }
     }
 
     /// Runs the installed fault injector over a copy of the burst at
     /// `addr` of `rank`, read at `at` and complete at `data_ready`: the
-    /// copy [`Self::apply_read`] lends. Faults perturb only that copy and
+    /// copy [`Self::read_line`] lends. Faults perturb only that copy and
     /// the requester-observed completion time, which this returns;
     /// bank/bus reservations stay normal so retries can recover.
     #[cold]
@@ -688,10 +725,11 @@ impl DramModule {
             DramCommand::Read { rank, bank, block } => {
                 let idx = self.bank_index(rank, bank);
                 let addr = self.open_block_addr(idx, rank, bank, block);
-                let (bus_start, data_ready, data) =
-                    self.apply_read(idx, rank, addr, requester, at)?;
+                // A bare READ: the bank checks the CAS against its state.
+                let (bus_start, data_ready) = self.banks[idx].read(at, t);
+                let data_ready = self.finish_read(rank, addr, requester, at, data_ready)?;
                 Ok(Some(ReadResult {
-                    data: *data,
+                    data: *self.read_line(addr),
                     bus_start,
                     data_ready,
                 }))
@@ -906,10 +944,14 @@ impl DramModule {
     }
 
     /// Serves the block holding `addr`, as [`Self::serve_block`] serves its
-    /// decoded coordinate.
+    /// decoded coordinate. A read is what [`Self::serve_run`] serves with a
+    /// `max` of one.
     ///
     /// # Errors
     /// Propagates ownership errors.
+    ///
+    /// # Panics
+    /// Panics if `write_data` is supplied for a read.
     #[inline]
     pub fn serve_addr(
         &mut self,
@@ -985,14 +1027,125 @@ impl DramModule {
         } else {
             let at = self.earliest_read(idx, rank, requester, cursor);
             self.trace_cmd(at, DramCommand::read(coord), requester);
+            let t = &self.timing;
+            self.banks[idx].apply_reads(at, 1, t);
             // The only fallible outcome of a read scheduled at its earliest
             // legal tick is an injected ECC failure.
-            let (_, data_ready, data) = self.apply_read(idx, rank, addr, requester, at)?;
+            let data_ready = self.finish_read(rank, addr, requester, at, at + t.cl + t.t_burst)?;
             Ok(BlockAccess {
                 outcome,
                 data_ready,
-                data: Some(data),
+                data: Some(self.read_line(addr)),
             })
+        }
+    }
+
+    /// Serves up to `max` reads of consecutive blocks from the one holding
+    /// `addr` (at least one, whatever `max`), as a streaming reader issues
+    /// them: the first at `now`, each next one requested one bus cycle
+    /// after the previous one's CAS. Burst `i` completes at
+    /// `first_ready + i·step` (see [`ReadRun`]). The module's ticks,
+    /// counters and bytes are those of as many [`Self::serve_addr`] calls
+    /// at those request ticks.
+    ///
+    /// The first read is the full transaction ([`Self::serve_block`]). The
+    /// others are row hits whose CAS follows the previous one by the
+    /// larger of tCCD, tBURST and one bus cycle, so they skip it; their
+    /// reservations and counters are applied once, as the last one leaves
+    /// them. They are served only when no tracer records commands, no
+    /// injector disturbs bursts and the mapping keeps the row's blocks at
+    /// consecutive addresses; otherwise the run is one burst, so a tracer
+    /// sees and an injector draws burst by burst. A run stops at the first
+    /// of `max`, the row's end, the end of the functional store's 4 KiB
+    /// page and the first read requested at or after the rank's refresh
+    /// deadline.
+    ///
+    /// # Errors
+    /// Propagates the first read's errors; the other reads cannot fail.
+    pub fn serve_run(
+        &mut self,
+        addr: PhysAddr,
+        max: usize,
+        requester: Requester,
+        now: Tick,
+    ) -> Result<ReadRun<'_>, IssueError> {
+        let addr = addr.block_base();
+        let coord = self.decoder.decode(addr);
+        let BlockAccess {
+            outcome,
+            data_ready: first_ready,
+            ..
+        } = self.serve(coord, addr, false, requester, now, None)?;
+        let t = &self.timing;
+        let pipeline = t.cl + t.t_burst;
+        let cycle = t.bus_clock.period();
+        // The first burst completes CL + tBURST after its CAS, unless an
+        // injector delayed it, and then the run is that one burst.
+        let first_cas = first_ready - pipeline;
+        // After a read of the open row, the next one waits tCCD for the
+        // bank and tBURST for the rank's own burst on the bus; tWTR and
+        // every other rank or bus constraint lie behind the first CAS.
+        let step = t.t_ccd.max(t.t_burst).max(cycle);
+        let n = self.run_length(addr, coord.rank, max, first_cas, step);
+        if n > 1 {
+            let last_cas = first_cas + step * (n - 1);
+            let idx = self.bank_index(coord.rank, coord.bank);
+            // Every reservation is a max with a tick that grows with the
+            // CAS, so the run's last read leaves what all of them leave.
+            // The bus slot holds the run's first read; only its end moves.
+            self.banks[idx].apply_reads(last_cas, n - 1, &self.timing);
+            if let Some(op) = self.bus_slot_mut(requester, coord.rank) {
+                op.end = last_cas + pipeline;
+            }
+            self.stats.read_bursts.add(n - 1);
+            self.stats.row_hits.add(n - 1);
+        }
+        let last_ready = first_ready + step * (n - 1);
+        Ok(ReadRun {
+            outcome,
+            first_ready,
+            step,
+            next_request: last_ready.saturating_sub(pipeline).max(now) + cycle,
+            lines: match self.fault {
+                None => self.data.lines(addr, n as usize),
+                // An injected run is one burst: the copy the injector saw.
+                Some(_) => std::slice::from_ref(&self.perturbed),
+            },
+        })
+    }
+
+    /// How many reads a run from `addr`, whose first CAS on `rank` went
+    /// out at `first_cas`, serves: at most `max`, one when a tracer or an
+    /// injector is attached or the mapping scatters the row's blocks, and
+    /// never past the row's end, the functional store's page end or the
+    /// last read requested before the rank's refresh deadline.
+    fn run_length(
+        &self,
+        addr: PhysAddr,
+        rank: u32,
+        max: usize,
+        first_cas: Tick,
+        step: Tick,
+    ) -> u64 {
+        if max <= 1 || self.fault.is_some() || self.tracer.is_enabled() {
+            return 1;
+        }
+        let Some(row_end) = self.decoder.row_end(addr) else {
+            return 1;
+        };
+        let n = (max as u64)
+            .min((row_end - addr.0) / 64)
+            .min((PAGE_SIZE as u64 - addr.0 % PAGE_SIZE as u64) / 64);
+        // Read i ≥ 1 is requested at first_cas + (i-1)·step + one bus
+        // cycle, which must come before the deadline.
+        let deadline = self.refresh_deadline(rank);
+        let second = first_cas + self.timing.bus_clock.period();
+        if deadline == Tick::MAX {
+            n
+        } else if deadline <= second {
+            1
+        } else {
+            n.min(1 + (deadline - second).as_ps().div_ceil(step.as_ps()))
         }
     }
 
@@ -1072,6 +1225,7 @@ impl DramModule {
 mod tests {
     use super::*;
     use crate::mode::MR3_MPR_ENABLE;
+    use jafar_common::rng::SplitMix64;
 
     fn module() -> DramModule {
         DramModule::new(
@@ -1538,48 +1692,117 @@ mod tests {
         );
     }
 
-    /// What a test compares between twin modules after every access:
-    /// the counters, every bank's state and timing reservations, and the
-    /// injector's counters.
-    fn snapshot(m: &DramModule) -> String {
+    /// What a test compares between twin modules after every call: the
+    /// counters, the injector's counters, every bank's state and timing
+    /// reservations, and the earliest tick at which a READ, WRITE,
+    /// PRECHARGE or ACTIVATE could issue on each bank at `now` for either
+    /// requester, which reads the rank's tRRD, tFAW and tWTR state and
+    /// both data buses.
+    fn snapshot(m: &DramModule, now: Tick) -> String {
         let g = m.geometry();
-        let banks: Vec<String> = (0..g.ranks)
-            .flat_map(|r| (0..g.banks_per_rank).map(move |b| (r, b)))
-            .map(|(r, b)| format!("{:?}", m.bank(r, b)))
-            .collect();
-        format!("{:?} {banks:?} {:?}", m.stats(), m.fault_stats())
+        let mut out = format!("{:?} {:?}", m.stats(), m.fault_stats());
+        for rank in 0..g.ranks {
+            for bank in 0..g.banks_per_rank {
+                out += &format!(" {:?}", m.bank(rank, bank));
+                for requester in [Requester::Host, Requester::Ndp] {
+                    for cmd in [
+                        DramCommand::Read {
+                            rank,
+                            bank,
+                            block: 0,
+                        },
+                        DramCommand::Write {
+                            rank,
+                            bank,
+                            block: 0,
+                        },
+                        DramCommand::Precharge { rank, bank },
+                        DramCommand::Activate { rank, bank, row: 0 },
+                    ] {
+                        out += &format!(" {:?}", m.earliest_issue(cmd, requester, now));
+                    }
+                }
+            }
+        }
+        out
     }
 
-    /// Three twins run one random stream and must agree after every
-    /// access: `serve_addr`, `serve_block` on the decoded coordinate, and
-    /// `serve_addr` with a tracer attached. A traced module never takes
-    /// `serve`'s row-hit guard, so the third twin runs the full
-    /// preparation on every burst and checks that the guard skips only
-    /// preparation that would do nothing. The stream mixes host and NDP
-    /// requesters, reads and writes with payloads, same-row runs and jumps
-    /// (row conflicts), idle gaps past tREFI, refresh on and off, and no
-    /// injector or `FaultPlan::light`.
+    /// The rank owner reads `addr` nine times in ten; otherwise the other
+    /// requester tries and is refused.
+    fn reader(m: &DramModule, addr: PhysAddr, rng: &mut SplitMix64) -> Requester {
+        let rank = m.decoder().decode(addr.block_base()).rank;
+        if m.rank_owned_by_ndp(rank) == rng.next_bool(0.9) {
+            Requester::Ndp
+        } else {
+            Requester::Host
+        }
+    }
+
+    /// Five twins run one random stream and must agree after every call.
+    /// The reference has a tracer attached, so it serves every burst by
+    /// the full transaction, one `serve_addr` at a time. Beside it run,
+    /// untraced, `serve_run` with a random `max`, and `serve_addr` and
+    /// `serve_block` a burst at a time; and, traced, `serve_run`, whose
+    /// trace must equal the reference's: with a tracer a run is one burst,
+    /// so it emits what the full transaction emits. Each burst's
+    /// completion and bytes, each run's next request tick, the counters,
+    /// the banks and the earliest tick of every command must agree, and
+    /// the reference's reservations must cover each CAS it issued.
+    ///
+    /// The stream draws random geometries and all three mappings, refresh
+    /// on and off with idle gaps past tREFI, host and NDP readers, writes
+    /// and bare PRE, ACT and MRS (ownership flips) between reads, and
+    /// `FaultPlan::light` installed and removed mid-stream, each followed
+    /// by a read. Its runs cross rows, pages, banks, ranks and the
+    /// module's end, and start at the block after the last one read three
+    /// times in four.
     #[test]
     fn serve_addr_and_serve_block_agree() {
         use crate::fault::{FaultInjector, FaultPlan};
         use jafar_common::check::forall;
+        use jafar_common::obs::SharedTracer;
+        const REF: usize = 0;
+        const RUN: usize = 1;
+        const ADDR: usize = 2;
+        const BLOCK: usize = 3;
+        const TRACED_RUN: usize = 4;
         forall("serve_addr_and_serve_block_agree", 48, |rng| {
+            let g = DramGeometry {
+                ranks: 1 << rng.next_below(2),
+                banks_per_rank: 1 << rng.next_below(3),
+                rows_per_bank: 4 << rng.next_below(3),
+                row_bytes: [256, 1024, 8192][rng.next_below(3) as usize],
+            };
             let mapping = [
                 AddressMapping::RowBankRankBlock,
                 AddressMapping::BankInterleavedBlock,
                 AddressMapping::RankRowBankBlock,
             ][rng.next_below(3) as usize];
-            let timing = if rng.next_bool(0.5) {
-                DramTiming::ddr3_paper()
-            } else {
-                DramTiming::ddr3_paper().without_refresh()
-            };
-            let faults = rng.next_bool(0.5).then(|| FaultPlan::light(rng.next_u64()));
-            let twin = |traced: bool| {
-                let mut m = DramModule::new(DramGeometry::tiny(), timing, mapping);
+            let mut t =
+                [DramTiming::ddr3_paper(), DramTiming::ddr3_1600()][rng.next_below(2) as usize];
+            // Refresh off, due every 7.8 µs, or due so often that many
+            // deadlines fall inside runs.
+            match rng.next_below(4) {
+                0 => t = t.without_refresh(),
+                1 => {}
+                k => t.t_refi = Tick::from_ns([1_000, 400][k as usize - 2]),
+            }
+            let capacity = g.capacity_bytes();
+            // Seeded bytes in the first 64 KiB; the rest read as zero
+            // until a write lands there.
+            let seeded: Vec<u8> = (0..capacity.min(64 * 1024) / 8)
+                .flat_map(|_| rng.next_u64().to_le_bytes())
+                .collect();
+            let mut faults = rng.next_bool(0.5).then(|| FaultPlan::light(rng.next_u64()));
+            let mut rings = Vec::new();
+            let mut m: [DramModule; 5] = std::array::from_fn(|i| {
+                let mut m = DramModule::new(g, t, mapping);
+                m.data_mut().write(PhysAddr(0), &seeded);
                 m.set_fault_injector(faults.map(FaultInjector::new));
-                if traced {
-                    m.set_tracer(jafar_common::obs::SharedTracer::ring(16).0);
+                if i == REF || i == TRACED_RUN {
+                    let (tracer, ring) = SharedTracer::ring(1 << 12);
+                    m.set_tracer(tracer);
+                    rings.push(ring);
                 }
                 // Rank 0 belongs to the NDP device (a glitched grant is
                 // fine: every twin glitches alike).
@@ -1590,68 +1813,199 @@ mod tests {
                 };
                 let _ = m.issue(mrs, Requester::Host, Tick::ZERO, None);
                 m
-            };
-            let (mut by_addr, mut by_block, mut traced) = (twin(false), twin(false), twin(true));
-            let capacity = DramGeometry::tiny().capacity_bytes();
-            let mut addr = PhysAddr(0);
-            let mut now = Tick::ZERO;
-            for i in 0..400u64 {
-                // Half the accesses continue a run into the next block
-                // (mostly row hits); the rest jump anywhere.
-                addr = if rng.next_bool(0.5) {
-                    PhysAddr((addr.block_base().0 + 64) % capacity)
-                } else {
-                    PhysAddr(rng.next_below(capacity))
-                };
-                let write = rng.next_bool(0.3);
-                let payload = [i as u8; 64];
-                let data = write.then_some(&payload);
-                let requester = if rng.next_bool(0.5) {
-                    Requester::Host
-                } else {
-                    Requester::Ndp
-                };
-                let before = *by_addr.stats();
-                let owned = |a: BlockAccess| (a.outcome, a.data_ready, a.data.copied());
-                let a = by_addr
-                    .serve_addr(addr, write, requester, now, data)
-                    .map(owned);
-                let coord = by_block.decoder().decode(addr.block_base());
-                let b = by_block
-                    .serve_block(coord, write, requester, now, data)
-                    .map(owned);
-                let c = traced
-                    .serve_addr(addr, write, requester, now, data)
-                    .map(owned);
-                assert_eq!(a, b, "access {i}: serve_block");
-                assert_eq!(a, c, "access {i}: the full preparation");
-                let snap = snapshot(&by_addr);
-                assert_eq!(snap, snapshot(&by_block), "access {i}: serve_block");
-                assert_eq!(snap, snapshot(&traced), "access {i}: the full preparation");
-                // The returned outcome's counter rose by exactly one; a
-                // failed ECC read was counted before its CAS, a rejected
-                // or preempted access not at all.
-                let after = by_addr.stats();
-                let rose = [
-                    after.row_hits.get() - before.row_hits.get(),
-                    after.row_misses.get() - before.row_misses.get(),
-                    after.row_conflicts.get() - before.row_conflicts.get(),
-                ];
-                match a {
-                    Ok((outcome, ..)) => {
-                        let mut want = [0; 3];
-                        want[outcome as usize] = 1;
-                        assert_eq!(rose, want, "access {i}: {outcome:?} counted");
-                    }
-                    Err(IssueError::Uncorrectable) => assert_eq!(rose.iter().sum::<u64>(), 1),
-                    Err(_) => assert_eq!(rose, [0; 3]),
+            });
+            let pipeline = t.cl + t.t_burst;
+            let cycle = t.bus_clock.period();
+            let owned = |a: BlockAccess| (a.outcome, a.data_ready, a.data.copied());
+            // Applies a bare command on every twin at the earliest tick the
+            // reference allows, if it allows one; every twin must agree.
+            let bare = |m: &mut [DramModule; 5], cmd: DramCommand, now: Tick| {
+                let at = m[REF].earliest_issue(cmd, Requester::Host, now);
+                for (i, twin) in m.iter_mut().enumerate() {
+                    assert_eq!(
+                        twin.earliest_issue(cmd, Requester::Host, now),
+                        at,
+                        "twin {i}"
+                    );
                 }
-                // Mostly back-to-back, sometimes past several refreshes.
-                now += if rng.next_bool(0.02) {
-                    Tick::from_us(40)
+                let at = at.ok()?;
+                let want = format!("{:?}", m[REF].issue(cmd, Requester::Host, at, None));
+                for (i, twin) in m.iter_mut().enumerate().skip(1) {
+                    let got = format!("{:?}", twin.issue(cmd, Requester::Host, at, None));
+                    assert_eq!(got, want, "twin {i}: {cmd:?}");
+                }
+                Some(at)
+            };
+            let mut cursor = 0u64; // the block after the last one read
+            let mut now = Tick::ZERO;
+            let mut probe = false;
+            for step in 0..250 {
+                // Whatever is not a read is followed by one, which probes
+                // the state it left.
+                let action = if probe { 0 } else { rng.next_below(100) };
+                probe = action >= 65;
+                if action < 65 {
+                    let addr = if rng.next_bool(0.75) {
+                        PhysAddr(cursor % capacity)
+                    } else {
+                        PhysAddr(rng.next_below(capacity))
+                    }
+                    .block_base();
+                    let max = 1 + rng.next_below(200) as usize;
+                    let requester = reader(&m[REF], addr, rng);
+                    let run = m[RUN].serve_run(addr, max, requester, now).map(|r| {
+                        let head = (r.outcome, r.first_ready, r.step);
+                        (head, r.next_request, r.lines.to_vec())
+                    });
+                    let n = run.as_ref().map_or(1, |r| r.2.len());
+                    assert!(n <= max);
+                    // The other twins read the run's blocks one by one, at
+                    // the ticks a streaming reader requests them.
+                    let mut request = now;
+                    for i in 0..n {
+                        let a = PhysAddr(addr.0 + 64 * i as u64);
+                        let before = *m[REF].stats();
+                        let want = m[REF]
+                            .serve_addr(a, false, requester, request, None)
+                            .map(owned);
+                        let from_run = run
+                            .as_ref()
+                            .map(|&((outcome, first_ready, step), _, ref lines)| {
+                                let outcome = if i == 0 { outcome } else { RowOutcome::Hit };
+                                (outcome, first_ready + step * i as u64, Some(lines[i]))
+                            })
+                            .map_err(|e| *e);
+                        assert_eq!(from_run, want, "step {step}, burst {i}: serve_run");
+                        let by_addr = m[ADDR]
+                            .serve_addr(a, false, requester, request, None)
+                            .map(owned);
+                        assert_eq!(by_addr, want, "step {step}, burst {i}: serve_addr");
+                        let coord = m[BLOCK].decoder().decode(a);
+                        let by_block = m[BLOCK]
+                            .serve_block(coord, false, requester, request, None)
+                            .map(owned);
+                        assert_eq!(by_block, want, "step {step}, burst {i}: serve_block");
+                        let mut traced_next = None;
+                        let traced_run = m[TRACED_RUN]
+                            .serve_run(a, max - i, requester, request)
+                            .map(|r| {
+                                assert_eq!(r.lines.len(), 1, "a traced run is one burst");
+                                traced_next = Some(r.next_request);
+                                (r.outcome, r.first_ready, Some(r.lines[0]))
+                            });
+                        assert_eq!(traced_run, want, "step {step}, burst {i}: traced serve_run");
+                        // The returned outcome's counter rose by exactly
+                        // one; a failed ECC read was counted before its
+                        // CAS, a rejected or preempted access not at all.
+                        let after = m[REF].stats();
+                        let rose = [
+                            after.row_hits.get() - before.row_hits.get(),
+                            after.row_misses.get() - before.row_misses.get(),
+                            after.row_conflicts.get() - before.row_conflicts.get(),
+                        ];
+                        let ready = match want {
+                            Ok((outcome, ready, _)) => {
+                                let mut want = [0; 3];
+                                want[outcome as usize] = 1;
+                                assert_eq!(rose, want, "step {step}: {outcome:?} counted");
+                                ready
+                            }
+                            Err(IssueError::Uncorrectable) => {
+                                assert_eq!(rose.iter().sum::<u64>(), 1);
+                                break;
+                            }
+                            Err(_) => {
+                                assert_eq!(rose, [0; 3]);
+                                break;
+                            }
+                        };
+                        if m[REF].fault.is_none() {
+                            // The bank reserved tCCD and tRTP after the CAS.
+                            let cas = ready - pipeline;
+                            let bank = m[REF].bank(coord.rank, coord.bank);
+                            assert!(bank.read_allowed() >= cas + t.t_ccd, "step {step}: tCCD");
+                            assert!(
+                                bank.earliest_precharge(Tick::ZERO) >= cas + t.t_rtp,
+                                "step {step}: tRTP"
+                            );
+                        }
+                        request = ready.saturating_sub(pipeline).max(request) + cycle;
+                        assert_eq!(traced_next, Some(request), "step {step}, burst {i}");
+                    }
+                    if let Ok((_, next_request, _)) = run {
+                        assert_eq!(next_request, request, "step {step}: next_request");
+                    }
+                    cursor = addr.0 + 64 * n as u64;
+                    now = request;
+                } else if action < 80 {
+                    // A write between reads: often to the run's next block
+                    // or to the block just read.
+                    let addr = match rng.next_below(3) {
+                        0 => PhysAddr(cursor % capacity),
+                        1 => PhysAddr(cursor.saturating_sub(64) % capacity),
+                        _ => PhysAddr(rng.next_below(capacity)).block_base(),
+                    };
+                    let requester = reader(&m[REF], addr, rng);
+                    let payload = [rng.next_u64() as u8; 64];
+                    let want = m[REF]
+                        .serve_addr(addr, true, requester, now, Some(&payload))
+                        .map(owned);
+                    for (i, twin) in m.iter_mut().enumerate().skip(1) {
+                        let got = if i == BLOCK {
+                            let coord = twin.decoder().decode(addr);
+                            twin.serve_block(coord, true, requester, now, Some(&payload))
+                        } else {
+                            twin.serve_addr(addr, true, requester, now, Some(&payload))
+                        };
+                        assert_eq!(got.map(owned), want, "step {step}: twin {i} write");
+                    }
+                } else if action < 96 {
+                    let rank = rng.next_below(u64::from(g.ranks)) as u32;
+                    let bank = rng.next_below(u64::from(g.banks_per_rank)) as u32;
+                    let row = rng.next_below(u64::from(g.rows_per_bank)) as u32;
+                    // An ownership flip, which needs a quiesced rank.
+                    let value = if m[REF].rank_owned_by_ndp(rank) {
+                        0
+                    } else {
+                        MR3_MPR_ENABLE
+                    };
+                    let cmd = match action % 4 {
+                        0 => DramCommand::Precharge { rank, bank },
+                        1 => DramCommand::Activate { rank, bank, row },
+                        2 => DramCommand::PrechargeAll { rank },
+                        _ => DramCommand::ModeRegisterSet { rank, mr: 3, value },
+                    };
+                    now = bare(&mut m, cmd, now).unwrap_or(now);
+                } else if action < 98 {
+                    faults = match faults {
+                        Some(_) => None,
+                        None => Some(FaultPlan::light(rng.next_u64())),
+                    };
+                    for twin in &mut m {
+                        twin.set_fault_injector(faults.map(FaultInjector::new));
+                    }
                 } else {
-                    Tick::from_ps(rng.next_below(60_000))
-                };
+                    // Idle past several refresh deadlines.
+                    now += Tick::from_us(40);
+                }
+                // Mostly back-to-back, so the next read often follows the
+                // last one at the tick a streaming reader would ask for it.
+                if rng.next_bool(0.5) {
+                    now += Tick::from_ps(rng.next_below(60_000));
+                }
+                let snap = snapshot(&m[REF], now);
+                for (i, twin) in m.iter().enumerate().skip(1) {
+                    assert_eq!(snapshot(twin, now), snap, "step {step}: twin {i}");
+                }
+                let (reference, traced_run) = (&rings[0], &rings[1]);
+                assert_eq!(
+                    reference.borrow().snapshot(),
+                    traced_run.borrow().snapshot(),
+                    "step {step}: trace"
+                );
+                assert_eq!(reference.borrow().dropped(), 0);
+                reference.borrow_mut().clear();
+                traced_run.borrow_mut().clear();
             }
         });
     }
