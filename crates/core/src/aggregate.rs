@@ -16,7 +16,7 @@
 
 use crate::datapath::Datapath;
 use crate::device::{
-    burst_words, device_error, job_rank, live_mask, range_mask, DeviceError, JafarDevice,
+    admit, burst_words, device_error, live_mask, range_mask, DeviceError, JafarDevice,
 };
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
@@ -130,13 +130,7 @@ impl JafarDevice {
         job: AggregateJob,
         start: Tick,
     ) -> Result<AggregateRun, DeviceError> {
-        if job.col_addr.block_offset() != 0 {
-            return Err(DeviceError::Misaligned);
-        }
-        let rank = job_rank(module, &[(job.col_addr, job.rows.saturating_mul(8))])?;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
+        admit(module, &[(job.col_addr, job.rows.saturating_mul(8))], start)?;
         let datapath = if job.filter.is_some() {
             Datapath::FilteredAggregate
         } else {
@@ -232,22 +226,17 @@ impl JafarDevice {
         start: Tick,
     ) -> Result<GroupByRun, DeviceError> {
         assert!(job.buckets.is_power_of_two(), "bucket count must be 2^k");
-        if job.key_addr.block_offset() != 0 || job.val_addr.block_offset() != 0 {
-            return Err(DeviceError::Misaligned);
-        }
         let col_bytes = job.rows.saturating_mul(8);
         // Each spilled row takes a whole burst.
-        let rank = job_rank(
+        admit(
             module,
             &[
                 (job.key_addr, col_bytes),
                 (job.val_addr, col_bytes),
                 (job.spill_addr, job.rows.saturating_mul(64)),
             ],
+            start,
         )?;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
         let ps_per_word = Datapath::GroupBy.ps_per_word(self.config());
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;

@@ -100,18 +100,26 @@ pub(crate) fn device_error(e: IssueError) -> DeviceError {
     }
 }
 
-/// The rank holding every byte a job touches, or
-/// [`DeviceError::SpansRanks`] when one of its regions runs past the
-/// module's end, wraps around the address space, or crosses onto another
-/// rank. `regions` are `(base, bytes)`: the first one's base names the
-/// rank (it is checked even when empty); other empty regions touch
-/// nothing. Byte lengths computed with saturating arithmetic stay safe:
-/// a saturated length always runs past the end. Every datapath calls
-/// this once per job, before it touches DRAM.
-pub(crate) fn job_rank(
+/// The one admission check of every datapath, run once per job before it
+/// touches DRAM. `regions` are `(base, bytes)`, and in order: every base
+/// must be 64-byte aligned ([`DeviceError::Misaligned`]); every byte must
+/// lie on one rank ([`DeviceError::SpansRanks`]); that rank must be owned
+/// ([`DeviceError::NotOwned`]); and its lease must not have expired at
+/// `start` ([`DeviceError::LeaseExpired`]). Returns the rank.
+///
+/// The first region's base names the rank (it is checked even when
+/// empty); other empty regions touch nothing. A region spans ranks when
+/// it runs past the module's end, wraps around the address space, or
+/// crosses onto another rank. Byte lengths computed with saturating
+/// arithmetic stay safe: a saturated length always runs past the end.
+pub(crate) fn admit(
     module: &DramModule,
     regions: &[(PhysAddr, u64)],
+    start: Tick,
 ) -> Result<u32, DeviceError> {
+    if regions.iter().any(|(base, _)| base.block_offset() != 0) {
+        return Err(DeviceError::Misaligned);
+    }
     let decoder = module.decoder();
     let rank_of =
         |addr: u64| (addr < decoder.capacity()).then(|| decoder.decode(PhysAddr(addr)).rank);
@@ -124,6 +132,12 @@ pub(crate) fn job_rank(
         if rank_of(base.0) != Some(rank) || last.and_then(rank_of) != Some(rank) {
             return Err(DeviceError::SpansRanks);
         }
+    }
+    if !module.rank_owned_by_ndp(rank) {
+        return Err(DeviceError::NotOwned);
+    }
+    if start >= module.ndp_deadline(rank) {
+        return Err(DeviceError::LeaseExpired);
     }
     Ok(rank)
 }
@@ -425,9 +439,8 @@ impl JafarDevice {
     }
 
     /// The one validation of every select: 1..=[`MAX_FUSED_LANES`]
-    /// lanes with one output region each, every region 64-byte aligned
-    /// and on the column's rank, the rank owned and its lease not yet
-    /// expired at `start`.
+    /// lanes with one output region each, then [`admit`] over the column
+    /// and every output region.
     fn validate(
         &self,
         module: &DramModule,
@@ -441,21 +454,11 @@ impl JafarDevice {
         if k == 0 || k > MAX_FUSED_LANES || lanes != k {
             return Err(DeviceError::LaneOverflow);
         }
-        if col_addr.block_offset() != 0 || outs.iter().any(|a| a.block_offset() != 0) {
-            return Err(DeviceError::Misaligned);
-        }
         let mut regions = [(col_addr, rows.saturating_mul(8)); MAX_FUSED_LANES + 1];
         for (region, &out) in regions[1..].iter_mut().zip(outs) {
             *region = (out, rows.div_ceil(8));
         }
-        let rank = job_rank(module, &regions[..=k])?;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
-        if start >= module.ndp_deadline(rank) {
-            return Err(DeviceError::LeaseExpired);
-        }
-        Ok(())
+        admit(module, &regions[..=k], start).map(|_| ())
     }
 
     /// Executes one select job against `module`, starting no earlier than
@@ -1141,6 +1144,68 @@ mod tests {
     }
 
     #[test]
+    fn kernel_lease_expiry_is_enforced_at_admission_only() {
+        use crate::aggregate::{AggOp, AggregateJob, GroupByJob};
+        use crate::ownership::grant_ownership_for;
+        use crate::project::ProjectJob;
+        let mut m = DramModule::new(
+            DramGeometry::tiny(),
+            DramTiming::ddr3_paper().without_refresh(),
+            AddressMapping::RankRowBankBlock,
+        );
+        let lease = grant_ownership_for(&mut m, 0, Tick::ZERO, Tick::from_us(2)).unwrap();
+        let values: Vec<i64> = (0..512).collect();
+        let keys: Vec<i64> = (0..512).map(|i| i % 4).collect();
+        put_column(&mut m, 0, &values);
+        put_column(&mut m, 8 * 1024, &keys);
+        m.data_mut().write(PhysAddr(64 * 1024), &[0xFF; 64]);
+        let aggregate = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows: 512,
+            op: AggOp::Sum,
+            filter: None,
+        };
+        let group_by = GroupByJob {
+            key_addr: PhysAddr(8 * 1024),
+            val_addr: PhysAddr(0),
+            rows: 512,
+            op: AggOp::Sum,
+            buckets: 4,
+            spill_addr: PhysAddr(96 * 1024),
+        };
+        let project = ProjectJob {
+            col_addr: PhysAddr(0),
+            rows: 512,
+            bitset_addr: PhysAddr(64 * 1024),
+            out_addr: PhysAddr(128 * 1024),
+        };
+        let mut d = JafarDevice::paper_default();
+
+        // A kernel admitted exactly at the deadline is refused.
+        let deadline = lease.expires_at;
+        let err = d.run_aggregate(&mut m, aggregate, deadline).unwrap_err();
+        assert_eq!(err, DeviceError::LeaseExpired);
+        let err = d.run_group_by(&mut m, group_by, deadline).unwrap_err();
+        assert_eq!(err, DeviceError::LeaseExpired);
+        let err = d.run_project(&mut m, project, deadline).unwrap_err();
+        assert_eq!(err, DeviceError::LeaseExpired);
+
+        // One tick before it, each is admitted and runs to completion
+        // past the deadline.
+        let just_in_time = deadline - Tick::from_ps(1);
+        let run = d.run_aggregate(&mut m, aggregate, just_in_time).unwrap();
+        assert_eq!(run.value, Some(values.iter().sum()));
+        assert!(run.end > deadline, "work outlives the lease window");
+        let run = d.run_group_by(&mut m, group_by, just_in_time).unwrap();
+        let grouped: u64 = run.groups.iter().map(|g| g.2).sum();
+        assert_eq!(grouped + run.spilled_rows, 512);
+        assert!(run.end > deadline);
+        let run = d.run_project(&mut m, project, just_in_time).unwrap();
+        assert_eq!(run.emitted, 512);
+        assert!(run.end > deadline);
+    }
+
+    #[test]
     fn zero_rows_is_a_noop() {
         let (mut m, t0) = owned_module();
         let mut d = JafarDevice::paper_default();
@@ -1377,6 +1442,68 @@ mod tests {
             out_addr: PhysAddr(tail - 8192),
         };
         let err = d.run_project(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+    }
+
+    #[test]
+    fn interleaved_select_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = crate::interleave::InterleavedSelectJob {
+            local_col_addr: PhysAddr(tail),
+            local_rows: 16,
+            predicate: Predicate::Between(0, 10),
+            out_addr: PhysAddr(tail - 4096),
+            ways: 2,
+            phase: 0,
+        };
+        let err = d.run_select_interleaved(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+        // 8 local rows of a 1024-way interleave own bits across 16
+        // global output bursts.
+        let job = crate::interleave::InterleavedSelectJob {
+            local_col_addr: PhysAddr(tail - 4096),
+            local_rows: 8,
+            out_addr: PhysAddr(tail),
+            ways: 1024,
+            ..job
+        };
+        let err = d.run_select_interleaved(&mut m, job, t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+    }
+
+    #[test]
+    fn row_filter_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = |base, rows, out_addr| crate::rowstore::RowFilterJob {
+            base: PhysAddr(base),
+            row_bytes: 16,
+            rows,
+            predicates: vec![crate::rowstore::ColPredicate {
+                offset: 0,
+                predicate: Predicate::Ge(0),
+            }],
+            out_addr: PhysAddr(out_addr),
+        };
+        let err = d.run_row_filter(&mut m, &job(tail, 8, tail - 4096), t0);
+        assert_eq!(err, Err(DeviceError::SpansRanks));
+        let err = d.run_row_filter(&mut m, &job(tail - 32 * 1024, 1024, tail), t0);
+        assert_eq!(err, Err(DeviceError::SpansRanks));
+    }
+
+    #[test]
+    fn sort_past_the_module_end_is_rejected() {
+        let (mut m, t0, tail) = past_the_end_module();
+        let mut d = JafarDevice::paper_default();
+        let job = |col_addr, out_addr| crate::sort::SortJob {
+            col_addr: PhysAddr(col_addr),
+            rows: 16,
+            out_addr: PhysAddr(out_addr),
+        };
+        let err = d.run_sort(&mut m, job(tail, tail - 4096), t0).unwrap_err();
+        assert_eq!(err, DeviceError::SpansRanks);
+        let err = d.run_sort(&mut m, job(tail - 4096, tail), t0).unwrap_err();
         assert_eq!(err, DeviceError::SpansRanks);
     }
 }

@@ -1,40 +1,57 @@
-//! The resilient host driver: `select_jafar` with a recovery policy.
+//! The resilient host driver: `select_jafar` and the one-shot kernels
+//! with a recovery policy.
 //!
 //! [`crate::api::select_jafar`] is the Figure-2 primitive — one page, one
-//! errno. This module wraps its lane-window form in the machinery a
-//! production host would run it under, so a query over one predicate lane
-//! or several survives the fault classes `jafar-dram`'s injector models:
+//! errno. This module wraps its lane-window form, and the aggregate and
+//! projection kernels, in the machinery a production host would run them
+//! under, so a query survives the fault classes `jafar-dram`'s injector
+//! models. One recovery ladder serves a select page and a kernel alike:
 //!
 //! - **Expiring leases.** Ownership is granted for a bounded window
 //!   ([`crate::ownership::grant_ownership_for`]) — §2.2 hands the rank over
 //!   "knowing that JAFAR will finish its allotted work in that amount of
-//!   time". Between pages the driver renews the lease whenever the
-//!   remaining window is thinner than [`ResilienceConfig::renew_margin`].
-//! - **Watchdog.** A page whose completion is not observed within
+//!   time". Before each invocation the driver renews the lease whenever
+//!   the remaining window is thinner than the setup cost plus
+//!   [`ResilienceConfig::renew_margin`], so every datapath, which refuses
+//!   a job admitted at or past the deadline, is invoked inside it.
+//! - **Watchdog.** An invocation whose completion is not observed within
 //!   [`ResilienceConfig::watchdog`] plus
-//!   [`ResilienceConfig::watchdog_per_row`]·rows of its invocation is
-//!   abandoned at the timeout (the stalled transfer keeps the DIMM busy,
-//!   but the host stops waiting) and retried.
+//!   [`ResilienceConfig::watchdog_per_row`]·rows is abandoned at the
+//!   timeout (the stalled transfer keeps the DIMM busy, but the host stops
+//!   waiting) and retried.
 //! - **Bounded exponential backoff.** Transient failures — MRS glitches,
-//!   uncorrectable ECC reads, watchdog timeouts, lease expiry races — are
-//!   retried up to [`ResilienceConfig::max_retries`] times with delay
-//!   `min(backoff_base · 2^attempt, backoff_max)`.
-//! - **CPU-scan fallback.** A page that exhausts its retries is scanned by
-//!   the host instead: the lease is released, the page is streamed over
-//!   timed host reads and the bitset slice written back — bit-identical to
-//!   what the device would have produced. If even the release fails, the
-//!   driver degrades to functional reads with a modelled per-line cost, so
-//!   the *result* is always correct and only the *cost* varies.
+//!   uncorrectable ECC reads, preempted streams, watchdog timeouts, lease
+//!   expiry races — are retried up to [`ResilienceConfig::max_retries`]
+//!   times with delay `min(backoff_base · 2^attempt, backoff_max)`.
 //! - **Circuit breaker.** After [`ResilienceConfig::breaker_threshold`]
-//!   consecutive page failures the driver stops attempting pushdown and
-//!   finishes the query entirely on the CPU path.
+//!   consecutive exhausted ladders the driver stops attempting pushdown;
+//!   one success resets the count.
+//!
+//! When the ladder gives up, only the caller's choice differs:
+//!
+//! - **Fall back.** [`ResilientDriver::step_page`],
+//!   [`ResilientDriver::run_aggregate`] and [`ResilientDriver::run_project`]
+//!   finish the job on the host: the lease is released, the column is
+//!   streamed over timed host reads and any output written back as whole
+//!   64-byte lines — bit-identical to what the device would have produced.
+//!   If even the release fails, the driver degrades to functional reads
+//!   and writes with a modelled per-line cost, so the *result* is always
+//!   correct and only the *cost* varies.
+//! - **Park.** [`ResilientDriver::step_page_failfast`] freezes the session
+//!   at its page boundary for the caller to migrate.
+//! - **Hand back.** [`ResilientDriver::try_run_aggregate`] and
+//!   [`ResilientDriver::try_run_project`] return the tick the ladder gave
+//!   up.
 //!
 //! Every recovery action is counted in [`DriverStats`], surfaced as a
 //! [`Scoreboard`] so the simulator's run report can say what the faults
-//! cost. Under an empty fault plan no rung past the first invocation is
-//! entered, and each page costs its register setup, its device run and its
-//! completion discovery; `jafar-sim`'s `run_select_jafar` is this driver
-//! under the default policy.
+//! cost. A select session also keeps a time ledger ([`FusedDriverRun`]'s
+//! `cpu_wait`, `device` and `driver`): spin-waits and abandoned watchdog
+//! budgets, successful device runs, and setup, discovery and backoff. A
+//! kernel keeps none. Under an empty fault plan no rung past the first
+//! invocation is entered, and each page costs its register setup, its
+//! device run and its completion discovery; `jafar-sim`'s
+//! `run_select_jafar` is this driver under the default policy.
 //!
 //! There is one select path: a [`SelectSession`] over 1..=
 //! [`crate::device::MAX_FUSED_LANES`] predicate lanes, one page step
@@ -43,13 +60,13 @@
 
 use crate::aggregate::{AggOp, AggregateJob};
 use crate::api::{device_errno, errno, issue_errno, select_jafar_lanes, DriverCosts};
-use crate::device::{DeviceError, JafarDevice};
+use crate::device::{burst_words, DeviceError, JafarDevice};
 use crate::ownership::{grant_ownership_for, release_ownership, renew_lease, Lease};
 use crate::project::ProjectJob;
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::stats::{Counter, Scoreboard};
 use jafar_common::time::Tick;
-use jafar_dram::{DramModule, PhysAddr, Requester};
+use jafar_dram::{DramModule, IssueError, PhysAddr, Requester};
 
 /// Knobs of the recovery policy.
 #[derive(Clone, Copy, Debug)]
@@ -317,9 +334,7 @@ pub struct SelectSession {
     t: Tick,
     matched: Vec<u64>,
     pages: u64,
-    cpu_wait: Tick,
-    device_time: Tick,
-    driver_time: Tick,
+    spent: Spent,
     done: bool,
     parked: bool,
 }
@@ -377,11 +392,24 @@ impl SelectSession {
             end: self.t,
             matched: self.matched,
             pages: self.pages,
-            cpu_wait: self.cpu_wait,
-            device: self.device_time,
-            driver: self.driver_time,
+            cpu_wait: self.spent.cpu_wait,
+            device: self.spent.device,
+            driver: self.spent.driver,
         }
     }
+}
+
+/// Where a ladder's time went: the ledger a [`SelectSession`] reports in
+/// its [`FusedDriverRun`]. A one-shot kernel passes a fresh one and drops
+/// it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Spent {
+    /// Spin-waiting on completions, abandoned watchdog budgets included.
+    cpu_wait: Tick,
+    /// Inside successful device runs.
+    device: Tick,
+    /// Setup, completion discovery and backoff waits.
+    driver: Tick,
 }
 
 /// The resilient driver. Owns the recovery policy, the current lease and
@@ -521,9 +549,7 @@ impl ResilientDriver {
             t: start,
             matched,
             pages: 0,
-            cpu_wait: Tick::ZERO,
-            device_time: Tick::ZERO,
-            driver_time: Tick::ZERO,
+            spent: Spent::default(),
             done: false,
             parked: false,
         }
@@ -570,9 +596,7 @@ impl ResilientDriver {
         }
         if session.row >= session.req.rows {
             // Hand the rank back so host traffic resumes.
-            if self.lease.is_some() {
-                self.release_current(module, &mut session.t);
-            }
+            self.release_current(module, &mut session.t);
             session.done = true;
             return;
         }
@@ -581,288 +605,220 @@ impl ResilientDriver {
         let out_off = session.row / 8;
         let (preds, outs) = (&session.req.preds, &session.req.out_addrs);
         self.stats.pages.inc();
-        let counts = if self.breaker_open {
-            None
+        let counts = self.run_ladder(
+            module,
+            session.rank,
+            page_rows,
+            col_data.0,
+            &mut session.t,
+            &mut session.spent,
+            |m, at| {
+                select_jafar_lanes(device, m, col_data, page_rows, preds, outs, out_off, at)
+                    .map(|run| (run.end, run.matched))
+            },
+        );
+        if let Some(counts) = counts {
+            for (banked, n) in session.matched.iter_mut().zip(&counts) {
+                *banked += n;
+            }
+            self.stats.pages_jafar.inc();
+        } else if failfast {
+            // Freeze at the page boundary: rows [0, session.row) are
+            // complete in every lane and their bitset bytes are in DRAM;
+            // the caller re-dispatches the remainder elsewhere, salvaging
+            // one prefix per lane.
+            session.parked = true;
+            return;
         } else {
-            self.run_page_ladder(
-                module,
-                session.rank,
-                page_rows,
-                col_data.0,
-                &mut session.t,
-                &mut session.cpu_wait,
-                &mut session.device_time,
-                &mut session.driver_time,
-                |m, at| match select_jafar_lanes(
-                    device, m, col_data, page_rows, preds, outs, out_off, at,
-                ) {
-                    Ok(run) => (errno::OK, Some((run.end, run.matched))),
-                    Err(e) => (device_errno(e), None),
+            self.tracer.emit(
+                session.t,
+                EventKind::CpuFallback {
+                    page: session.pages,
                 },
-            )
-        };
-        match counts {
-            Some(counts) => {
-                for (banked, n) in session.matched.iter_mut().zip(&counts) {
-                    *banked += n;
-                }
-                self.stats.pages_jafar.inc();
-                self.consecutive_failures = 0;
-            }
-            None => {
-                if !self.breaker_open {
-                    self.consecutive_failures += 1;
-                    if self.consecutive_failures >= self.cfg.breaker_threshold {
-                        self.breaker_open = true;
-                        self.stats.breaker_trips.inc();
-                        self.tracer
-                            .emit(session.t, EventKind::BreakerTransition { open: true });
-                    }
-                }
-                if failfast {
-                    // Freeze at the page boundary: rows [0, session.row)
-                    // are complete in every lane and their bitset bytes
-                    // are in DRAM; the caller re-dispatches the remainder
-                    // elsewhere, salvaging one prefix per lane.
-                    session.parked = true;
-                    return;
-                }
-                self.tracer.emit(
-                    session.t,
-                    EventKind::CpuFallback {
-                        page: session.pages,
-                    },
-                );
-                self.run_page_cpu(module, session, page_rows);
-                self.stats.pages_cpu.inc();
-            }
+            );
+            self.run_page_cpu(module, session, page_rows);
+            self.stats.pages_cpu.inc();
         }
         session.row += page_rows;
         session.pages += 1;
     }
 
     /// The CPU fallback of the session's next page (`page_rows` rows):
-    /// release the lease if held, stream the page once over timed host
-    /// reads, evaluate every lane's predicate in software, bank each
-    /// lane's matches and write each lane's bitset slice back —
-    /// byte-identical to what the device pass would have produced per
-    /// lane. The CPU has no parallel comparator array, so predicate
-    /// evaluation is charged per lane: `cpu_word_cost` per word and lane.
+    /// stream the page once over the host path, evaluate every lane's
+    /// predicate in software, bank each lane's matches and write each
+    /// lane's bitset slice back — byte-identical to what the device pass
+    /// would have produced per lane. The CPU has no parallel comparator
+    /// array, so predicate evaluation is charged per lane: `cpu_word_cost`
+    /// per word and lane.
     fn run_page_cpu(
         &mut self,
         module: &mut DramModule,
         session: &mut SelectSession,
         page_rows: u64,
     ) {
-        let t = &mut session.t;
-        if self.lease.is_some() {
-            self.release_current(module, t);
-        }
-        let col_data = PhysAddr(session.req.col_addr.0 + session.row * 8);
-        let out_off = session.row / 8;
+        let col = PhysAddr(session.req.col_addr.0 + session.row * 8);
         let (preds, matched) = (&session.req.preds, &mut session.matched);
-        let lanes = preds.len() as u64;
-        let bursts = page_rows.div_ceil(8);
         let mut out_bytes = vec![vec![0u8; page_rows.div_ceil(8) as usize]; preds.len()];
-        let mut cursor = *t;
-        for b in 0..bursts {
-            let addr = PhysAddr(col_data.0 + b * 64);
-            let data = self.read_line(module, addr, &mut cursor);
-            let words = (page_rows - b * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
+        let word_cost = self.cfg.cpu_word_cost * preds.len() as u64;
+        self.host_stream(
+            module,
+            col,
+            page_rows,
+            word_cost,
+            &mut session.t,
+            |row, v| {
                 for ((&(lo, hi), bytes), count) in
                     preds.iter().zip(&mut out_bytes).zip(&mut *matched)
                 {
                     if lo <= v && v <= hi {
                         *count += 1;
-                        let bit = b * 8 + w;
-                        bytes[(bit / 8) as usize] |= 1 << (bit % 8);
+                        bytes[(row / 8) as usize] |= 1 << (row % 8);
                     }
                 }
-            }
-            cursor += self.cfg.cpu_word_cost * (words * lanes);
-        }
-        // Write each lane's slice back as whole 64-byte lines (zero-padded
-        // tail), matching the device's writeback footprint exactly. Pages
-        // hold whole bitset lines, so every slice starts line-aligned.
+            },
+        );
+        // Pages hold whole bitset lines, so every slice starts
+        // line-aligned and is written back in the device's footprint.
         for (bytes, base) in out_bytes.iter().zip(&session.req.out_addrs) {
-            for (i, chunk) in bytes.chunks(64).enumerate() {
-                let mut line = [0u8; 64];
-                line[..chunk.len()].copy_from_slice(chunk);
-                let addr = PhysAddr(base.0 + out_off + i as u64 * 64);
-                match module.serve_addr(addr, true, Requester::Host, cursor, Some(&line)) {
-                    Ok(access) => cursor = access.data_ready,
-                    Err(_) => {
-                        self.stats.degraded_lines.inc();
-                        module.data_mut().write(addr, &line);
-                        cursor += self.cfg.degraded_line_cost;
-                    }
-                }
-            }
+            let out = PhysAddr(base.0 + session.row / 8);
+            self.host_write(module, out, bytes, &mut session.t);
         }
-        *t = cursor;
     }
 
-    /// The page-granular recovery ladder of the select path: lease upkeep (grant / renew inside the margin),
-    /// invocation through `invoke`, watchdog on the observed completion,
-    /// bounded backoff retries, errno-keyed recovery. `invoke` returns the
-    /// call's errno plus `(device_end, result)` on success; `tag`
-    /// identifies the page in trace events. `None` means the device path
-    /// is exhausted for this page.
+    /// The one recovery ladder, under select pages and one-shot kernels
+    /// alike. While the breaker is open it gives up at once. Otherwise
+    /// each attempt keeps the lease (grant if absent, renew when the
+    /// window would not cover the invocation plus the margin), invokes
+    /// the device through `invoke` at `t` plus the setup cost, and holds
+    /// the observed completion to the watchdog; a transient failure is
+    /// retried after a bounded backoff, keyed by its [`DeviceError`].
+    /// `invoke` returns the device's end tick and the result; `rows`
+    /// sizes the watchdog budget and `tag` names the job in trace events.
+    /// `spent` books the time. A success resets the breaker's failure
+    /// count; giving up counts one failure, trips the breaker at the
+    /// threshold and returns `None`, and the caller chooses what follows:
+    /// fall back, park or hand the job back.
     #[allow(clippy::too_many_arguments)]
-    fn run_page_ladder<R>(
+    fn run_ladder<R>(
         &mut self,
         module: &mut DramModule,
         rank: u32,
         rows: u64,
         tag: u64,
         t: &mut Tick,
-        cpu_wait: &mut Tick,
-        device_time: &mut Tick,
-        driver_time: &mut Tick,
-        mut invoke: impl FnMut(&mut DramModule, Tick) -> (i32, Option<(Tick, R)>),
+        spent: &mut Spent,
+        mut invoke: impl FnMut(&mut DramModule, Tick) -> Result<(Tick, R), DeviceError>,
     ) -> Option<R> {
+        if self.breaker_open {
+            return None;
+        }
         let mut attempt = 0u32;
-        loop {
+        let outcome = loop {
             // Lease upkeep: acquire if absent, renew if the remaining
             // window would not cover this invocation plus the margin.
-            if self.lease.is_none() {
-                match grant_ownership_for(module, rank, *t, self.cfg.lease_window) {
-                    Ok(lease) => {
-                        self.stats.lease_grants.inc();
+            let horizon = *t + self.cfg.costs.setup + self.cfg.renew_margin;
+            let upkeep = match &mut self.lease {
+                None => grant_ownership_for(module, rank, *t, self.cfg.lease_window).map(|lease| {
+                    self.stats.lease_grants.inc();
+                    self.tracer.emit(
+                        lease.acquired_at,
+                        EventKind::LeaseGrant {
+                            rank,
+                            until: lease.expires_at,
+                        },
+                    );
+                    *t = lease.acquired_at;
+                    self.lease = Some(lease);
+                }),
+                Some(lease) if horizon >= lease.expires_at => {
+                    renew_lease(module, lease, *t, self.cfg.lease_window).map(|renewed_at| {
+                        self.stats.lease_renewals.inc();
                         self.tracer.emit(
-                            lease.acquired_at,
-                            EventKind::LeaseGrant {
+                            renewed_at,
+                            EventKind::LeaseRenew {
                                 rank,
                                 until: lease.expires_at,
                             },
                         );
-                        *t = lease.acquired_at;
-                        self.lease = Some(lease);
-                    }
-                    Err(e) => {
-                        // Glitched MRS or a refresh storm preempting the
-                        // quiesce — both transient; retry with backoff.
-                        let code = issue_errno(e);
-                        if code == errno::EPROTO {
-                            self.stats.mrs_retries.inc();
-                        }
-                        if !self.note_failure(&mut attempt, t, driver_time, code) {
-                            return None;
-                        }
-                        continue;
-                    }
+                        *t = renewed_at;
+                    })
                 }
-            } else {
-                let horizon = *t + self.cfg.costs.setup + self.cfg.renew_margin;
-                let needs_renewal = self
-                    .lease
-                    .as_ref()
-                    .is_some_and(|lease| horizon >= lease.expires_at);
-                if needs_renewal {
-                    let mut renewed = self.lease.take().expect("checked above");
-                    match renew_lease(module, &mut renewed, *t, self.cfg.lease_window) {
-                        Ok(renewed_at) => {
-                            self.stats.lease_renewals.inc();
-                            self.tracer.emit(
-                                renewed_at,
-                                EventKind::LeaseRenew {
-                                    rank,
-                                    until: renewed.expires_at,
-                                },
-                            );
-                            *t = renewed_at;
-                            self.lease = Some(renewed);
-                        }
-                        Err(e) => {
-                            self.lease = Some(renewed); // deadline unchanged
-                            let code = issue_errno(e);
-                            if code == errno::EPROTO {
-                                self.stats.mrs_retries.inc();
-                            }
-                            if !self.note_failure(&mut attempt, t, driver_time, code) {
-                                return None;
-                            }
-                            continue;
-                        }
-                    }
+                Some(_) => Ok(()),
+            };
+            if let Err(e) = upkeep {
+                // A glitched MRS, or a refresh storm preempting the
+                // quiesce: both transient. A failed renewal leaves the
+                // deadline unchanged.
+                if e == IssueError::MrsGlitch {
+                    self.stats.mrs_retries.inc();
                 }
+                if !self.note_failure(&mut attempt, t, spent, issue_errno(e)) {
+                    break None;
+                }
+                continue;
             }
-
             let invoke_at = *t + self.cfg.costs.setup;
-            let (code, run) = invoke(module, invoke_at);
-            match code {
-                x if x == errno::OK => {
-                    let (end, result) = run.expect("success carries a run");
+            let cause = match invoke(module, invoke_at) {
+                Ok((end, result)) => {
                     let (observed, burned) = self.cfg.costs.completion.observe(invoke_at, end);
                     let budget = self.cfg.watchdog + self.cfg.watchdog_per_row * rows;
                     let deadline = invoke_at + budget;
-                    if observed > deadline {
-                        // The completion never showed inside the window:
-                        // the host abandons the wait at the timeout.
-                        self.stats.watchdog_fires.inc();
-                        self.tracer
-                            .emit(deadline, EventKind::WatchdogFire { page: tag });
-                        *cpu_wait += budget;
-                        *t = deadline;
-                        if !self.note_failure(&mut attempt, t, driver_time, errno::ETIMEDOUT) {
-                            return None;
-                        }
-                    } else {
-                        *cpu_wait += burned;
-                        *device_time += end - invoke_at;
-                        *driver_time += observed.saturating_sub(end) + self.cfg.costs.setup;
+                    if observed <= deadline {
+                        spent.cpu_wait += burned;
+                        spent.device += end - invoke_at;
+                        spent.driver += observed.saturating_sub(end) + self.cfg.costs.setup;
                         *t = observed.max(end);
-                        return Some(result);
+                        break Some(result);
                     }
+                    // The completion never showed inside the window: the
+                    // host abandons the wait at the timeout.
+                    self.stats.watchdog_fires.inc();
+                    self.tracer
+                        .emit(deadline, EventKind::WatchdogFire { page: tag });
+                    spent.cpu_wait += budget;
+                    *t = deadline;
+                    errno::ETIMEDOUT
                 }
-                x if x == errno::EKEYEXPIRED => {
-                    // The deadline raced past during a backoff; the device
-                    // refused admission cheaply. Renew on the next attempt.
-                    self.stats.lease_expiries.inc();
-                    self.tracer.emit(invoke_at, EventKind::LeaseExpire { rank });
+                // Permanent for this job shape; retrying cannot help.
+                Err(
+                    DeviceError::Misaligned | DeviceError::SpansRanks | DeviceError::LaneOverflow,
+                ) => break None,
+                Err(e) => {
+                    match e {
+                        // The deadline raced past during a backoff; renew
+                        // on the next attempt.
+                        DeviceError::LeaseExpired => {
+                            self.stats.lease_expiries.inc();
+                            self.tracer.emit(invoke_at, EventKind::LeaseExpire { rank });
+                        }
+                        // Ownership vanished under us: re-grant.
+                        DeviceError::NotOwned => self.lease = None,
+                        // The functional store is intact; a retry re-reads
+                        // clean data.
+                        DeviceError::Uncorrectable => self.stats.uncorrectable.inc(),
+                        // A preempted stream is transient by construction.
+                        _ => {}
+                    }
                     *t = invoke_at;
-                    if !self.note_failure(&mut attempt, t, driver_time, x) {
-                        return None;
-                    }
+                    device_errno(e)
                 }
-                x if x == errno::EACCES => {
-                    // Ownership vanished under us (revoked externally):
-                    // drop the stale lease and re-grant.
-                    self.lease = None;
-                    *t = invoke_at;
-                    if !self.note_failure(&mut attempt, t, driver_time, x) {
-                        return None;
-                    }
-                }
-                x if x == errno::EIO => {
-                    // Uncorrectable ECC mid-stream. The functional store is
-                    // intact; a retry re-reads clean data.
-                    self.stats.uncorrectable.inc();
-                    *t = invoke_at;
-                    if !self.note_failure(&mut attempt, t, driver_time, x) {
-                        return None;
-                    }
-                }
-                x if x == errno::ERESTART => {
-                    // The DRAM stream was preempted mid-job (e.g. a refresh
-                    // storm collided with a due refresh). Transient by
-                    // construction — the storm was consumed — so retry.
-                    *t = invoke_at;
-                    if !self.note_failure(&mut attempt, t, driver_time, x) {
-                        return None;
-                    }
-                }
-                _ => {
-                    // Misalignment / rank-spanning / lane overflow:
-                    // permanent for this request shape; retrying cannot
-                    // help.
-                    return None;
-                }
+            };
+            if !self.note_failure(&mut attempt, t, spent, cause) {
+                break None;
+            }
+        };
+        if outcome.is_some() {
+            self.consecutive_failures = 0;
+        } else {
+            self.consecutive_failures += 1;
+            if self.consecutive_failures >= self.cfg.breaker_threshold {
+                self.breaker_open = true;
+                self.stats.breaker_trips.inc();
+                self.tracer
+                    .emit(*t, EventKind::BreakerTransition { open: true });
             }
         }
+        outcome
     }
 
     /// Books one failed attempt: counts the retry, waits out the backoff.
@@ -872,7 +828,7 @@ impl ResilientDriver {
         &mut self,
         attempt: &mut u32,
         t: &mut Tick,
-        driver_time: &mut Tick,
+        spent: &mut Spent,
         cause: i32,
     ) -> bool {
         if *attempt >= self.cfg.max_retries {
@@ -880,7 +836,7 @@ impl ResilientDriver {
         }
         let pause = self.backoff(*attempt);
         *t += pause;
-        *driver_time += pause;
+        spent.driver += pause;
         *attempt += 1;
         self.stats.retries.inc();
         self.tracer.emit(
@@ -912,7 +868,7 @@ impl ResilientDriver {
                 Err(e) => {
                     // A glitched MRS or a refresh storm preempting the
                     // quiesce; both transient.
-                    if issue_errno(e) == errno::EPROTO {
+                    if e == IssueError::MrsGlitch {
                         self.stats.mrs_retries.inc();
                     }
                     *t += self.backoff(attempt);
@@ -930,9 +886,10 @@ impl ResilientDriver {
     /// kernel under lease upkeep / watchdog / bounded retries, then — when
     /// the device path is exhausted or the breaker is open — a host
     /// fallback that streams the column over timed reads and folds in
-    /// software. The scalar is identical whichever path produced it; only
-    /// the cost differs. No DRAM writeback: the value travels in the
-    /// returned [`AggregateOutcome`].
+    /// software with the device kernel's exact semantics (wrapping sum,
+    /// `None` extremum when nothing qualifies). The scalar is identical
+    /// whichever path produced it; only the cost differs. No DRAM
+    /// writeback: the value travels in the returned [`AggregateOutcome`].
     pub fn run_aggregate(
         &mut self,
         device: &mut JafarDevice,
@@ -940,19 +897,28 @@ impl ResilientDriver {
         job: AggregateJob,
         start: Tick,
     ) -> AggregateOutcome {
-        match self.try_run_aggregate(device, module, job, start) {
-            Ok(out) => out,
-            Err(mut t) => {
+        self.try_run_aggregate(device, module, job, start)
+            .unwrap_or_else(|mut t| {
                 self.note_kernel_fallback(t, job.col_addr.0);
-                let (value, count) = self.fallback_aggregate(module, job, &mut t);
+                let bounds = job.filter.map(crate::predicate::Predicate::bounds);
+                let (mut count, mut acc) = (0u64, None);
+                let cost = self.cfg.cpu_word_cost;
+                self.host_stream(module, job.col_addr, job.rows, cost, &mut t, |_, v| {
+                    if bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
+                        count += 1;
+                        acc = job.op.step(acc, v);
+                    }
+                });
                 AggregateOutcome {
                     end: t,
-                    value,
+                    value: match job.op {
+                        AggOp::Count => Some(count as i64),
+                        _ => acc,
+                    },
                     count,
                     on_device: false,
                 }
-            }
-        }
+            })
     }
 
     /// The fallible half of [`ResilientDriver::run_aggregate`]: the device
@@ -970,25 +936,22 @@ impl ResilientDriver {
     ) -> Result<AggregateOutcome, Tick> {
         let rank = module.decoder().decode(job.col_addr).rank;
         let mut t = start;
-        let run = if self.breaker_open {
-            None
-        } else {
-            self.run_kernel(module, rank, job.rows, job.col_addr.0, &mut t, |m, at| {
-                device.run_aggregate(m, job, at).map(|r| (r.end, r))
-            })
-        };
-        match run {
-            Some(r) => Ok(AggregateOutcome {
-                end: t,
-                value: r.value,
-                count: r.count,
-                on_device: true,
-            }),
-            None => {
-                self.note_kernel_failure(t);
-                Err(t)
-            }
-        }
+        let run = self.run_ladder(
+            module,
+            rank,
+            job.rows,
+            job.col_addr.0,
+            &mut t,
+            &mut Spent::default(),
+            |m, at| device.run_aggregate(m, job, at).map(|r| (r.end, r)),
+        );
+        run.map(|r| AggregateOutcome {
+            end: t,
+            value: r.value,
+            count: r.count,
+            on_device: true,
+        })
+        .ok_or(t)
     }
 
     /// Runs one projection pass with the full recovery ladder. The fallback
@@ -1004,18 +967,25 @@ impl ResilientDriver {
         job: ProjectJob,
         start: Tick,
     ) -> ProjectOutcome {
-        match self.try_run_project(device, module, job, start) {
-            Ok(out) => out,
-            Err(mut t) => {
+        self.try_run_project(device, module, job, start)
+            .unwrap_or_else(|mut t| {
                 self.note_kernel_fallback(t, job.col_addr.0);
-                let emitted = self.fallback_project(module, job, &mut t);
+                let mut bits = vec![0u8; job.rows.div_ceil(8) as usize];
+                module.data().read(job.bitset_addr, &mut bits);
+                let mut out = Vec::new();
+                let cost = self.cfg.cpu_word_cost;
+                self.host_stream(module, job.col_addr, job.rows, cost, &mut t, |row, v| {
+                    if bits[(row / 8) as usize] >> (row % 8) & 1 == 1 {
+                        out.extend_from_slice(&v.to_le_bytes());
+                    }
+                });
+                self.host_write(module, job.out_addr, &out, &mut t);
                 ProjectOutcome {
                     end: t,
-                    emitted,
+                    emitted: (out.len() / 8) as u64,
                     on_device: false,
                 }
-            }
-        }
+            })
     }
 
     /// The fallible half of [`ResilientDriver::run_project`], mirroring
@@ -1030,259 +1000,72 @@ impl ResilientDriver {
     ) -> Result<ProjectOutcome, Tick> {
         let rank = module.decoder().decode(job.col_addr).rank;
         let mut t = start;
-        let run = if self.breaker_open {
-            None
-        } else {
-            self.run_kernel(module, rank, job.rows, job.col_addr.0, &mut t, |m, at| {
-                device.run_project(m, job, at).map(|r| (r.end, r))
-            })
-        };
-        match run {
-            Some(r) => Ok(ProjectOutcome {
-                end: t,
-                emitted: r.emitted,
-                on_device: true,
-            }),
-            None => {
-                self.note_kernel_failure(t);
-                Err(t)
-            }
-        }
-    }
-
-    /// One one-shot kernel on the device: the same lease upkeep, watchdog
-    /// and bounded-retry policy as [`ResilientDriver::step_page`], shared
-    /// by every kernel shape via the `invoke` closure. `tag` identifies the
-    /// job in trace events (its column address). `None` means the device
-    /// path is exhausted — the caller falls back to the host.
-    fn run_kernel<R>(
-        &mut self,
-        module: &mut DramModule,
-        rank: u32,
-        rows: u64,
-        tag: u64,
-        t: &mut Tick,
-        mut invoke: impl FnMut(&mut DramModule, Tick) -> Result<(Tick, R), DeviceError>,
-    ) -> Option<R> {
-        let mut attempt = 0u32;
-        // One-shot kernels do not report the per-session time breakdown.
-        let mut sink = Tick::ZERO;
-        loop {
-            if self.lease.is_none() {
-                match grant_ownership_for(module, rank, *t, self.cfg.lease_window) {
-                    Ok(lease) => {
-                        self.stats.lease_grants.inc();
-                        self.tracer.emit(
-                            lease.acquired_at,
-                            EventKind::LeaseGrant {
-                                rank,
-                                until: lease.expires_at,
-                            },
-                        );
-                        *t = lease.acquired_at;
-                        self.lease = Some(lease);
-                    }
-                    Err(e) => {
-                        let code = issue_errno(e);
-                        if code == errno::EPROTO {
-                            self.stats.mrs_retries.inc();
-                        }
-                        if !self.note_failure(&mut attempt, t, &mut sink, code) {
-                            return None;
-                        }
-                        continue;
-                    }
-                }
-            } else {
-                let horizon = *t + self.cfg.costs.setup + self.cfg.renew_margin;
-                let needs_renewal = self
-                    .lease
-                    .as_ref()
-                    .is_some_and(|lease| horizon >= lease.expires_at);
-                if needs_renewal {
-                    let mut renewed = self.lease.take().expect("checked above");
-                    match renew_lease(module, &mut renewed, *t, self.cfg.lease_window) {
-                        Ok(renewed_at) => {
-                            self.stats.lease_renewals.inc();
-                            self.tracer.emit(
-                                renewed_at,
-                                EventKind::LeaseRenew {
-                                    rank,
-                                    until: renewed.expires_at,
-                                },
-                            );
-                            *t = renewed_at;
-                            self.lease = Some(renewed);
-                        }
-                        Err(e) => {
-                            self.lease = Some(renewed); // deadline unchanged
-                            let code = issue_errno(e);
-                            if code == errno::EPROTO {
-                                self.stats.mrs_retries.inc();
-                            }
-                            if !self.note_failure(&mut attempt, t, &mut sink, code) {
-                                return None;
-                            }
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            let invoke_at = *t + self.cfg.costs.setup;
-            match invoke(module, invoke_at) {
-                Ok((end, result)) => {
-                    let (observed, _burned) = self.cfg.costs.completion.observe(invoke_at, end);
-                    let budget = self.cfg.watchdog + self.cfg.watchdog_per_row * rows;
-                    let deadline = invoke_at + budget;
-                    if observed > deadline {
-                        self.stats.watchdog_fires.inc();
-                        self.tracer
-                            .emit(deadline, EventKind::WatchdogFire { page: tag });
-                        *t = deadline;
-                        if !self.note_failure(&mut attempt, t, &mut sink, errno::ETIMEDOUT) {
-                            return None;
-                        }
-                    } else {
-                        *t = observed.max(end);
-                        self.consecutive_failures = 0;
-                        return Some(result);
-                    }
-                }
-                Err(DeviceError::Misaligned)
-                | Err(DeviceError::SpansRanks)
-                | Err(DeviceError::LaneOverflow) => {
-                    // Permanent for this job shape; retrying cannot help.
-                    return None;
-                }
-                Err(e) => {
-                    let code = match e {
-                        DeviceError::NotOwned => {
-                            // Ownership vanished under us: drop the stale
-                            // lease and re-grant on the next attempt.
-                            self.lease = None;
-                            errno::EACCES
-                        }
-                        DeviceError::LeaseExpired => {
-                            self.stats.lease_expiries.inc();
-                            errno::EKEYEXPIRED
-                        }
-                        DeviceError::Uncorrectable => {
-                            self.stats.uncorrectable.inc();
-                            errno::EIO
-                        }
-                        _ => errno::ERESTART,
-                    };
-                    *t = invoke_at;
-                    if !self.note_failure(&mut attempt, t, &mut sink, code) {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Books one abandoned one-shot kernel attempt: breaker accounting
-    /// identical to the select page path. No fallback is implied — the
-    /// caller may re-dispatch the job elsewhere instead.
-    fn note_kernel_failure(&mut self, t: Tick) {
-        if !self.breaker_open {
-            self.consecutive_failures += 1;
-            if self.consecutive_failures >= self.cfg.breaker_threshold {
-                self.breaker_open = true;
-                self.stats.breaker_trips.inc();
-                self.tracer
-                    .emit(t, EventKind::BreakerTransition { open: true });
-            }
-        }
+        let run = self.run_ladder(
+            module,
+            rank,
+            job.rows,
+            job.col_addr.0,
+            &mut t,
+            &mut Spent::default(),
+            |m, at| device.run_project(m, job, at).map(|r| (r.end, r)),
+        );
+        run.map(|r| ProjectOutcome {
+            end: t,
+            emitted: r.emitted,
+            on_device: true,
+        })
+        .ok_or(t)
     }
 
     /// Books the host-fallback half of an abandoned kernel: the dedicated
-    /// counter plus the trace event. Breaker accounting already happened in
-    /// [`ResilientDriver::note_kernel_failure`].
+    /// counter plus the trace event. The ladder already booked the
+    /// breaker.
     fn note_kernel_fallback(&mut self, t: Tick, tag: u64) {
         self.stats.kernel_fallbacks.inc();
         self.tracer.emit(t, EventKind::CpuFallback { page: tag });
     }
 
-    /// Host fallback for an aggregation: release the lease, stream the
-    /// column over timed reads, fold in software with the device kernel's
-    /// exact semantics (wrapping sum, `None` extremum when nothing
-    /// qualifies).
-    fn fallback_aggregate(
+    /// The host half of every fallback: releases the lease if held, then
+    /// streams `rows` packed `i64` values from `col` line by line over
+    /// [`ResilientDriver::read_line`], calling `each(row, value)` in row
+    /// order and charging `word_cost` per word of each line.
+    fn host_stream(
         &mut self,
         module: &mut DramModule,
-        job: AggregateJob,
+        col: PhysAddr,
+        rows: u64,
+        word_cost: Tick,
         t: &mut Tick,
-    ) -> (Option<i64>, u64) {
-        if self.lease.is_some() {
-            self.release_current(module, t);
-        }
-        let bounds = job.filter.map(crate::predicate::Predicate::bounds);
-        let mut cursor = *t;
-        let mut count = 0u64;
-        let mut acc: Option<i64> = None;
-        for b in 0..job.rows.div_ceil(8) {
-            let addr = PhysAddr(job.col_addr.0 + b * 64);
-            let data = self.read_line(module, addr, &mut cursor);
-            let words = (job.rows - b * 8).min(8);
-            for w in 0..words {
-                let off = (w * 8) as usize;
-                let v = i64::from_le_bytes(data[off..off + 8].try_into().expect("8 bytes"));
-                if bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
-                    count += 1;
-                    acc = job.op.step(acc, v);
-                }
+        mut each: impl FnMut(u64, i64),
+    ) {
+        self.release_current(module, t);
+        for b in 0..rows.div_ceil(8) {
+            let data = self.read_line(module, PhysAddr(col.0 + b * 64), t);
+            let words = (rows - b * 8).min(8);
+            for (w, v) in (0..words).zip(burst_words(&data)) {
+                each(b * 8 + w, v);
             }
-            cursor += self.cfg.cpu_word_cost * words;
+            *t += word_cost * words;
         }
-        *t = cursor;
-        let value = match job.op {
-            AggOp::Count => Some(count as i64),
-            _ => acc,
-        };
-        (value, count)
     }
 
-    /// Host fallback for a projection: release the lease, read the
-    /// selection bitset functionally, stream the column over timed reads,
-    /// pack qualifying values and write them back as whole 64-byte lines.
-    fn fallback_project(&mut self, module: &mut DramModule, job: ProjectJob, t: &mut Tick) -> u64 {
-        if self.lease.is_some() {
-            self.release_current(module, t);
-        }
-        let mut bits = vec![0u8; job.rows.div_ceil(8) as usize];
-        module.data().read(job.bitset_addr, &mut bits);
-        let mut cursor = *t;
-        let mut out = Vec::new();
-        for b in 0..job.rows.div_ceil(8) {
-            let addr = PhysAddr(job.col_addr.0 + b * 64);
-            let data = self.read_line(module, addr, &mut cursor);
-            let words = (job.rows - b * 8).min(8);
-            for w in 0..words {
-                let bit = b * 8 + w;
-                if bits[(bit / 8) as usize] >> (bit % 8) & 1 == 1 {
-                    let off = (w * 8) as usize;
-                    out.extend_from_slice(&data[off..off + 8]);
-                }
-            }
-            cursor += self.cfg.cpu_word_cost * words;
-        }
-        for (i, chunk) in out.chunks(64).enumerate() {
+    /// Writes `bytes` from `base` as whole 64-byte lines (the tail
+    /// zero-padded) over the timed host path, degrading to a functional
+    /// write at a modelled cost when the rank is still owned.
+    fn host_write(&mut self, module: &mut DramModule, base: PhysAddr, bytes: &[u8], t: &mut Tick) {
+        for (i, chunk) in bytes.chunks(64).enumerate() {
             let mut line = [0u8; 64];
             line[..chunk.len()].copy_from_slice(chunk);
-            let addr = PhysAddr(job.out_addr.0 + i as u64 * 64);
-            match module.serve_addr(addr, true, Requester::Host, cursor, Some(&line)) {
-                Ok(access) => cursor = access.data_ready,
+            let addr = PhysAddr(base.0 + i as u64 * 64);
+            match module.serve_addr(addr, true, Requester::Host, *t, Some(&line)) {
+                Ok(access) => *t = access.data_ready,
                 Err(_) => {
                     self.stats.degraded_lines.inc();
                     module.data_mut().write(addr, &line);
-                    cursor += self.cfg.degraded_line_cost;
+                    *t += self.cfg.degraded_line_cost;
                 }
             }
         }
-        *t = cursor;
-        (out.len() / 8) as u64
     }
 
     /// One 64-byte line over the timed host path, degrading to a

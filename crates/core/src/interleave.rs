@@ -10,7 +10,7 @@
 //! the alternative (the storage engine shuffling columns to be physically
 //! contiguous per DIMM) exists.
 
-use crate::device::{device_error, DeviceError, JafarDevice};
+use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -129,13 +129,16 @@ impl JafarDevice {
         start: Tick,
     ) -> Result<InterleavedRun, DeviceError> {
         assert!(job.ways > 0 && job.phase < job.ways, "bad interleave spec");
-        if job.local_col_addr.block_offset() != 0 || job.out_addr.block_offset() != 0 {
-            return Err(DeviceError::Misaligned);
-        }
-        let rank = module.decoder().decode(job.local_col_addr).rank;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
+        // The masked writeback reads and writes every global output burst.
+        let global_rows = job.local_rows.saturating_mul(u64::from(job.ways));
+        admit(
+            module,
+            &[
+                (job.local_col_addr, job.local_rows.saturating_mul(8)),
+                (job.out_addr, global_rows.div_ceil(512).saturating_mul(64)),
+            ],
+            start,
+        )?;
         let (lo, hi) = job.predicate.bounds();
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;

@@ -9,7 +9,7 @@
 //! packed, to a pre-allocated output region — none of it crossing the
 //! memory bus.
 
-use crate::device::{device_error, job_rank, DeviceError, JafarDevice};
+use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -51,26 +51,18 @@ impl JafarDevice {
         job: ProjectJob,
         start: Tick,
     ) -> Result<ProjectRun, DeviceError> {
-        if job.col_addr.block_offset() != 0
-            || job.bitset_addr.block_offset() != 0
-            || job.out_addr.block_offset() != 0
-        {
-            return Err(DeviceError::Misaligned);
-        }
         let col_bytes = job.rows.saturating_mul(8);
         // The bitset is read a whole burst (512 rows) at a time, and the
         // packed output may hold every row.
-        let rank = job_rank(
+        admit(
             module,
             &[
                 (job.col_addr, col_bytes),
                 (job.bitset_addr, job.rows.div_ceil(512) * 64),
                 (job.out_addr, col_bytes),
             ],
+            start,
         )?;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
         let ps_per_word = self.ps_per_word();

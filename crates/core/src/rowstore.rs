@@ -9,7 +9,7 @@
 //! parallel ALU pairs, ANDs the outcomes, and emits the same bitset a
 //! columnar select would.
 
-use crate::device::{device_error, DeviceError, JafarDevice};
+use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::bitset::FixedBitBuf;
 use jafar_common::time::Tick;
@@ -66,9 +66,7 @@ impl JafarDevice {
         job: &RowFilterJob,
         start: Tick,
     ) -> Result<RowFilterRun, DeviceError> {
-        if job.base.block_offset() != 0
-            || job.out_addr.block_offset() != 0
-            || job.row_bytes == 0
+        if job.row_bytes == 0
             || !job.row_bytes.is_multiple_of(8)
             || (job.row_bytes < 64 && 64 % job.row_bytes != 0)
             || (job.row_bytes > 64 && !job.row_bytes.is_multiple_of(64))
@@ -80,10 +78,14 @@ impl JafarDevice {
                 return Err(DeviceError::Misaligned);
             }
         }
-        let rank = module.decoder().decode(job.base).rank;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
+        admit(
+            module,
+            &[
+                (job.base, job.rows.saturating_mul(u64::from(job.row_bytes))),
+                (job.out_addr, job.rows.div_ceil(8)),
+            ],
+            start,
+        )?;
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
         // Parallel predicate pairs: each predicate costs one ALU pair per

@@ -16,7 +16,7 @@
 //! device cycle; its depth `O(log² k)` adds only fill latency. Merge
 //! passes stream at one element per cycle per pass.
 
-use crate::device::{device_error, DeviceError, JafarDevice};
+use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
 
@@ -69,18 +69,16 @@ impl JafarDevice {
         job: SortJob,
         start: Tick,
     ) -> Result<SortRun, DeviceError> {
-        if job.col_addr.block_offset() != 0 || job.out_addr.block_offset() != 0 {
-            return Err(DeviceError::Misaligned);
-        }
-        let bytes = job.rows * 8;
+        let bytes = job.rows.saturating_mul(8);
+        admit(
+            module,
+            &[(job.col_addr, bytes), (job.out_addr, bytes)],
+            start,
+        )?;
         assert!(
             job.col_addr.0 + bytes <= job.out_addr.0 || job.out_addr.0 + bytes <= job.col_addr.0,
             "sort regions must not overlap"
         );
-        let rank = module.decoder().decode(job.col_addr).rank;
-        if !module.rank_owned_by_ndp(rank) {
-            return Err(DeviceError::NotOwned);
-        }
         if job.rows == 0 {
             return Ok(SortRun {
                 end: start,

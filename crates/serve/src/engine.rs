@@ -1358,26 +1358,37 @@ impl Engine<'_, '_> {
                 end: Tick::ZERO,
                 proj: Vec::new(),
             });
-            let rec = &mut self.records[qid as usize];
-            rec.started = Some(t);
-            rec.mode = ExecMode::Device { ranks: used };
-            rec.bitset = vec![0u8; rows.div_ceil(8) as usize];
-            self.env.tracer.emit(
-                t,
-                EventKind::QueryStarted {
-                    query: qid,
-                    mode: if qids.len() > 1 {
-                        "fused"
-                    } else if used > 1 {
-                        "parallel"
-                    } else {
-                        "single"
-                    },
-                    op: rec.op.name(),
-                    ranks: used,
-                },
-            );
+            self.start_query(qid, t, used, qids.len() > 1);
+            self.records[qid as usize].bitset = vec![0u8; rows.div_ceil(8) as usize];
         }
+    }
+
+    /// Marks `qid` started at `t` on `ranks` ranks (on the host at zero)
+    /// and traces it: a fused select starts `"fused"`, anything else
+    /// `"cpu"`, `"single"` or `"parallel"` by its rank count.
+    fn start_query(&mut self, qid: u32, t: Tick, ranks: u32, fused: bool) {
+        let rec = &mut self.records[qid as usize];
+        rec.started = Some(t);
+        rec.mode = match ranks {
+            0 => ExecMode::Cpu,
+            _ => ExecMode::Device { ranks },
+        };
+        let mode = match ranks {
+            _ if fused => "fused",
+            0 => "cpu",
+            1 => "single",
+            _ => "parallel",
+        };
+        let op = rec.op.name();
+        self.env.tracer.emit(
+            t,
+            EventKind::QueryStarted {
+                query: qid,
+                mode,
+                op,
+                ranks,
+            },
+        );
     }
 
     /// Shards a scalar aggregate over the free units as eager one-shot
@@ -1461,39 +1472,19 @@ impl Engine<'_, '_> {
                 c += 1;
                 v = op.step(v, x);
             }
-            let cost =
-                self.cfg.cpu_fixed + self.cfg.cpu_per_row * len + self.cfg.cpu_per_out_byte * 8;
-            let done = begin + cost;
+            let done = begin + host_scan_cost(self.cfg, len, self.records[qid as usize].op);
             self.host_free = done;
             end = end.max(done);
             count += c;
             acc = merge_agg(op, acc, v);
         }
+        self.start_query(qid, t, used, false);
         let rec = &mut self.records[qid as usize];
-        rec.started = Some(t);
-        rec.mode = if used == 0 {
-            ExecMode::Cpu
-        } else {
-            ExecMode::Device { ranks: used }
-        };
         rec.matched = count;
         rec.agg = match op {
             AggOp::Count => Some(count as i64),
             _ => acc,
         };
-        self.env.tracer.emit(
-            t,
-            EventKind::QueryStarted {
-                query: qid,
-                mode: match used {
-                    0 => "cpu",
-                    1 => "single",
-                    _ => "parallel",
-                },
-                op: rec.op.name(),
-                ranks: used,
-            },
-        );
         self.finish_query(qid, end);
     }
 
@@ -1637,14 +1628,9 @@ impl Engine<'_, '_> {
             end = end.max(done);
         }
 
+        self.start_query(qid, t, used, false);
         let keys = &self.dict.keys;
         let rec = &mut self.records[qid as usize];
-        rec.started = Some(t);
-        rec.mode = if used == 0 {
-            ExecMode::Cpu
-        } else {
-            ExecMode::Device { ranks: used }
-        };
         rec.matched = staged.words.len() as u64;
         rec.groups = partials
             .iter()
@@ -1652,19 +1638,6 @@ impl Engine<'_, '_> {
             .filter(|(&(c, _), _)| c > 0)
             .map(|(&(c, a), &k)| (k, c, a))
             .collect();
-        self.env.tracer.emit(
-            t,
-            EventKind::QueryStarted {
-                query: qid,
-                mode: match used {
-                    0 => "cpu",
-                    1 => "single",
-                    _ => "parallel",
-                },
-                op: rec.op.name(),
-                ranks: used,
-            },
-        );
         self.finish_query(qid, end);
     }
 
@@ -1986,21 +1959,10 @@ impl Engine<'_, '_> {
         self.queue.remove(pos);
         let done = t + self.cpu_estimate(self.records[qid as usize].op);
         self.host_free = done;
+        self.start_query(qid, t, 0, false);
         let (values, keys) = (self.env.values, self.env.keys);
-        let rec = &mut self.records[qid as usize];
-        rec.started = Some(t);
-        rec.mode = ExecMode::Cpu;
-        host_scan(values, keys, rec);
+        host_scan(values, keys, &mut self.records[qid as usize]);
         self.cpu_done.push(Reverse((done, qid)));
-        self.env.tracer.emit(
-            t,
-            EventKind::QueryStarted {
-                query: qid,
-                mode: "cpu",
-                op: rec.op.name(),
-                ranks: 0,
-            },
-        );
         Ok(())
     }
 }
