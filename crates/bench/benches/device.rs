@@ -40,6 +40,27 @@ fn gem5_like_shard(rows: u64) -> (DramModule, Tick) {
     (module, now)
 }
 
+/// A module of `geometry` and `timing` holding `rows` seeded uniform
+/// values over `0..1000` at address 0.
+fn seeded_module(geometry: DramGeometry, timing: DramTiming, rows: u64) -> DramModule {
+    let mut module = DramModule::new(geometry, timing, AddressMapping::RankRowBankBlock);
+    let mut rng = SplitMix64::new(42);
+    for i in 0..rows {
+        module
+            .data_mut()
+            .write_i64(PhysAddr(i * 8), rng.next_range_inclusive(0, 999));
+    }
+    module
+}
+
+/// op-mix's DIMM: 4 ranks × 4 banks × 64 rows × 1 KiB.
+const MIX_DIMM: DramGeometry = DramGeometry {
+    ranks: 4,
+    banks_per_rank: 4,
+    rows_per_bank: 64,
+    row_bytes: 1024,
+};
+
 /// Times back-to-back one-lane selects of `rows` seeded uniform values
 /// through `ResilientDriver::run_select` on one module: every page's
 /// lease upkeep, device pass, completion discovery and release.
@@ -50,13 +71,7 @@ fn driver_select(
     rows: u64,
     page_bytes: u64,
 ) {
-    let mut module = DramModule::new(geometry, timing, AddressMapping::RankRowBankBlock);
-    let mut rng = SplitMix64::new(42);
-    for i in 0..rows {
-        module
-            .data_mut()
-            .write_i64(PhysAddr(i * 8), rng.next_range_inclusive(0, 999));
-    }
+    let mut module = seeded_module(geometry, timing, rows);
     let req = SelectRequest {
         col_addr: PhysAddr(0),
         rows,
@@ -81,19 +96,13 @@ fn main() {
     micro::run_batched(
         "device/select_64k_rows",
         || {
-            let mut module = DramModule::new(
-                DramGeometry::gem5_2gb(),
-                DramTiming::ddr3_paper().without_refresh(),
-                AddressMapping::RankRowBankBlock,
-            );
             // Seeded uniform values: the predicate's outcome is as
             // unpredictable word to word as on the served workloads.
-            let mut rng = SplitMix64::new(42);
-            for i in 0..65_536u64 {
-                module
-                    .data_mut()
-                    .write_i64(PhysAddr(i * 8), rng.next_range_inclusive(0, 999));
-            }
+            let mut module = seeded_module(
+                DramGeometry::gem5_2gb(),
+                DramTiming::ddr3_paper().without_refresh(),
+                65_536,
+            );
             let lease = grant_ownership(&mut module, 0, Tick::ZERO).expect("fresh");
             let t0 = lease.acquired_at;
 
@@ -133,12 +142,7 @@ fn main() {
     );
     driver_select(
         "driver/select_one_lane_mix_shape",
-        DramGeometry {
-            ranks: 4,
-            banks_per_rank: 4,
-            rows_per_bank: 64,
-            row_bytes: 1024,
-        },
+        MIX_DIMM,
         DramTiming::ddr3_paper().without_refresh(),
         1_536,
         4096,
@@ -226,6 +230,26 @@ fn main() {
         let job = AggregateJob {
             col_addr: PhysAddr(0),
             rows: 512,
+            op: AggOp::Sum,
+            filter: Some(Predicate::Between(100, 499)),
+        };
+        let run = device.run_aggregate(&mut module, job, t).expect("owned");
+        t = run.end;
+        run.value
+    });
+
+    // op-mix's filtered sum over one 1,536-row shard (4,096 rows over
+    // three units, in 512-row chunks) on its DIMM, refresh off.
+    let rows = 1_536;
+    let mut module = seeded_module(MIX_DIMM, DramTiming::ddr3_paper().without_refresh(), rows);
+    let mut t = grant_ownership(&mut module, 0, Tick::ZERO)
+        .expect("fresh")
+        .acquired_at;
+    let mut device = JafarDevice::paper_default();
+    micro::run("device/run_aggregate_mix_shape", || {
+        let job = AggregateJob {
+            col_addr: PhysAddr(0),
+            rows,
             op: AggOp::Sum,
             filter: Some(Predicate::Between(100, 499)),
         };

@@ -14,10 +14,8 @@
 //! fixed-function SHA/MD5 units the paper cites [9, 10, 47] — what matters
 //! to the model is the pipelined fixed-function latency, not the digest.
 
-use crate::datapath::Datapath;
-use crate::device::{
-    admit, burst_words, device_error, live_mask, range_mask, DeviceError, JafarDevice,
-};
+use crate::datapath::{last_burst_start, Datapath};
+use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use crate::predicate::Predicate;
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -112,6 +110,28 @@ pub struct GroupByRun {
     pub bursts_read: u64,
 }
 
+/// Folds each of `words` into `acc` with `step`, one that lies outside
+/// `[lo, lo + span]` as the fold's `identity`, so no branch depends on
+/// the filter; returns how many qualified. The wrapping sum is
+/// associative, so the result is the word-by-word one.
+#[inline]
+fn fold(
+    words: &[[u8; 8]],
+    (lo, span): (i64, u64),
+    acc: &mut i64,
+    identity: i64,
+    step: impl Fn(i64, i64) -> i64,
+) -> u64 {
+    let mut count = 0;
+    for word in words {
+        let v = i64::from_le_bytes(*word);
+        let qualifies = v.wrapping_sub(lo) as u64 <= span;
+        count += u64::from(qualifies);
+        *acc = step(*acc, if qualifies { v } else { identity });
+    }
+    count
+}
+
 /// The multiply-shift "fixed-function hash unit".
 pub fn hash_bucket(key: i64, buckets: usize) -> usize {
     debug_assert!(buckets.is_power_of_two());
@@ -137,7 +157,14 @@ impl JafarDevice {
             Datapath::Aggregate
         };
         let ps_per_word = datapath.ps_per_word(self.config());
-        let bounds = job.filter.map(Predicate::bounds);
+        let full_burst = Tick::from_ps(8 * ps_per_word);
+        // The filter as `[lo, lo + span]`, so one unsigned compare tests
+        // a word; no filter is the whole domain, and an empty range
+        // (`lo > hi`) qualifies nothing, so its fold is skipped.
+        let range = match job.filter.map(Predicate::bounds) {
+            None => Some((i64::MIN, u64::MAX)),
+            Some((lo, hi)) => (lo <= hi).then(|| (lo, hi.wrapping_sub(lo) as u64)),
+        };
 
         let mut issue_cursor = start;
         let mut proc_free = start;
@@ -159,39 +186,20 @@ impl JafarDevice {
                 )
                 .map_err(device_error)?;
             issue_cursor = run.next_request;
-            for (i, line) in run.lines.iter().enumerate() {
-                proc_free = proc_free.max(run.data_ready(i));
-                let values = burst_words(line);
-                let words = (job.rows - (burst + i as u64) * 8).min(8) as usize;
-                let live = match bounds {
-                    Some((lo, hi)) => range_mask(&values, words, lo, hi),
-                    None => live_mask(words),
-                };
-                count += u64::from(live.count_ones());
-                // A word that does not qualify folds in as the fold's
-                // identity, so all eight fold without a branch on the
-                // filter. The wrapping sum is associative: the result is
-                // the word-by-word one.
-                let qualifying = |identity: i64| -> [i64; 8] {
-                    std::array::from_fn(|w| {
-                        if live >> w & 1 == 1 {
-                            values[w]
-                        } else {
-                            identity
-                        }
-                    })
-                };
-                match job.op {
-                    AggOp::Sum | AggOp::Avg => {
-                        sum = qualifying(0).into_iter().fold(sum, i64::wrapping_add)
-                    }
-                    AggOp::Min => min = qualifying(i64::MAX).into_iter().fold(min, i64::min),
-                    AggOp::Max => max = qualifying(i64::MIN).into_iter().fold(max, i64::max),
-                    AggOp::Count => {}
-                }
-                proc_free += Tick::from_ps(words as u64 * ps_per_word);
-            }
             let n = run.lines.len() as u64;
+            // The run's words up to the job's last row.
+            let live = (job.rows - burst * 8).min(n * 8);
+            if let Some(range) = range {
+                let (words, _) = run.lines.as_flattened()[..live as usize * 8].as_chunks::<8>();
+                count += match job.op {
+                    AggOp::Sum | AggOp::Avg => fold(words, range, &mut sum, 0, i64::wrapping_add),
+                    AggOp::Min => fold(words, range, &mut min, i64::MAX, i64::min),
+                    AggOp::Max => fold(words, range, &mut max, i64::MIN, i64::max),
+                    AggOp::Count => fold(words, range, &mut sum, 0, |acc, _| acc),
+                };
+            }
+            let last_start = last_burst_start(proc_free, &run, full_burst);
+            proc_free = last_start + Tick::from_ps((live - (n - 1) * 8) * ps_per_word);
             burst += n;
             bursts_read += n;
         }

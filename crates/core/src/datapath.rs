@@ -11,6 +11,8 @@
 use crate::device::DeviceConfig;
 use jafar_accel::ir::{jafar_filter_kernel, Kernel, KernelBuilder, OpKind};
 use jafar_accel::schedule::{Resources, Schedule};
+use jafar_common::time::Tick;
+use jafar_dram::ReadRun;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
@@ -126,6 +128,23 @@ impl Datapath {
             .derivations
             .load(Ordering::Relaxed)
     }
+}
+
+/// When a datapath that frees up at `free` and spends `burst` on each
+/// full burst starts the last burst of `run`, in closed form.
+///
+/// Burst `i` of the run completes at R + i·S (`first_ready`, `step`),
+/// and the datapath starts it at sᵢ = max(sᵢ₋₁ + W, R + i·S), with
+/// s₀ = max(f, R). Unrolled, sₘ = max(f + m·W, maxⱼ R + j·S + (m−j)·W)
+/// over j ≤ m; each term is linear in j, so the two ends bound it:
+/// sₘ = max(f + m·W, R + m·W, R + m·S). Every burst before the last is
+/// full (only a job's last burst may be short), so the caller adds the
+/// last burst's own cost to free the datapath again (DESIGN §4).
+#[inline]
+pub(crate) fn last_burst_start(free: Tick, run: &ReadRun<'_>, burst: Tick) -> Tick {
+    let m = run.lines.len() as u64 - 1;
+    let r = run.first_ready;
+    (free + burst * m).max(r + burst * m).max(r + run.step * m)
 }
 
 #[cfg(test)]

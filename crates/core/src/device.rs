@@ -120,16 +120,15 @@ pub(crate) fn admit(
     if regions.iter().any(|(base, _)| base.block_offset() != 0) {
         return Err(DeviceError::Misaligned);
     }
-    let decoder = module.decoder();
-    let rank_of =
-        |addr: u64| (addr < decoder.capacity()).then(|| decoder.decode(PhysAddr(addr)).rank);
-    let rank = rank_of(regions[0].0 .0).ok_or(DeviceError::SpansRanks)?;
+    let rank = rank_of(module, regions[0].0).ok_or(DeviceError::SpansRanks)?;
     for &(base, bytes) in regions {
         if bytes == 0 {
             continue;
         }
-        let last = base.0.checked_add(bytes - 1);
-        if rank_of(base.0) != Some(rank) || last.and_then(rank_of) != Some(rank) {
+        let last = base.0.checked_add(bytes - 1).map(PhysAddr);
+        if rank_of(module, base) != Some(rank)
+            || last.and_then(|a| rank_of(module, a)) != Some(rank)
+        {
             return Err(DeviceError::SpansRanks);
         }
     }
@@ -140,6 +139,13 @@ pub(crate) fn admit(
         return Err(DeviceError::LeaseExpired);
     }
     Ok(rank)
+}
+
+/// The rank holding `addr`, or `None` past the module's end: the
+/// decode that cannot panic.
+pub(crate) fn rank_of(module: &DramModule, addr: PhysAddr) -> Option<u32> {
+    let decoder = module.decoder();
+    (addr.0 < decoder.capacity()).then(|| decoder.decode(addr).rank)
 }
 
 /// The eight `i64` words of one 64-byte burst, read in place from the

@@ -60,7 +60,7 @@
 
 use crate::aggregate::{AggOp, AggregateJob};
 use crate::api::{device_errno, errno, issue_errno, select_jafar_lanes, DriverCosts};
-use crate::device::{burst_words, DeviceError, JafarDevice};
+use crate::device::{burst_words, rank_of, DeviceError, JafarDevice};
 use crate::ownership::{grant_ownership_for, release_ownership, renew_lease, Lease};
 use crate::project::ProjectJob;
 use jafar_common::obs::{EventKind, SharedTracer};
@@ -607,7 +607,7 @@ impl ResilientDriver {
         self.stats.pages.inc();
         let counts = self.run_ladder(
             module,
-            session.rank,
+            Some(session.rank),
             page_rows,
             col_data.0,
             &mut session.t,
@@ -697,12 +697,14 @@ impl ResilientDriver {
     /// `spent` books the time. A success resets the breaker's failure
     /// count; giving up counts one failure, trips the breaker at the
     /// threshold and returns `None`, and the caller chooses what follows:
-    /// fall back, park or hand the job back.
+    /// fall back, park or hand the job back. A job with no `rank` (its
+    /// column starts past the module's end) gives up at once, as on
+    /// [`DeviceError::SpansRanks`].
     #[allow(clippy::too_many_arguments)]
     fn run_ladder<R>(
         &mut self,
         module: &mut DramModule,
-        rank: u32,
+        rank: Option<u32>,
         rows: u64,
         tag: u64,
         t: &mut Tick,
@@ -714,6 +716,11 @@ impl ResilientDriver {
         }
         let mut attempt = 0u32;
         let outcome = loop {
+            // No rank to lease: `admit` would refuse the job as spanning
+            // ranks, a permanent error.
+            let Some(rank) = rank else {
+                break None;
+            };
             // Lease upkeep: acquire if absent, renew if the remaining
             // window would not cover this invocation plus the margin.
             let horizon = *t + self.cfg.costs.setup + self.cfg.renew_margin;
@@ -934,7 +941,7 @@ impl ResilientDriver {
         job: AggregateJob,
         start: Tick,
     ) -> Result<AggregateOutcome, Tick> {
-        let rank = module.decoder().decode(job.col_addr).rank;
+        let rank = rank_of(module, job.col_addr);
         let mut t = start;
         let run = self.run_ladder(
             module,
@@ -998,7 +1005,7 @@ impl ResilientDriver {
         job: ProjectJob,
         start: Tick,
     ) -> Result<ProjectOutcome, Tick> {
-        let rank = module.decoder().decode(job.col_addr).rank;
+        let rank = rank_of(module, job.col_addr);
         let mut t = start;
         let run = self.run_ladder(
             module,
@@ -1473,6 +1480,64 @@ mod tests {
             .fold(0i64, |a, &v| a.wrapping_add(v));
         assert!(out.on_device);
         assert_eq!(out.value, Some(expect));
+    }
+
+    /// A kernel job whose column starts at the module's end has no rank.
+    /// The driver refuses it as its ladder refuses a job that spans
+    /// ranks: no lease, no retry, one failure booked against the breaker,
+    /// and `Err(start)`. Two paths still decode such a column unchecked
+    /// and would panic: `resume_session`, which returns a session rather
+    /// than a `Result`, and the host fallbacks of `run_aggregate` and
+    /// `run_project`, which read the column past the end.
+    fn refuse_past_the_end(
+        run: impl FnOnce(&mut ResilientDriver, &mut DramModule, PhysAddr, Tick) -> Result<Tick, Tick>,
+    ) {
+        let (mut m, _) = module_with_column(16, 34);
+        let mut driver = ResilientDriver::new(ResilienceConfig {
+            breaker_threshold: 1,
+            ..ResilienceConfig::default()
+        });
+        let end = PhysAddr(m.decoder().capacity());
+        let start = Tick::from_ns(70);
+        assert_eq!(run(&mut driver, &mut m, end, start), Err(start));
+        assert!(driver.breaker_open(), "the give-up is booked");
+        let s = driver.stats();
+        assert_eq!(s.breaker_trips.get(), 1);
+        assert_eq!(s.recovery_total(), 1, "the trip and nothing else");
+        assert_eq!(s.lease_grants.get(), 0);
+        assert_eq!(m.stats().mode_sets.get(), 0, "no rank was touched");
+    }
+
+    #[test]
+    fn aggregate_past_the_module_end_is_refused() {
+        let mut device = JafarDevice::paper_default();
+        refuse_past_the_end(|driver, m, col_addr, start| {
+            let job = AggregateJob {
+                col_addr,
+                rows: 16,
+                op: AggOp::Sum,
+                filter: None,
+            };
+            driver
+                .try_run_aggregate(&mut device, m, job, start)
+                .map(|out| out.end)
+        });
+    }
+
+    #[test]
+    fn project_past_the_module_end_is_refused() {
+        let mut device = JafarDevice::paper_default();
+        refuse_past_the_end(|driver, m, col_addr, start| {
+            let job = ProjectJob {
+                col_addr,
+                rows: 16,
+                bitset_addr: PhysAddr(0),
+                out_addr: PhysAddr(4096),
+            };
+            driver
+                .try_run_project(&mut device, m, job, start)
+                .map(|out| out.end)
+        });
     }
 
     fn fused_request(rows: u64, preds: &[(i64, i64)]) -> FusedSelectRequest {

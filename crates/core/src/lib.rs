@@ -35,6 +35,8 @@
 
 pub mod aggregate;
 pub mod api;
+#[cfg(test)]
+mod burst_oracle;
 mod datapath;
 pub mod device;
 pub mod driver;

@@ -9,6 +9,7 @@
 //! packed, to a pre-allocated output region — none of it crossing the
 //! memory bus.
 
+use crate::datapath::last_burst_start;
 use crate::device::{admit, device_error, DeviceError, JafarDevice};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, PhysAddr, Requester};
@@ -66,6 +67,7 @@ impl JafarDevice {
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
         let ps_per_word = self.ps_per_word();
+        let full_burst = Tick::from_ps(8 * ps_per_word);
 
         let mut issue_cursor = start;
         let mut proc_free = start;
@@ -73,24 +75,24 @@ impl JafarDevice {
         let mut bursts_written = 0u64;
         // Selected words wait here until eight make a line. Every word of
         // a burst is stored at the fill point and the fill advances only
-        // past selected ones, so packing takes no branch; a burst adds at
-        // most eight words, so the pending line flushes at most once.
-        let mut pending = [0u8; 128];
+        // past selected ones, so packing takes no branch. A run ends at
+        // the burst that fills the line, so fewer than eight words wait
+        // when a burst begins and the fill stays below sixteen.
+        let mut pending = [[0u8; 8]; 16];
         let mut fill = 0usize;
         let mut out_cursor = job.out_addr.0;
         let mut emitted = 0u64;
-        // Current bitset burst cache: covers 512 rows.
-        let mut bitset_cache: Option<(u64, [u8; 64])> = None;
+        // The bitset burst of the current 512 rows: byte `b % 64` selects
+        // the rows of column burst `b`.
+        let mut bits = [0u8; 64];
 
         let total_bursts = job.rows.div_ceil(8);
-        for burst in 0..total_bursts {
-            // Bitset burst covering these rows (rows 512*k .. 512*k+511);
-            // this data burst covers rows 8*burst .. 8*burst+7.
-            let bitset_burst = burst * 8 / 512;
-            if bitset_cache.map(|(b, _)| b) != Some(bitset_burst) {
+        let mut burst = 0;
+        while burst < total_bursts {
+            if burst % 64 == 0 {
                 let access = module
                     .serve_addr(
-                        PhysAddr(job.bitset_addr.0 + bitset_burst * 64),
+                        PhysAddr(job.bitset_addr.0 + burst / 64 * 64),
                         false,
                         Requester::Ndp,
                         issue_cursor,
@@ -101,61 +103,79 @@ impl JafarDevice {
                 let cas_at = access.data_ready.saturating_sub(cas_pipeline);
                 issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
                 proc_free = proc_free.max(access.data_ready);
-                // Cached across the column bursts below, so copied out.
-                bitset_cache = Some((bitset_burst, *access.data.expect("read")));
+                // Cached across the column runs below, so copied out.
+                bits = *access.data.expect("read");
+                if total_bursts - burst <= 64 {
+                    // The job's last burst may hold fewer than eight rows;
+                    // its bits past them select nothing.
+                    let tail = job.rows - (total_bursts - 1) * 8;
+                    bits[((total_bursts - 1) % 64) as usize] &= u8::MAX >> (8 - tail);
+                }
             }
-            // This burst's eight rows are one byte of the bitset burst.
-            let (_, bits) = bitset_cache.expect("fetched above");
-            let words = (job.rows - burst * 8).min(8);
-            let mask = u32::from(bits[(burst % 64) as usize]) & ((1u32 << words) - 1);
-            let access = module
-                .serve_addr(
+            // A line write goes out between two reads, so the run ends at
+            // the burst that fills the pending line, or with this bitset
+            // burst's rows.
+            let first = (burst % 64) as usize;
+            let stop = (64 - first).min((total_bursts - burst) as usize);
+            let mut want = 1;
+            let mut due = fill + bits[first].count_ones() as usize;
+            while due < 8 && want < stop {
+                due += bits[first + want].count_ones() as usize;
+                want += 1;
+            }
+            let run = module
+                .serve_run(
                     PhysAddr(job.col_addr.0 + burst * 64),
-                    false,
+                    want,
                     Requester::Ndp,
                     issue_cursor,
-                    None,
                 )
                 .map_err(device_error)?;
-            bursts_read += 1;
-            let cas_at = access.data_ready.saturating_sub(cas_pipeline);
-            issue_cursor = cas_at.max(issue_cursor) + t.bus_clock.period();
-            proc_free = proc_free.max(access.data_ready);
-            let (data, _) = access.data.expect("read").as_chunks::<8>();
-            for (w, word) in data.iter().enumerate() {
-                pending[fill * 8..fill * 8 + 8].copy_from_slice(word);
-                fill += (mask >> w & 1) as usize;
+            issue_cursor = run.next_request;
+            let n = run.lines.len() as u64;
+            let last_start = last_burst_start(proc_free, &run, full_burst);
+            let before = fill;
+            for (line, mask) in run.lines.iter().zip(&bits[first..]) {
+                for (w, word) in line.as_chunks::<8>().0.iter().enumerate() {
+                    pending[fill & 15] = *word;
+                    fill += usize::from(mask >> w & 1);
+                }
             }
-            emitted += u64::from(mask.count_ones());
+            emitted += (fill - before) as u64;
+            // A run served short of the filling burst leaves no line due.
             if fill >= 8 {
-                // The line fills within this burst: it goes out at the
-                // tick a word-by-word packer would have sent it.
+                // The line fills in the run's last burst: it goes out at
+                // the tick the datapath starts that burst, as a
+                // word-by-word packer would send it.
                 module
                     .serve_addr(
                         PhysAddr(out_cursor),
                         true,
                         Requester::Ndp,
-                        proc_free,
-                        Some(pending[..64].try_into().expect("one line")),
+                        last_start,
+                        Some(pending[..8].as_flattened().try_into().expect("one line")),
                     )
                     .map_err(device_error)?;
                 bursts_written += 1;
                 out_cursor += 64;
-                pending.copy_within(64.., 0);
+                pending.copy_within(8.., 0);
                 fill -= 8;
             }
-            proc_free += Tick::from_ps(words * ps_per_word);
+            let last_words = (job.rows - (burst + n - 1) * 8).min(8);
+            proc_free = last_start + Tick::from_ps(last_words * ps_per_word);
+            burst += n;
+            bursts_read += n;
         }
         if fill > 0 {
             // The last, partial line carries zeros past its values.
-            pending[fill * 8..64].fill(0);
+            pending[fill..8].fill([0; 8]);
             module
                 .serve_addr(
                     PhysAddr(out_cursor),
                     true,
                     Requester::Ndp,
                     proc_free,
-                    Some(pending[..64].try_into().expect("one line")),
+                    Some(pending[..8].as_flattened().try_into().expect("one line")),
                 )
                 .map_err(device_error)?;
             bursts_written += 1;

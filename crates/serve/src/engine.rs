@@ -1757,15 +1757,20 @@ impl Engine<'_, '_> {
                 );
                 return Ok(());
             }
-            let mut packed = vec![0u8; emitted as usize * 8];
-            self.env.modules[ch].data().read(
-                PhysAddr(self.env.proj_outs[shard.unit].0 + shard.off * 8),
-                &mut packed,
-            );
-            let vals = packed
-                .chunks_exact(8)
-                .map(|w| i64::from_le_bytes(w.try_into().expect("8 bytes")))
-                .collect();
+            // The packed values, decoded a line at a time straight into
+            // the part.
+            let data = self.env.modules[ch].data();
+            let packed = self.env.proj_outs[shard.unit].0 + shard.off * 8;
+            let mut vals = Vec::with_capacity(emitted as usize);
+            for addr in (packed..packed + emitted * 8).step_by(64) {
+                let line = data.read_burst(PhysAddr(addr));
+                let words = (emitted as usize - vals.len()).min(8);
+                vals.extend(
+                    line.as_chunks::<8>().0[..words]
+                        .iter()
+                        .map(|w| i64::from_le_bytes(*w)),
+                );
+            }
             proj_part = Some((shard.off, vals));
         }
         self.unit_free_ev
@@ -1808,9 +1813,18 @@ impl Engine<'_, '_> {
             .ok_or(EngineInvariant::MissingInflight { query: qid })?;
         let mut proj = fl.proj;
         proj.sort_by_key(|&(off, _)| off);
+        // A projection emits one value per matched row.
+        let mut projected = Vec::with_capacity(if proj.is_empty() {
+            0
+        } else {
+            fl.matched as usize
+        });
+        for (_, vals) in proj {
+            projected.extend(vals);
+        }
         let rec = &mut self.records[qid as usize];
         rec.matched = fl.matched;
-        rec.projected = proj.into_iter().flat_map(|(_, vals)| vals).collect();
+        rec.projected = projected;
         self.finish_query(qid, fl.end);
         Ok(())
     }
