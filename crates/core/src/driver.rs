@@ -27,21 +27,23 @@
 //!   consecutive exhausted ladders the driver stops attempting pushdown;
 //!   one success resets the count.
 //!
-//! When the ladder gives up, only the caller's choice differs:
+//! When the ladder gives up, each job shape has one contract:
 //!
-//! - **Fall back.** [`ResilientDriver::step_page`],
-//!   [`ResilientDriver::run_aggregate`] and [`ResilientDriver::run_project`]
-//!   finish the job on the host: the lease is released, the column is
-//!   streamed over timed host reads and any output written back as whole
+//! - **Fall back.** [`ResilientDriver::step_page`] finishes the select
+//!   page on the host: the lease is released, the page is streamed over
+//!   timed host reads and every lane's bitset slice written back as whole
 //!   64-byte lines — bit-identical to what the device would have produced.
 //!   If even the release fails, the driver degrades to functional reads
 //!   and writes with a modelled per-line cost, so the *result* is always
 //!   correct and only the *cost* varies.
 //! - **Park.** [`ResilientDriver::step_page_failfast`] freezes the session
 //!   at its page boundary for the caller to migrate.
-//! - **Hand back.** [`ResilientDriver::try_run_aggregate`] and
-//!   [`ResilientDriver::try_run_project`] return the tick the ladder gave
-//!   up.
+//! - **Hand back.** The one-shot kernels,
+//!   [`ResilientDriver::try_run_aggregate`] and
+//!   [`ResilientDriver::try_run_project`], return the tick the ladder gave
+//!   up, as §2.2's `select_jafar` returns an errno: the caller decides what
+//!   runs next (the serving engine re-dispatches the job or finishes it on
+//!   its own host rung).
 //!
 //! Every recovery action is counted in [`DriverStats`], surfaced as a
 //! [`Scoreboard`] so the simulator's run report can say what the faults
@@ -58,7 +60,7 @@
 //! (fail-fast or fall back) and one CPU page fallback. A plain select
 //! ([`ResilientDriver::run_select`]) is the one-lane session.
 
-use crate::aggregate::{AggOp, AggregateJob};
+use crate::aggregate::AggregateJob;
 use crate::api::{device_errno, errno, issue_errno, select_jafar_lanes, DriverCosts};
 use crate::device::{burst_words, rank_of, DeviceError, JafarDevice};
 use crate::ownership::{grant_ownership_for, release_ownership, renew_lease, Lease};
@@ -157,9 +159,6 @@ pub struct DriverStats {
     /// 64-byte lines read functionally because the timed host path was
     /// unavailable during a fallback scan.
     pub degraded_lines: Counter,
-    /// One-shot kernels (aggregate / projection) finished by the host scan
-    /// after the device path exhausted its retries.
-    pub kernel_fallbacks: Counter,
 }
 
 impl DriverStats {
@@ -174,7 +173,6 @@ impl DriverStats {
             + self.breaker_trips.get()
             + self.pages_cpu.get()
             + self.degraded_lines.get()
-            + self.kernel_fallbacks.get()
     }
 
     /// The counters as a named scoreboard for run reports.
@@ -192,7 +190,6 @@ impl DriverStats {
         s.add("uncorrectable", self.uncorrectable.get());
         s.add("breaker_trips", self.breaker_trips.get());
         s.add("degraded_lines", self.degraded_lines.get());
-        s.add("kernel_fallbacks", self.kernel_fallbacks.get());
         s
     }
 }
@@ -287,31 +284,26 @@ pub struct DriverRun {
     pub driver: Tick,
 }
 
-/// Outcome of one resilient one-shot aggregation.
+/// Outcome of one aggregation the device served under the ladder.
 #[derive(Clone, Copy, Debug)]
 pub struct AggregateOutcome {
-    /// Completion tick (device run observed, or fallback fold done).
+    /// Completion tick, as the host observed the device finish.
     pub end: Tick,
-    /// The folded scalar, with the device kernel's exact semantics: sum for
+    /// The folded scalar, with the device kernel's semantics: sum for
     /// `Sum`/`Avg`, extremum for `Min`/`Max` (`None` when no row
-    /// qualified), count for `Count` — identical whichever path produced
-    /// it.
+    /// qualified), count for `Count`.
     pub value: Option<i64>,
     /// Qualifying rows.
     pub count: u64,
-    /// False when the host fallback fold produced the value.
-    pub on_device: bool,
 }
 
-/// Outcome of one resilient projection pass.
+/// Outcome of one projection pass the device served under the ladder.
 #[derive(Clone, Copy, Debug)]
 pub struct ProjectOutcome {
-    /// Completion tick (device run observed, or fallback writeback done).
+    /// Completion tick, as the host observed the device finish.
     pub end: Tick,
-    /// Values packed to `out_addr` — identical whichever path ran.
+    /// Values packed to `out_addr`.
     pub emitted: u64,
-    /// False when the host fallback packed the output.
-    pub on_device: bool,
 }
 
 /// A select in progress over `k` predicate lanes (1 ≤ k ≤
@@ -375,11 +367,6 @@ impl SelectSession {
     /// lane).
     pub fn next_row(&self) -> u64 {
         self.row
-    }
-
-    /// Number of fused predicate lanes.
-    pub fn lanes(&self) -> usize {
-        self.req.preds.len()
     }
 
     /// Folds the finished session into a [`FusedDriverRun`].
@@ -889,51 +876,12 @@ impl ResilientDriver {
         }
     }
 
-    /// Runs one scalar aggregation with the full recovery ladder: device
-    /// kernel under lease upkeep / watchdog / bounded retries, then — when
-    /// the device path is exhausted or the breaker is open — a host
-    /// fallback that streams the column over timed reads and folds in
-    /// software with the device kernel's exact semantics (wrapping sum,
-    /// `None` extremum when nothing qualifies). The scalar is identical
-    /// whichever path produced it; only the cost differs. No DRAM
-    /// writeback: the value travels in the returned [`AggregateOutcome`].
-    pub fn run_aggregate(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        job: AggregateJob,
-        start: Tick,
-    ) -> AggregateOutcome {
-        self.try_run_aggregate(device, module, job, start)
-            .unwrap_or_else(|mut t| {
-                self.note_kernel_fallback(t, job.col_addr.0);
-                let bounds = job.filter.map(crate::predicate::Predicate::bounds);
-                let (mut count, mut acc) = (0u64, None);
-                let cost = self.cfg.cpu_word_cost;
-                self.host_stream(module, job.col_addr, job.rows, cost, &mut t, |_, v| {
-                    if bounds.is_none_or(|(lo, hi)| lo <= v && v <= hi) {
-                        count += 1;
-                        acc = job.op.step(acc, v);
-                    }
-                });
-                AggregateOutcome {
-                    end: t,
-                    value: match job.op {
-                        AggOp::Count => Some(count as i64),
-                        _ => acc,
-                    },
-                    count,
-                    on_device: false,
-                }
-            })
-    }
-
-    /// The fallible half of [`ResilientDriver::run_aggregate`]: the device
-    /// kernel under the full ladder, but when the device path is exhausted
-    /// the job is handed *back* instead of folded on the host —
-    /// `Err(tick)` carries the time the ladder gave up, breaker accounting
-    /// already booked. The serving tier uses this to re-dispatch the shard
-    /// onto a healthy rank rather than crawl through a host fold here.
+    /// Runs one scalar aggregation on the device under the full ladder.
+    /// When the ladder gives up (retries exhausted, the breaker open, or a
+    /// job the device refuses for good) the job is handed *back*:
+    /// `Err(tick)` is the time it gave up, breaker accounting booked, and
+    /// the caller decides what runs next. The value travels in the
+    /// returned [`AggregateOutcome`], not in DRAM.
     pub fn try_run_aggregate(
         &mut self,
         device: &mut JafarDevice,
@@ -956,48 +904,13 @@ impl ResilientDriver {
             end: t,
             value: r.value,
             count: r.count,
-            on_device: true,
         })
         .ok_or(t)
     }
 
-    /// Runs one projection pass with the full recovery ladder. The fallback
-    /// reads the selection bitset functionally (it is host-visible whether
-    /// the select ran on the device or the CPU rung), streams the column
-    /// over timed host reads, packs qualifying values densely and writes
-    /// them back as whole 64-byte lines — byte-identical to the device's
-    /// packed output over the emitted range.
-    pub fn run_project(
-        &mut self,
-        device: &mut JafarDevice,
-        module: &mut DramModule,
-        job: ProjectJob,
-        start: Tick,
-    ) -> ProjectOutcome {
-        self.try_run_project(device, module, job, start)
-            .unwrap_or_else(|mut t| {
-                self.note_kernel_fallback(t, job.col_addr.0);
-                let mut bits = vec![0u8; job.rows.div_ceil(8) as usize];
-                module.data().read(job.bitset_addr, &mut bits);
-                let mut out = Vec::new();
-                let cost = self.cfg.cpu_word_cost;
-                self.host_stream(module, job.col_addr, job.rows, cost, &mut t, |row, v| {
-                    if bits[(row / 8) as usize] >> (row % 8) & 1 == 1 {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                });
-                self.host_write(module, job.out_addr, &out, &mut t);
-                ProjectOutcome {
-                    end: t,
-                    emitted: (out.len() / 8) as u64,
-                    on_device: false,
-                }
-            })
-    }
-
-    /// The fallible half of [`ResilientDriver::run_project`], mirroring
-    /// [`ResilientDriver::try_run_aggregate`]: `Err(tick)` means the
-    /// device path is exhausted and the caller owns the fallback decision.
+    /// Runs one projection pass on the device under the full ladder,
+    /// with [`ResilientDriver::try_run_aggregate`]'s contract: `Err(tick)`
+    /// hands the job back at the tick the ladder gave up.
     pub fn try_run_project(
         &mut self,
         device: &mut JafarDevice,
@@ -1019,20 +932,11 @@ impl ResilientDriver {
         run.map(|r| ProjectOutcome {
             end: t,
             emitted: r.emitted,
-            on_device: true,
         })
         .ok_or(t)
     }
 
-    /// Books the host-fallback half of an abandoned kernel: the dedicated
-    /// counter plus the trace event. The ladder already booked the
-    /// breaker.
-    fn note_kernel_fallback(&mut self, t: Tick, tag: u64) {
-        self.stats.kernel_fallbacks.inc();
-        self.tracer.emit(t, EventKind::CpuFallback { page: tag });
-    }
-
-    /// The host half of every fallback: releases the lease if held, then
+    /// The host half of the page fallback: releases the lease if held, then
     /// streams `rows` packed `i64` values from `col` line by line over
     /// [`ResilientDriver::read_line`], calling `each(row, value)` in row
     /// order and charging `word_cost` per word of each line.
@@ -1103,6 +1007,7 @@ impl ResilientDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::AggOp;
     use jafar_common::bitset::BitSet;
     use jafar_common::rng::SplitMix64;
     use jafar_dram::{AddressMapping, DramGeometry, DramTiming, FaultInjector, FaultPlan};
@@ -1236,48 +1141,7 @@ mod tests {
     }
 
     #[test]
-    fn resilient_aggregate_falls_back_to_the_identical_scalar() {
-        let (mut m, values) = module_with_column(2048, 21);
-        let mut device = JafarDevice::paper_default();
-        let mut driver = ResilientDriver::new(ResilienceConfig::default());
-        let job = AggregateJob {
-            col_addr: PhysAddr(0),
-            rows: 2048,
-            op: AggOp::Sum,
-            filter: Some(crate::predicate::Predicate::Between(100, 499)),
-        };
-        let clean = driver.run_aggregate(&mut device, &mut m, job, Tick::ZERO);
-        let expect: i64 = values
-            .iter()
-            .filter(|&&v| (100..=499).contains(&v))
-            .fold(0i64, |a, &v| a.wrapping_add(v));
-        assert!(clean.on_device);
-        assert_eq!(clean.value, Some(expect));
-        assert_eq!(driver.stats().recovery_total(), 0);
-
-        // Stall every burst: the device path must exhaust its retries and
-        // the host fold must return the identical scalar.
-        m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
-            stall_burst_range: Some((0, u64::MAX)),
-            ..FaultPlan::none(0)
-        })));
-        let mut sick = ResilientDriver::new(ResilienceConfig {
-            max_retries: 1,
-            breaker_threshold: 1,
-            ..ResilienceConfig::default()
-        });
-        let degraded = sick.run_aggregate(&mut device, &mut m, job, Tick::ZERO);
-        assert!(!degraded.on_device);
-        assert_eq!(degraded.value, Some(expect), "fallback scalar differs");
-        assert_eq!(degraded.count, clean.count);
-        let s = sick.stats();
-        assert!(s.kernel_fallbacks.get() >= 1);
-        assert!(s.watchdog_fires.get() >= 1);
-        assert!(s.recovery_total() >= 1);
-    }
-
-    #[test]
-    fn resilient_project_falls_back_to_identical_packed_bytes() {
+    fn try_run_project_hands_a_stalled_job_back() {
         const PROJ: PhysAddr = PhysAddr(128 * 1024);
         let (mut m, values) = module_with_column(2048, 22);
         let mut device = JafarDevice::paper_default();
@@ -1289,21 +1153,8 @@ mod tests {
             bitset_addr: OUT,
             out_addr: PROJ,
         };
-        let clean = driver.run_project(&mut device, &mut m, job, Tick::ZERO);
-        let expect: Vec<i64> = values
-            .iter()
-            .copied()
-            .filter(|v| (100..=499).contains(v))
-            .collect();
-        assert!(clean.on_device);
-        assert_eq!(clean.emitted as usize, expect.len());
-        let packed = |m: &DramModule| -> Vec<i64> {
-            (0..expect.len())
-                .map(|i| m.data().read_i64(PhysAddr(PROJ.0 + i as u64 * 8)))
-                .collect()
-        };
-        assert_eq!(packed(&m), expect);
-
+        // Stall every burst: the ladder exhausts its retries and hands the
+        // job back.
         m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
             stall_burst_range: Some((0, u64::MAX)),
             ..FaultPlan::none(0)
@@ -1313,11 +1164,28 @@ mod tests {
             breaker_threshold: 1,
             ..ResilienceConfig::default()
         });
-        let degraded = sick.run_project(&mut device, &mut m, job, Tick::ZERO);
-        assert!(!degraded.on_device);
-        assert_eq!(degraded.emitted, clean.emitted);
-        assert_eq!(packed(&m), expect, "fallback packed bytes differ");
-        assert!(sick.stats().kernel_fallbacks.get() >= 1);
+        let t_fail = sick
+            .try_run_project(&mut device, &mut m, job, Tick::ZERO)
+            .expect_err("a stalled projection is handed back");
+        let s = sick.stats();
+        assert!(s.watchdog_fires.get() >= 1);
+        assert_eq!(s.breaker_trips.get(), 1, "the give-up is booked");
+
+        // Re-dispatched on a healthy path, the job packs the selection.
+        m.set_fault_injector(None);
+        let out = driver
+            .try_run_project(&mut device, &mut m, job, t_fail)
+            .expect("a healthy rank serves the job");
+        let expect: Vec<i64> = values
+            .iter()
+            .copied()
+            .filter(|v| (100..=499).contains(v))
+            .collect();
+        assert_eq!(out.emitted as usize, expect.len());
+        let packed: Vec<i64> = (0..expect.len())
+            .map(|i| m.data().read_i64(PhysAddr(PROJ.0 + i as u64 * 8)))
+            .collect();
+        assert_eq!(packed, expect);
     }
 
     #[test]
@@ -1331,7 +1199,6 @@ mod tests {
         });
         let req = request(2048, 100, 499);
         let mut session = driver.start_session(&m, req.into(), Tick::ZERO);
-        assert_eq!(session.lanes(), 1, "a plain select is the one-lane session");
         // Two clean pages, then the rank goes dark mid-query.
         driver.step_page_failfast(&mut device, &mut m, &mut session);
         driver.step_page_failfast(&mut device, &mut m, &mut session);
@@ -1408,8 +1275,9 @@ mod tests {
         };
         let (mut m, _) = module_with_column(2048, 41);
         let mut clean = ResilientDriver::new(ResilienceConfig::default());
-        let expect =
-            clean.run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO);
+        let expect = clean
+            .try_run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO)
+            .expect("a clean module serves the job");
 
         // Every disturbed burst is a double flip that SECDED detects but
         // cannot correct: the device aborts with an ECC error while the
@@ -1422,8 +1290,9 @@ mod tests {
             ..FaultPlan::none(5)
         })));
         let mut driver = ResilientDriver::new(ResilienceConfig::default());
-        let out = driver.run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO);
-        assert!(out.on_device);
+        let out = driver
+            .try_run_aggregate(&mut JafarDevice::paper_default(), &mut m, job, Tick::ZERO)
+            .expect("a retry serves the job on the device");
         assert_eq!(out.value, expect.value, "retried scalar differs");
         let s = driver.stats();
         assert!(
@@ -1461,14 +1330,9 @@ mod tests {
         let t_fail = err.expect_err("dark rank exhausts the device path");
         assert!(t_fail > Tick::ZERO);
         assert!(driver.breaker_open(), "failure still books the breaker");
-        assert_eq!(
-            driver.stats().kernel_fallbacks.get(),
-            0,
-            "no fallback implied: the caller owns the decision"
-        );
 
-        // The same job re-dispatched on a healthy path folds the same
-        // scalar the plain resilient entry point produces.
+        // The same job re-dispatched on a healthy path folds the
+        // reference scalar.
         m.set_fault_injector(None);
         let mut healthy = ResilientDriver::new(ResilienceConfig::default());
         let out = healthy
@@ -1478,17 +1342,18 @@ mod tests {
             .iter()
             .filter(|&&v| (100..=499).contains(&v))
             .fold(0i64, |a, &v| a.wrapping_add(v));
-        assert!(out.on_device);
         assert_eq!(out.value, Some(expect));
     }
 
     /// A kernel job whose column starts at the module's end has no rank.
     /// The driver refuses it as its ladder refuses a job that spans
     /// ranks: no lease, no retry, one failure booked against the breaker,
-    /// and `Err(start)`. Two paths still decode such a column unchecked
+    /// and `Err(start)`. One path still decodes such a column unchecked
     /// and would panic: `resume_session`, which returns a session rather
-    /// than a `Result`, and the host fallbacks of `run_aggregate` and
-    /// `run_project`, which read the column past the end.
+    /// than a `Result`. Storing `rank_of`'s `Option` there would only move
+    /// the panic, since the session's CPU page fallback reads the same
+    /// address through `serve_addr`'s decode; the select entry points need
+    /// a typed error first.
     fn refuse_past_the_end(
         run: impl FnOnce(&mut ResilientDriver, &mut DramModule, PhysAddr, Tick) -> Result<Tick, Tick>,
     ) {

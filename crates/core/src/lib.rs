@@ -23,8 +23,9 @@
 //! - [`ownership`]: rank-ownership transfer via the MR3/MPR mechanism,
 //!   with bounded (expiring, renewable) leases;
 //! - [`driver`]: the resilient host driver — watchdog timeouts, bounded
-//!   exponential backoff, lease renewal, a circuit breaker and a CPU-scan
-//!   fallback, so queries survive the fault plans `jafar-dram` injects;
+//!   exponential backoff, lease renewal, a circuit breaker, a CPU-scan
+//!   fallback for select pages and a hand-back for the one-shot kernels,
+//!   so queries survive the fault plans `jafar-dram` injects;
 //! - the §4 roadmap extensions: [`aggregate`] (sum/min/max/count/avg and
 //!   bounded-bucket hash group-by with hierarchical overflow), [`project`]
 //!   (position-driven gather in memory), [`rowstore`] (parallel

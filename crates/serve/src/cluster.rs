@@ -54,7 +54,7 @@
 
 use crate::engine::{host_scan, host_scan_cost, Engine, EngineInvariant, ServeConfig, ServeEnv};
 use crate::policy::SchedPolicy;
-use crate::report::{Availability, ExecMode, QueryRecord};
+use crate::report::{mean, percentile, Availability, ExecMode, QueryRecord};
 use crate::workload::{Arrivals, Workload};
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
@@ -298,12 +298,7 @@ impl ClusterReport {
     /// Nearest-rank client-visible latency percentile (`pct` clamped to
     /// `1..=100`); `None` when nothing completed.
     pub fn latency_percentile(&self, pct: u64) -> Option<Tick> {
-        let sorted = self.sorted_latencies();
-        if sorted.is_empty() {
-            return None;
-        }
-        let idx = (pct.clamp(1, 100) as usize * sorted.len()).div_ceil(100) - 1;
-        Some(sorted[idx])
+        percentile(&self.sorted_latencies(), pct)
     }
 
     /// Median client-visible latency.
@@ -336,15 +331,6 @@ impl ClusterReport {
                 .map(|q| q.resp_hop),
         )
     }
-}
-
-fn mean(iter: impl Iterator<Item = Tick>) -> Option<Tick> {
-    let (mut sum, mut n) = (0u64, 0u64);
-    for t in iter {
-        sum += t.as_ps();
-        n += 1;
-    }
-    (n > 0).then(|| Tick::from_ps(sum / n))
 }
 
 impl fmt::Display for ClusterReport {
@@ -654,20 +640,12 @@ pub fn run_cluster(
                         let done = begin + host_scan_cost(cfg, values.len() as u64, spec.op);
                         front_free = done;
                         let mut rec = QueryRecord {
-                            id: qid,
-                            lo: spec.lo,
-                            hi: spec.hi,
-                            op: spec.op,
                             submitted: t,
                             started: Some(begin),
                             done: Some(done),
                             deadline: slos[q].map_or(Tick::MAX, |s| t + s),
                             mode: ExecMode::Cpu,
-                            matched: 0,
-                            bitset: Vec::new(),
-                            agg: None,
-                            projected: Vec::new(),
-                            groups: Vec::new(),
+                            ..QueryRecord::pending(qid, &spec)
                         };
                         host_scan(values, keys, &mut rec);
                         req_hop[q] = pull;

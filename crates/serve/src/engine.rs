@@ -531,22 +531,7 @@ impl<'a, 'e> Engine<'a, 'e> {
             .specs
             .iter()
             .enumerate()
-            .map(|(i, s)| QueryRecord {
-                id: i as u32,
-                lo: s.lo,
-                hi: s.hi,
-                op: s.op,
-                submitted: Tick::ZERO,
-                started: None,
-                done: None,
-                deadline: Tick::MAX,
-                mode: ExecMode::Pending,
-                matched: 0,
-                bitset: Vec::new(),
-                agg: None,
-                projected: Vec::new(),
-                groups: Vec::new(),
-            })
+            .map(|(i, s)| QueryRecord::pending(i as u32, s))
             .collect();
 
         let slos: Vec<Option<Tick>> = workload

@@ -1,6 +1,6 @@
 //! Per-query records and the aggregate [`ServeReport`].
 
-use crate::workload::QueryOp;
+use crate::workload::{QueryOp, QuerySpec};
 use jafar_common::time::Tick;
 use std::fmt;
 
@@ -68,6 +68,27 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
+    /// The record of query `id` before anything happened to it: pending,
+    /// no deadline, no result.
+    pub(crate) fn pending(id: u32, spec: &QuerySpec) -> Self {
+        QueryRecord {
+            id,
+            lo: spec.lo,
+            hi: spec.hi,
+            op: spec.op,
+            submitted: Tick::ZERO,
+            started: None,
+            done: None,
+            deadline: Tick::MAX,
+            mode: ExecMode::Pending,
+            matched: 0,
+            bitset: Vec::new(),
+            agg: None,
+            projected: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+
     /// Submission-to-completion latency; `None` if shed.
     pub fn latency(&self) -> Option<Tick> {
         self.done.map(|d| d.saturating_sub(self.submitted))
@@ -380,7 +401,7 @@ pub struct OpBreakdown {
 
 /// Nearest-rank percentile over sorted latencies; `pct` clamped to
 /// `1..=100`, `None` on an empty sample.
-fn percentile(sorted: &[Tick], pct: u64) -> Option<Tick> {
+pub(crate) fn percentile(sorted: &[Tick], pct: u64) -> Option<Tick> {
     if sorted.is_empty() {
         return None;
     }
@@ -388,7 +409,8 @@ fn percentile(sorted: &[Tick], pct: u64) -> Option<Tick> {
     Some(sorted[idx])
 }
 
-fn mean(iter: impl Iterator<Item = Tick>) -> Option<Tick> {
+/// Mean of `iter`; `None` on an empty sample.
+pub(crate) fn mean(iter: impl Iterator<Item = Tick>) -> Option<Tick> {
     let (mut sum, mut n) = (0u64, 0u64);
     for t in iter {
         sum += t.as_ps();

@@ -86,7 +86,8 @@ pub struct JafarSelectStats {
     pub setup: Tick,
     /// `select_jafar` invocations (pages).
     pub pages: u64,
-    /// Bursts the device read on the DIMM (never crossing the bus).
+    /// Bursts the device read on the DIMM during this run (never
+    /// crossing the bus).
     pub device_bursts_read: u64,
 }
 
@@ -534,6 +535,12 @@ impl System {
         hi: i64,
         start: Tick,
     ) -> JafarSelectStats {
+        // The device's counter spans its lifetime; the run reports its own.
+        let bursts_before = self
+            .core
+            .devices
+            .first()
+            .map_or(0, |d| d.stats().bursts_read.get());
         let run = self.run_select_jafar_resilient(
             col_addr,
             rows,
@@ -556,7 +563,7 @@ impl System {
             ownership: run.end - start - setup - run.device - run.driver,
             setup,
             pages: run.pages,
-            device_bursts_read: self.core.devices[0].stats().bursts_read.get(),
+            device_bursts_read: self.core.devices[0].stats().bursts_read.get() - bursts_before,
         }
     }
 
@@ -873,6 +880,10 @@ mod tests {
         // none of them.
         assert_eq!(jf.device_bursts_read, 1000);
         assert_eq!(sys.mc().counters().reads.get(), 0);
+        // A second identical select on the same system reports its own
+        // bursts, not the device's lifetime count.
+        let again = sys.run_select_jafar(col, 8000, 0, 499, jf.end);
+        assert_eq!(again.device_bursts_read, 1000);
         // The CPU baseline moves every line across the bus (demand +
         // prefetch fills together cover the 1000-line column, plus the
         // output's write-allocate traffic).

@@ -9,13 +9,19 @@
 //! module's `DramStats` and fault counters. The digest is written out
 //! here because std's `DefaultHasher` is not stable across releases.
 //!
-//! The constants were computed before the per-burst fast path landed and
-//! must not be edited to make a change pass. CI runs this file by name.
+//! The constants were computed before the per-burst fast path landed, and
+//! those of the group-by, interleaved-select, row-filter and sort
+//! scenario before the driver's host-folding kernel entry points were
+//! removed; none may be edited to make a change pass. CI runs this file
+//! by name.
 
 use jafar::common::rng::SplitMix64;
 use jafar::common::time::Tick;
-use jafar::core::aggregate::{AggOp, AggregateJob};
+use jafar::core::aggregate::{AggOp, AggregateJob, GroupByJob};
+use jafar::core::interleave::InterleavedSelectJob;
 use jafar::core::project::ProjectJob;
+use jafar::core::rowstore::{ColPredicate, RowFilterJob};
+use jafar::core::sort::SortJob;
 use jafar::core::{
     grant_ownership, DeviceConfig, DeviceError, FusedSelectJob, JafarDevice, Predicate, SelectJob,
 };
@@ -279,6 +285,193 @@ fn device_digest(out_buf_bits: usize, faults: Option<u64>) -> Scenario {
     }
 }
 
+/// Regions of the group-by, interleave, row-filter and sort scenario, all
+/// on rank 0 of both machines (the tiny module's rank 0 is its first
+/// 256 KiB): a 2,048-row value column at 0, its keys, a row-major table,
+/// the output bitsets, the sort's two regions and the group-by spill area.
+const KEYS: u64 = 0x0_4000;
+const TABLE: u64 = 0x0_8000;
+const BITS: u64 = 0x1_0000;
+const SORT_IN: u64 = 0x1_1000;
+const SORT_OUT: u64 = 0x1_3000;
+const SPILL: u64 = 0x2_0000;
+
+/// Column slices of that scenario: whole bursts from 0, a mid-row start
+/// with a row count that is not a multiple of 8, a short run across a
+/// row boundary, and less than one burst.
+const SLICES: [(u64, u64); 4] = [(0, 2048), (64 * 37, 1001), (64 * 14, 77), (64 * 200, 5)];
+
+/// Runs the datapaths `device_digest` leaves out on a module of
+/// `geometry`, threading simulated time through all of them: per column
+/// slice two group-bys with 4 and 16 buckets (13 distinct keys, so rows
+/// spill) and two interleaved selects; then row filters of one to three
+/// predicates over four row strides, and sorts of four lengths. `refresh`
+/// turns the DDR3 refresh on; `faults` installs `FaultPlan::light` after
+/// the grant. Returns the scenario and the rows its group-bys spilled.
+fn remaining_datapaths_digest(
+    geometry: DramGeometry,
+    refresh: bool,
+    faults: Option<u64>,
+) -> (Scenario, u64) {
+    let timing = if refresh {
+        DramTiming::ddr3_paper()
+    } else {
+        DramTiming::ddr3_paper().without_refresh()
+    };
+    let mut module = DramModule::new(geometry, timing, AddressMapping::RankRowBankBlock);
+    let values = column(2048, 13);
+    let keys: Vec<i64> = (0..2048).map(|i| (i * 7) % 13).collect();
+    module.data_mut().write_i64s(PhysAddr(0), &values);
+    module.data_mut().write_i64s(PhysAddr(KEYS), &keys);
+    module
+        .data_mut()
+        .write_i64s(PhysAddr(TABLE), &column(4096, 17));
+    module
+        .data_mut()
+        .write_i64s(PhysAddr(SORT_IN), &values[..1024]);
+    let mut now = grant_ownership(&mut module, 0, Tick::ZERO)
+        .expect("fresh module")
+        .acquired_at;
+    if let Some(seed) = faults {
+        module.set_fault_injector(Some(FaultInjector::new(FaultPlan::light(seed))));
+    }
+    let mut device = JafarDevice::new(DeviceConfig::default());
+    let mut h = Fnv::new();
+    let (mut errors, mut spilled) = (0, 0);
+    let mut advance = |h: &mut Fnv, now: &mut Tick, end: Result<Tick, DeviceError>| match end {
+        Ok(end) => {
+            h.tick(end);
+            *now = end;
+        }
+        Err(e) => {
+            h.err(e);
+            errors += 1;
+            *now += Tick::from_us(10);
+        }
+    };
+    for &(col, rows) in &SLICES {
+        for (buckets, op) in [(4, AggOp::Sum), (16, AggOp::Count)] {
+            let group_by = device.run_group_by(
+                &mut module,
+                GroupByJob {
+                    key_addr: PhysAddr(KEYS + col),
+                    val_addr: PhysAddr(col),
+                    rows,
+                    op,
+                    buckets,
+                    spill_addr: PhysAddr(SPILL),
+                },
+                now,
+            );
+            if let Ok(r) = &group_by {
+                for &(key, acc, n) in &r.groups {
+                    h.i64(key);
+                    h.i64(acc);
+                    h.u64(n);
+                }
+                h.u64(r.spilled_rows);
+                h.u64(r.bursts_read);
+                h.bytes(&read_bytes(&module, SPILL, r.spilled_rows * 64));
+                spilled += r.spilled_rows;
+            }
+            advance(&mut h, &mut now, group_by.map(|r| r.end));
+        }
+        for (ways, phase, predicate) in [
+            (2, 1, Predicate::Between(200_000, 599_999)),
+            (3, 0, Predicate::Ge(900_000)),
+        ] {
+            let interleaved = device.run_select_interleaved(
+                &mut module,
+                InterleavedSelectJob {
+                    local_col_addr: PhysAddr(col),
+                    local_rows: rows,
+                    predicate,
+                    out_addr: PhysAddr(BITS),
+                    ways,
+                    phase,
+                },
+                now,
+            );
+            if let Ok(r) = &interleaved {
+                h.u64(r.matched);
+                h.u64(r.bursts_read);
+                h.u64(r.rmw_reads);
+                h.u64(r.bursts_written);
+            }
+            advance(&mut h, &mut now, interleaved.map(|r| r.end));
+            let global_rows = rows * u64::from(ways);
+            h.bytes(&read_bytes(&module, BITS, global_rows.div_ceil(8)));
+        }
+    }
+    for (row_bytes, rows, offsets) in [
+        (8, 1001, [0, 0, 0]),
+        (16, 700, [0, 8, 8]),
+        (64, 300, [0, 24, 56]),
+        (128, 200, [8, 64, 120]),
+    ] {
+        let all = [
+            Predicate::Between(200_000, 799_999),
+            Predicate::Ge(100_000),
+            Predicate::Between(i64::MIN, i64::MAX),
+        ];
+        for n in 1..=3 {
+            let predicates = offsets
+                .iter()
+                .zip(all)
+                .take(n)
+                .map(|(&offset, predicate)| ColPredicate { offset, predicate })
+                .collect();
+            let filter = device.run_row_filter(
+                &mut module,
+                &RowFilterJob {
+                    base: PhysAddr(TABLE),
+                    row_bytes,
+                    rows,
+                    predicates,
+                    out_addr: PhysAddr(BITS),
+                },
+                now,
+            );
+            if let Ok(r) = &filter {
+                h.u64(r.matched);
+                h.u64(r.bursts_read);
+                h.u64(r.bursts_written);
+            }
+            advance(&mut h, &mut now, filter.map(|r| r.end));
+            h.bytes(&read_bytes(&module, BITS, rows.div_ceil(8)));
+        }
+    }
+    for rows in [5, 77, 300, 1000] {
+        let sort = device.run_sort(
+            &mut module,
+            SortJob {
+                col_addr: PhysAddr(SORT_IN),
+                rows,
+                out_addr: PhysAddr(SORT_OUT),
+            },
+            now,
+        );
+        if let Ok(r) = &sort {
+            h.u64(r.result_addr.0);
+            h.u64(u64::from(r.passes));
+            h.u64(r.bursts_moved);
+            h.bytes(&read_bytes(&module, r.result_addr.0, rows * 8));
+        }
+        advance(&mut h, &mut now, sort.map(|r| r.end));
+    }
+    let d = device.stats();
+    for c in [d.jobs, d.words, d.bursts_read, d.bursts_written] {
+        h.u64(c.get());
+    }
+    fold_dram(&mut h, &module);
+    let run = Scenario {
+        digest: h.0,
+        refreshes: module.stats().refreshes.get(),
+        errors,
+    };
+    (run, spilled)
+}
+
 /// One `System::serve_with_keys` of an op-mix-style stream (every §4
 /// operator plus a keyed group-by) on the op-mix machine.
 fn serve_digest() -> u64 {
@@ -370,4 +563,42 @@ fn narrow_output_buffers_are_pinned() {
 #[test]
 fn an_op_mix_serve_is_pinned() {
     assert_eq!(serve_digest(), 18_324_185_177_949_057_775);
+}
+
+#[test]
+fn group_by_interleave_row_filter_and_sort_are_pinned() {
+    let cases = [
+        ("tiny", DramGeometry::tiny(), false, None),
+        ("tiny", DramGeometry::tiny(), true, Some(3)),
+        ("gem5-like", DramGeometry::gem5_2gb(), true, None),
+        ("gem5-like", DramGeometry::gem5_2gb(), false, Some(5)),
+    ];
+    let runs = cases.map(|(name, geometry, refresh, faults)| {
+        let (run, spilled) = remaining_datapaths_digest(geometry, refresh, faults);
+        let case = format!("{name}, refresh {refresh}, faults {faults:?}");
+        println!("{case}: {} ({} errors)", run.digest, run.errors);
+        assert!(spilled > 0, "{case}: group-by rows spill");
+        if refresh {
+            assert!(run.refreshes > 0, "{case}: the jobs span refresh deadlines");
+        }
+        if faults.is_none() {
+            // Without refresh only an injected storm refreshes.
+            assert_eq!(run.refreshes > 0, refresh, "{case}: refreshes");
+            assert_eq!(run.errors, 0, "{case}: a clean module fails no job");
+        }
+        run
+    });
+    assert!(
+        runs.iter().any(|r| r.errors > 0),
+        "some faulted jobs fail, and their errors are pinned"
+    );
+    assert_eq!(
+        runs.map(|r| r.digest),
+        [
+            13_843_440_321_428_171_597,
+            6_818_214_854_786_484_450,
+            6_809_358_412_495_323_748,
+            12_402_110_981_583_608_442,
+        ]
+    );
 }

@@ -11,8 +11,12 @@
 //! event is dropped, and each scenario asserts it.
 //!
 //! The constants were computed before the solo select path was folded
-//! into the lane path and must not be edited to make a change pass. CI
-//! runs this file by name.
+//! into the lane path. The seven result digests, which hash the driver's
+//! scoreboard, were recomputed on commit `69c7799` with only the
+//! scoreboard's `kernel_fallbacks` line deleted, when that counter was
+//! removed; the Chrome-trace, timeline and metrics digests are the
+//! originals. None may be edited to make a change pass. CI runs this
+//! file by name.
 
 use jafar::common::time::Tick;
 use jafar::core::ResilienceConfig;
@@ -262,7 +266,7 @@ fn unfused_serve_is_pinned() {
         "fuse 1, gap 1 us",
         got,
         [
-            15_607_015_744_452_252_273,
+            4_834_014_293_123_641_851,
             18_254_325_395_780_737_017,
             17_955_488_187_620_648_933,
             3_067_494_459_706_150_306,
@@ -277,7 +281,7 @@ fn fused_serve_is_pinned() {
         "fuse 4, gap 1 us",
         got,
         [
-            8_333_439_947_472_951_797,
+            1_286_259_312_397_709_413,
             12_642_659_203_640_302_092,
             15_960_608_584_990_040_886,
             9_084_746_974_960_455_464,
@@ -292,7 +296,7 @@ fn sparse_fused_serve_is_pinned() {
         "fuse 4, gap 5 us",
         got,
         [
-            9_222_728_364_031_873_474,
+            14_829_328_983_174_681_354,
             16_841_012_349_627_833_426,
             12_985_166_524_954_499_515,
             6_484_642_705_684_314_658,
@@ -308,7 +312,7 @@ fn unfused_serve_through_an_outage_is_pinned() {
         "fuse 1, gap 2 us, rank 0 dark",
         got,
         [
-            5_781_893_226_894_977_697,
+            7_517_780_855_017_063_181,
             15_355_621_057_318_346_037,
             979_219_334_352_415_745,
             13_662_694_229_030_294_994,
@@ -324,7 +328,7 @@ fn fused_serve_through_an_outage_is_pinned() {
         "fuse 4, gap 1 us, rank 0 dark",
         got,
         [
-            16_269_414_129_686_598_571,
+            9_753_045_258_348_042_171,
             16_284_599_054_922_054_169,
             16_196_439_031_215_576_596,
             3_155_142_658_229_855_182,
@@ -338,7 +342,7 @@ fn resilient_select_under_light_faults_is_pinned() {
         "resilient, light(17)",
         resilient_digests(),
         [
-            14_053_232_556_782_579_289,
+            10_083_550_184_326_161_385,
             6_529_144_285_268_002_781,
             11_759_687_455_957_331_572,
             13_131_005_808_200_748_523,
@@ -352,7 +356,7 @@ fn parallel_select_under_light_faults_is_pinned() {
         "parallel x3, light(5)",
         parallel_digests(),
         [
-            11_141_632_493_043_852_943,
+            13_476_227_323_259_059_235,
             14_224_582_768_974_981_212,
             5_216_589_322_553_304_949,
             3_341_206_604_440_705_124,
