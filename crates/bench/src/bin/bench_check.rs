@@ -29,8 +29,11 @@
 //! - the cluster artifact's acceptance gates: the saturation knee scales
 //!   ≥ 1.6× from one node to two under replica-local routing, the
 //!   node-outage run completed every admitted query with results
-//!   identical to the solo run, and the rf=1 pull run billed exactly one
-//!   page-store transfer per frontend pull;
+//!   identical to the solo run, the rf=1 pull run billed exactly one
+//!   page-store transfer per frontend pull, and a 4-node grid's host time
+//!   per query at 16× the queries stayed within [`MAX_SCALE_RATIO`] of
+//!   its time per query at 1× (a ratio within one run, so it holds on
+//!   any machine);
 //! - the **baseline regression gate**: each artifact may carry a
 //!   `baseline` object with per-mode (`full` / `smoke`) maps of dotted
 //!   field paths to the values last accepted into the trajectory. Every
@@ -366,6 +369,11 @@ fn check_scaling(c: &mut Check, doc: &Json) {
     }
 }
 
+/// The most host time per query a grid serve of 16× the queries may
+/// cost, as a multiple of the smaller serve's: a grid serve costs linear
+/// host time in its query count.
+const MAX_SCALE_RATIO: f64 = 1.5;
+
 fn check_cluster(c: &mut Check, doc: &Json) {
     for key in ["bench", "smoke", "queries", "rows"] {
         c.require(doc, key);
@@ -445,6 +453,27 @@ fn check_cluster(c: &mut Check, doc: &Json) {
         }
         c.finite(pull, "store_bytes");
         c.finite(pull, "completed");
+    }
+    if let Some(scale) = c.require(doc, "scale") {
+        for key in [
+            "nodes",
+            "rows",
+            "reps",
+            "small_queries",
+            "large_queries",
+            "small_us_per_query",
+            "large_us_per_query",
+        ] {
+            c.finite(scale, key);
+        }
+        if let Some(ratio) = c.finite(scale, "ratio") {
+            if ratio > MAX_SCALE_RATIO {
+                c.fail(format!(
+                    "a grid serve of 16x the queries cost {ratio}x the host time per query \
+                     (> {MAX_SCALE_RATIO}x)"
+                ));
+            }
+        }
     }
 }
 

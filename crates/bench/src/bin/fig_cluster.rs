@@ -2,7 +2,8 @@
 //! `fig_serving`: N memory nodes behind a deterministic fabric, replica
 //! routing, and the degradation ladder stretched across tiers.
 //!
-//! Four experiments over one seeded mixed-operator stream:
+//! Four experiments over one seeded mixed-operator stream, and one on
+//! the host cost of a grid serve:
 //!
 //! - **node sweep** — N ∈ {1, 2, 4} fully-replicated nodes under
 //!   replica-local routing on a saturating open-loop load: the
@@ -22,7 +23,13 @@
 //! - **pull run** — replication factor 1 with the only holder dark: the
 //!   frontend falls back to the ladder's last rung, pulling the column
 //!   over the page-store link and scanning it locally; the store link's
-//!   ledger must bill exactly one pull per fallen-back query.
+//!   ledger must bill exactly one pull per fallen-back query;
+//! - **scale** — a 4-node grid serves plain selects over a 4,096-row
+//!   column at `n` and `16·n` queries (1,000 and 16,000; 500 and 8,000 in
+//!   smoke mode), best of 3 serves each: the host time per query at
+//!   `16·n` must stay within 1.5× of that at `n` (`bench_check` re-checks
+//!   the ratio from the artifact), so a grid serve costs linear host
+//!   time in its query count.
 //!
 //! Usage: `fig_cluster [--rows N] [--queries N] [--csv] [--smoke]`
 //!
@@ -38,6 +45,7 @@ use jafar_net::Placement;
 use jafar_serve::cluster::{ClusterConfig, ClusterQuery, RoutePolicy, Tier};
 use jafar_serve::{AggFn, PredicateMix, QueryOp, SchedPolicy, ServeConfig, Workload};
 use jafar_sim::{GridServeRun, ServeGrid, SystemConfig};
+use std::time::Instant;
 
 const FABRIC_SEED: u64 = 0xFAB;
 /// Operators cycle with period 3 — coprime to every node count in the
@@ -84,7 +92,7 @@ fn workload(queries: usize, seed: u64) -> Workload {
     Workload::poisson(mix, queries, Tick::from_ns(200), seed).with_op_mix(&OP_MIX)
 }
 
-/// One grid run from a fresh machine (node arenas are single-shot).
+/// One grid run from a fresh machine.
 #[allow(clippy::too_many_arguments)]
 fn run(
     values: &[i64],
@@ -190,6 +198,48 @@ fn tier_counts(run: &GridServeRun) -> (usize, usize, usize, usize) {
         r.tier_count(Tier::LocalPull),
         r.tier_count(Tier::Shed),
     )
+}
+
+/// Grid size, column rows and serves per size of the scale experiment.
+const SCALE_NODES: usize = 4;
+const SCALE_ROWS: usize = 4096;
+const SCALE_REPS: usize = 3;
+/// The most host time per query the `16·n` serve may cost, as a multiple
+/// of the `n` serve's.
+const MAX_SCALE_RATIO: f64 = 1.5;
+
+/// Best-of-[`SCALE_REPS`] host microseconds per query of a
+/// [`SCALE_NODES`]-node grid serving `queries` plain selects. Each serve
+/// gets a fresh grid, built outside the timer: a reused machine starts
+/// its next serve behind the previous serve's DRAM clocks, so its
+/// queries would queue deeper and the repetitions would not be the same
+/// work.
+fn scale_us_per_query(values: &[i64], queries: usize) -> f64 {
+    let mix = PredicateMix::UniformRange {
+        min: 0,
+        max: 999,
+        width: 300,
+    };
+    let workload = Workload::poisson(mix, queries, Tick::from_us(40), 0x5CA1E);
+    let placement = Placement::hot(SCALE_NODES);
+    let mut best = f64::INFINITY;
+    for _ in 0..SCALE_REPS {
+        let mut grid = ServeGrid::new(config(), SCALE_NODES, SharedTracer::disabled());
+        let mut fabric = grid.fabric(FABRIC_SEED);
+        let t0 = Instant::now();
+        let run = grid.serve(
+            values,
+            &placement,
+            &mut fabric,
+            &workload,
+            SchedPolicy::Fifo,
+            &serve_config(queries),
+            &ClusterConfig::default(),
+        );
+        best = best.min(t0.elapsed().as_secs_f64());
+        assert_eq!(run.report.completed(), queries, "scale: all complete");
+    }
+    best * 1e6 / queries as f64
 }
 
 fn ms(t: Option<Tick>) -> f64 {
@@ -401,6 +451,27 @@ fn main() {
         pull.report.store_link.bytes / 1024
     );
 
+    // --- Scale: host time per query at n and 16·n queries ---
+    let scale_small = if smoke { 500 } else { 1000 };
+    let scale_large = 16 * scale_small;
+    let mut rng = SplitMix64::new(0x5CA1E);
+    let scale_values: Vec<i64> = (0..SCALE_ROWS)
+        .map(|_| rng.next_range_inclusive(0, 999))
+        .collect();
+    let small_us = scale_us_per_query(&scale_values, scale_small);
+    let large_us = scale_us_per_query(&scale_values, scale_large);
+    let scale_ratio = large_us / small_us;
+    println!(
+        "# scale ({SCALE_NODES}-node grid, {SCALE_ROWS}-row selects, best of {SCALE_REPS}): \
+         {small_us:.1} us/query at {scale_small} queries, {large_us:.1} at {scale_large} \
+         ({scale_ratio:.2}x, gate <= {MAX_SCALE_RATIO}x)"
+    );
+    assert!(
+        scale_ratio <= MAX_SCALE_RATIO,
+        "scale: {scale_large} queries cost {scale_ratio:.2}x the host time per query of \
+         {scale_small} (> {MAX_SCALE_RATIO}x)"
+    );
+
     // --- Persist the artifact, carrying the accepted baseline ---
     let sweep_json: Vec<String> = sweep
         .iter()
@@ -443,6 +514,9 @@ fn main() {
          \"identity_vs_solo\": {identity_vs_solo}, \"confined_to_node\": 1}},\n  \
          \"pull\": {{\"replication\": 1, \"pulls\": {p_pulls}, \"store_bytes\": {}, \
          \"store_messages\": {}, \"completed\": {}}},\n  \
+         \"scale\": {{\"nodes\": {SCALE_NODES}, \"rows\": {SCALE_ROWS}, \"reps\": {SCALE_REPS}, \
+         \"small_queries\": {scale_small}, \"large_queries\": {scale_large}, \
+         \"small_us_per_query\": {}, \"large_us_per_query\": {}, \"ratio\": {}}},\n  \
          \"baseline\": {}\n}}\n",
         sweep_json.join(",\n"),
         jnum(knee2),
@@ -452,6 +526,9 @@ fn main() {
         pull.report.store_link.bytes,
         pull.report.store_link.messages,
         pull.report.completed(),
+        jnum(small_us),
+        jnum(large_us),
+        jnum(scale_ratio),
         carry_baseline("BENCH_cluster.json"),
     );
     write_bench_json("BENCH_cluster.json", &body);

@@ -156,7 +156,7 @@ impl JafarDevice {
         } else {
             Datapath::Aggregate
         };
-        let ps_per_word = datapath.ps_per_word(self.config());
+        let ps_per_word = self.rate(datapath);
         let full_burst = Tick::from_ps(8 * ps_per_word);
         // The filter as `[lo, lo + span]`, so one unsigned compare tests
         // a word; no filter is the whole domain, and an empty range
@@ -245,7 +245,7 @@ impl JafarDevice {
             ],
             start,
         )?;
-        let ps_per_word = Datapath::GroupBy.ps_per_word(self.config());
+        let ps_per_word = self.rate(Datapath::GroupBy);
         let t = *module.timing();
         let cas_pipeline = t.cl + t.t_burst;
 

@@ -384,6 +384,10 @@ pub struct JafarDevice {
     regs: RegisterFile,
     /// Picoseconds per filtered word, derived from the kernel schedule.
     ps_per_word: u64,
+    /// The aggregate, filtered-aggregate and group-by rates, each taken
+    /// from the process-wide table on this device's first job that needs
+    /// it, so a job reads its rate without the table's lock.
+    kernel_rates: [Option<u64>; 3],
     stats: DeviceStats,
     tracer: SharedTracer,
 }
@@ -399,6 +403,7 @@ impl JafarDevice {
             config,
             regs: RegisterFile::new(),
             ps_per_word,
+            kernel_rates: [None; 3],
             stats: DeviceStats::default(),
             tracer: SharedTracer::disabled(),
         }
@@ -427,6 +432,18 @@ impl JafarDevice {
     /// Derived datapath rate: picoseconds per 64-bit word.
     pub fn ps_per_word(&self) -> u64 {
         self.ps_per_word
+    }
+
+    /// `datapath`'s picoseconds per word on this device.
+    pub(crate) fn rate(&mut self, datapath: Datapath) -> u64 {
+        let slot = match datapath {
+            Datapath::Filter => return self.ps_per_word,
+            Datapath::Aggregate => 0,
+            Datapath::FilteredAggregate => 1,
+            Datapath::GroupBy => 2,
+        };
+        let config = &self.config;
+        *self.kernel_rates[slot].get_or_insert_with(|| datapath.ps_per_word(config))
     }
 
     /// The control register block (host-visible).
@@ -715,7 +732,7 @@ impl JafarDevice {
     /// read-modified-written so neighbouring bitset bytes written by
     /// earlier flushes survive, while full lines are written outright.
     /// Returns the advanced output cursor.
-    fn write_bitset_chunk(
+    pub(crate) fn write_bitset_chunk(
         &mut self,
         module: &mut DramModule,
         out_cursor: u64,

@@ -140,21 +140,13 @@ impl JafarDevice {
                 out_buf.push(hit);
                 if out_buf.is_full() {
                     let bytes = out_buf.drain_bytes();
-                    for chunk in bytes.chunks(64) {
-                        let mut b = [0u8; 64];
-                        b[..chunk.len()].copy_from_slice(chunk);
-                        module
-                            .serve_addr(
-                                PhysAddr(out_cursor & !63),
-                                true,
-                                Requester::Ndp,
-                                proc_free,
-                                Some(&b),
-                            )
-                            .map_err(device_error)?;
-                        bursts_written += 1;
-                        out_cursor += chunk.len() as u64;
-                    }
+                    out_cursor = self.write_bitset_chunk(
+                        module,
+                        out_cursor,
+                        &bytes,
+                        proc_free,
+                        &mut bursts_written,
+                    )?;
                 }
                 proc_free += Tick::from_ps(ps_per_row);
                 consumed += stride;
@@ -164,21 +156,7 @@ impl JafarDevice {
         }
         if !out_buf.is_empty() {
             let bytes = out_buf.drain_bytes();
-            for chunk in bytes.chunks(64) {
-                let mut b = [0u8; 64];
-                b[..chunk.len()].copy_from_slice(chunk);
-                module
-                    .serve_addr(
-                        PhysAddr(out_cursor & !63),
-                        true,
-                        Requester::Ndp,
-                        proc_free,
-                        Some(&b),
-                    )
-                    .map_err(device_error)?;
-                bursts_written += 1;
-                out_cursor += chunk.len() as u64;
-            }
+            self.write_bitset_chunk(module, out_cursor, &bytes, proc_free, &mut bursts_written)?;
         }
 
         Ok(RowFilterRun {
@@ -348,6 +326,79 @@ mod tests {
             d.run_row_filter(&mut m, &job, t0),
             Err(DeviceError::Misaligned)
         );
+    }
+
+    /// Any output buffer width, stride, predicate set and row count: the
+    /// bitset equals a host reference, every garbage byte under it is
+    /// overwritten, and `matched` counts its bits. A buffer narrower
+    /// than a line drains several chunks into one line, each at its own
+    /// offset.
+    #[test]
+    fn narrow_output_buffers_write_every_bit() {
+        use crate::device::DeviceConfig;
+        use jafar_common::check::forall;
+        const OUT: u64 = 128 * 1024;
+        forall("row-filter-out-buf", 96, |rng| {
+            let bits = [8, 24, 64, 256, 512][rng.next_below(5) as usize];
+            let row_bytes = [8u32, 16, 32, 64, 128][rng.next_below(5) as usize];
+            let width = (row_bytes / 8) as usize;
+            let mut rows = 1 + rng.next_below(400);
+            if rows.is_multiple_of(8) {
+                rows += 1 + rng.next_below(7);
+            }
+            let table: Vec<Vec<i64>> = (0..rows)
+                .map(|_| {
+                    (0..width)
+                        .map(|_| rng.next_range_inclusive(0, 999))
+                        .collect()
+                })
+                .collect();
+            let predicates: Vec<ColPredicate> = (0..1 + rng.next_below(3))
+                .map(|_| {
+                    let lo = rng.next_range_inclusive(0, 999);
+                    let hi = rng.next_range_inclusive(lo, 999);
+                    ColPredicate {
+                        offset: 8 * rng.next_below(width as u64) as u32,
+                        predicate: Predicate::Between(lo, hi),
+                    }
+                })
+                .collect();
+            let (_, mut m, t0) = setup();
+            let mut d = JafarDevice::new(DeviceConfig {
+                out_buf_bits: bits,
+                ..DeviceConfig::default()
+            });
+            put_rows(&mut m, 0, &table);
+            let nbytes = rows.div_ceil(8) as usize;
+            let garbage: Vec<u8> = (0..nbytes.next_multiple_of(64))
+                .map(|_| rng.next_below(256) as u8)
+                .collect();
+            m.data_mut().write(PhysAddr(OUT), &garbage);
+            let job = RowFilterJob {
+                base: PhysAddr(0),
+                row_bytes,
+                rows,
+                predicates,
+                out_addr: PhysAddr(OUT),
+            };
+            let run = d.run_row_filter(&mut m, &job, t0).unwrap();
+            let mut expect = vec![0u8; nbytes];
+            for (i, row) in table.iter().enumerate() {
+                let hit = job
+                    .predicates
+                    .iter()
+                    .all(|p| p.predicate.eval(row[p.offset as usize / 8]));
+                expect[i / 8] |= u8::from(hit) << (i % 8);
+            }
+            let mut got = vec![0u8; nbytes];
+            m.data().read(PhysAddr(OUT), &mut got);
+            assert_eq!(
+                got, expect,
+                "{bits}-bit buffer, {row_bytes}-byte rows, {rows} rows"
+            );
+            let ones: u64 = expect.iter().map(|b| u64::from(b.count_ones())).sum();
+            assert_eq!(run.matched, ones);
+        });
     }
 
     #[test]

@@ -397,25 +397,36 @@ fn result_bytes(rec: &QueryRecord) -> u64 {
         + 8
 }
 
+/// The tier a node-side record's execution mode stands for.
+fn node_tier(rec: &QueryRecord) -> Tier {
+    match rec.mode {
+        ExecMode::Shed => Tier::Shed,
+        ExecMode::Cpu => Tier::RemoteCpu,
+        ExecMode::Device { .. } => Tier::RemoteNdp,
+        ExecMode::Pending => unreachable!("query {} answered while pending", rec.id),
+    }
+}
+
 /// Harvests completions and sheds node `node` produced since the last
-/// call, prices their response hops, and enqueues the frontend response
-/// events. Response times can precede the event that triggered the
-/// harvest but never the previously *processed* one: a completion
-/// decided in `(t_prev, t]` has `done > t_prev`, so the frontend's
-/// `(time, class, id)` order stays monotone.
+/// call, prices their response hops, enqueues the frontend response
+/// events and moves each answered record out of the node into its
+/// query's slot of the report. Response times can precede the event that
+/// triggered the harvest but never the previously *processed* one: a
+/// completion decided in `(t_prev, t]` has `done > t_prev`, so the
+/// frontend's `(time, class, id)` order stays monotone.
 fn harvest_node(
     node: usize,
     eng: &mut Engine<'_, '_>,
     fabric: &mut NetFabric,
     heap: &mut FrontHeap,
-    resp_hop: &mut [Tick],
+    queries: &mut [ClusterQuery],
     overhead: u64,
     tracer: &SharedTracer,
 ) {
     for qid in eng.take_finished() {
-        let rec = eng.record(qid);
+        let rec = eng.take_record(qid);
         let done = rec.done.expect("finished queries carry a done stamp");
-        let bytes = overhead + result_bytes(rec);
+        let bytes = overhead + result_bytes(&rec);
         let hop = fabric.delay(node, bytes);
         tracer.emit(
             done,
@@ -424,13 +435,15 @@ fn harvest_node(
                 bytes,
             },
         );
-        resp_hop[qid as usize] = hop;
         heap.push(Reverse((done + hop, FCLASS_RESPONSE, qid)));
+        let q = &mut queries[qid as usize];
+        (q.tier, q.resp_hop, q.record) = (node_tier(&rec), hop, rec);
     }
     for qid in eng.take_shed() {
         // A shed decision happens at the query's node-side admission
         // instant; the rejection notice is a bare header on the wire.
-        let at = eng.record(qid).submitted;
+        let rec = eng.take_record(qid);
+        let at = rec.submitted;
         let hop = fabric.delay(node, overhead);
         tracer.emit(
             at,
@@ -439,8 +452,9 @@ fn harvest_node(
                 bytes: overhead,
             },
         );
-        resp_hop[qid as usize] = hop;
         heap.push(Reverse((at + hop, FCLASS_RESPONSE, qid)));
+        let q = &mut queries[qid as usize];
+        (q.tier, q.resp_hop, q.record) = (node_tier(&rec), hop, rec);
     }
 }
 
@@ -505,24 +519,30 @@ pub fn run_cluster(
         .into_iter()
         .map(|e| Engine::build(e, workload, policy, cfg))
         .collect();
-    let slos: Vec<Option<Tick>> = workload
-        .specs
-        .iter()
-        .map(|s| s.slo.or(workload.slo))
-        .collect();
 
     let mut heap: FrontHeap = BinaryHeap::new();
     for (i, &t) in times.iter().enumerate() {
         heap.push(Reverse((cfg.start + t, FCLASS_ARRIVAL, i as u32)));
     }
 
-    // Frontend-side per-query ledgers.
-    let mut route_of: Vec<Option<usize>> = vec![None; n];
-    let mut submitted_at: Vec<Tick> = vec![Tick::ZERO; n];
-    let mut responded: Vec<Option<Tick>> = vec![None; n];
-    let mut req_hop: Vec<Tick> = vec![Tick::ZERO; n];
-    let mut resp_hop: Vec<Tick> = vec![Tick::ZERO; n];
-    let mut local_rec: Vec<Option<QueryRecord>> = (0..n).map(|_| None).collect();
+    // The report's queries are the frontend's per-query ledger. A record
+    // stays a placeholder until its node answers and the record moves in
+    // (`harvest_node`), or until the frontend pulls the column and scans
+    // it itself.
+    let mut queries: Vec<ClusterQuery> = workload
+        .specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| ClusterQuery {
+            node: None,
+            tier: Tier::LocalPull,
+            submitted: Tick::ZERO,
+            responded: None,
+            req_hop: Tick::ZERO,
+            resp_hop: Tick::ZERO,
+            record: QueryRecord::pending(i as u32, spec),
+        })
+        .collect();
     // Per-node ledgers and the frontend's own serial scan clock.
     let mut outstanding: Vec<u64> = vec![0; nodes];
     let mut routed_count: Vec<u64> = vec![0; nodes];
@@ -548,7 +568,7 @@ pub fn run_cluster(
                     eng,
                     fabric,
                     &mut heap,
-                    &mut resp_hop,
+                    &mut queries,
                     ccfg.response_overhead_bytes,
                     tracer,
                 );
@@ -570,16 +590,16 @@ pub fn run_cluster(
                 eng,
                 fabric,
                 &mut heap,
-                &mut resp_hop,
+                &mut queries,
                 ccfg.response_overhead_bytes,
                 tracer,
             );
         }
         let Reverse((t, class, qid)) = heap.pop().expect("peeked non-empty heap");
-        let q = qid as usize;
+        let q = &mut queries[qid as usize];
         match class {
             FCLASS_ARRIVAL => {
-                submitted_at[q] = t;
+                q.submitted = t;
                 let holders = placement.holders();
                 let chosen = match ccfg.route {
                     RoutePolicy::RoundRobin => {
@@ -599,7 +619,7 @@ pub fn run_cluster(
                 };
                 match chosen {
                     Some(node) => {
-                        route_of[q] = Some(node);
+                        q.node = Some(node as u32);
                         outstanding[node] += 1;
                         routed_count[node] += 1;
                         tracer.emit(
@@ -618,14 +638,14 @@ pub fn run_cluster(
                             },
                         );
                         let hop = fabric.delay(node, ccfg.request_bytes);
-                        req_hop[q] = hop;
+                        q.req_hop = hop;
                         heap.push(Reverse((t + hop, FCLASS_DELIVER, qid)));
                     }
                     None => {
                         // Tier 3: no healthy holder anywhere — pull the
                         // column over the page-store link and scan it on
                         // the frontend, serialized on its scan clock.
-                        let spec = workload.specs[q];
+                        let spec = workload.specs[qid as usize];
                         let bytes = values.len() as u64 * 8;
                         tracer.emit(t, EventKind::ColumnPulled { query: qid, bytes });
                         tracer.emit(
@@ -643,92 +663,64 @@ pub fn run_cluster(
                             submitted: t,
                             started: Some(begin),
                             done: Some(done),
-                            deadline: slos[q].map_or(Tick::MAX, |s| t + s),
+                            deadline: spec.slo.or(workload.slo).map_or(Tick::MAX, |s| t + s),
                             mode: ExecMode::Cpu,
                             ..QueryRecord::pending(qid, &spec)
                         };
                         host_scan(values, keys, &mut rec);
-                        req_hop[q] = pull;
-                        local_rec[q] = Some(rec);
+                        q.req_hop = pull;
+                        q.record = rec;
                         heap.push(Reverse((done, FCLASS_PULL_DONE, qid)));
                     }
                 }
             }
             FCLASS_DELIVER => {
-                let node = route_of[q].expect("delivery implies a routed query");
-                engines[node].inject_arrival(qid, t);
+                let node = q.node.expect("delivery implies a routed query");
+                engines[node as usize].inject_arrival(qid, t);
             }
             FCLASS_RESPONSE => {
-                let node = route_of[q].expect("response implies a routed query");
-                outstanding[node] -= 1;
-                responded[q] = Some(t);
+                let node = q.node.expect("response implies a routed query");
+                outstanding[node as usize] -= 1;
+                q.responded = Some(t);
             }
             _ => {
                 debug_assert_eq!(class, FCLASS_PULL_DONE);
-                responded[q] = Some(t);
+                q.responded = Some(t);
             }
         }
     }
 
-    // Epilogue: fold the node engines into their reports and assemble
-    // the frontend's view.
-    let node_links: Vec<LinkStats> = (0..nodes).map(|i| fabric.stats(i)).collect();
-    let node_reports: Vec<crate::report::ServeReport> =
-        engines.into_iter().map(|e| e.into_report()).collect();
-    let queries: Vec<ClusterQuery> = (0..n)
-        .map(|q| match route_of[q] {
-            Some(node) => {
-                let record = node_reports[node].records[q].clone();
-                let tier = match record.mode {
-                    ExecMode::Shed => Tier::Shed,
-                    ExecMode::Cpu => Tier::RemoteCpu,
-                    ExecMode::Device { .. } => Tier::RemoteNdp,
-                    ExecMode::Pending => {
-                        unreachable!("routed query {q} left pending after full drain")
-                    }
-                };
-                ClusterQuery {
-                    node: Some(node as u32),
-                    tier,
-                    submitted: submitted_at[q],
-                    responded: responded[q],
-                    req_hop: req_hop[q],
-                    resp_hop: resp_hop[q],
-                    record,
-                }
+    // Epilogue: every record already sits in its query's slot. Count each
+    // node's outcomes in one pass and fold the node engines into their
+    // summaries.
+    let mut completed = vec![0u64; nodes];
+    let mut shed = vec![0u64; nodes];
+    for q in &queries {
+        let Some(node) = q.node else {
+            continue;
+        };
+        match q.tier {
+            _ if q.record.mode == ExecMode::Pending => {
+                unreachable!("routed query {} left pending after full drain", q.record.id)
             }
-            None => ClusterQuery {
-                node: None,
-                tier: Tier::LocalPull,
-                submitted: submitted_at[q],
-                responded: responded[q],
-                req_hop: req_hop[q],
-                resp_hop: Tick::ZERO,
-                record: local_rec[q]
-                    .take()
-                    .expect("unrouted query must have pulled locally"),
-            },
-        })
-        .collect();
-    let nodes_summary: Vec<NodeSummary> = node_reports
-        .iter()
+            Tier::Shed => shed[node as usize] += 1,
+            _ => completed[node as usize] += 1,
+        }
+    }
+    let nodes_summary: Vec<NodeSummary> = engines
+        .into_iter()
         .enumerate()
-        .map(|(i, rep)| {
-            let mine = |tier_pred: &dyn Fn(Tier) -> bool| {
-                queries
-                    .iter()
-                    .filter(|cq| cq.node == Some(i as u32) && tier_pred(cq.tier))
-                    .count() as u64
-            };
+        .map(|(i, eng)| {
+            let rep = eng.into_report();
             NodeSummary {
                 node: i as u32,
                 routed: routed_count[i],
-                completed: mine(&|t| t != Tier::Shed),
-                shed: mine(&|t| t == Tier::Shed),
-                availability: rep.availability.clone(),
+                completed: completed[i],
+                shed: shed[i],
+                availability: rep.availability,
                 events: rep.events,
                 makespan: rep.makespan,
-                link: node_links[i],
+                link: fabric.stats(i),
             }
         })
         .collect();

@@ -359,6 +359,9 @@ const CLASS_UNIT_FREE: u8 = 3;
 const CLASS_PROBE: u8 = 4;
 const CLASS_DEGRADE: u8 = 5;
 
+/// [`Engine::slot`]'s entry for a query the engine holds no record of.
+const NOT_HELD: u32 = u32::MAX;
+
 /// The serve engine as a steppable object. [`run_serve_checked`] drives
 /// it to completion in one call; the cluster tier ([`crate::cluster`])
 /// instead interleaves N node engines by advancing each only up to the
@@ -369,15 +372,26 @@ const CLASS_DEGRADE: u8 = 5;
 pub(crate) struct Engine<'a, 'e> {
     env: ServeEnv<'e>,
     cfg: &'a ServeConfig,
+    workload: &'a Workload,
     policy: SchedPolicy,
-    /// Per-query SLO (spec override or workload default), by query id.
-    slos: Vec<Option<Tick>>,
     has_slo: bool,
     think: Option<Tick>,
+    /// The records of the queries this engine holds: every query once
+    /// its arrival is scheduled or injected, until the cluster frontend
+    /// takes it ([`Engine::take_record`]). A single-engine serve
+    /// schedules every query in id order, so its records stay in
+    /// submission order.
     records: Vec<QueryRecord>,
+    /// Device progress of each held query, parallel to `records`.
+    inflight: Vec<Option<Inflight>>,
+    /// The entries of `inflight` that are `Some`: what
+    /// [`Engine::work_pending`] reads instead of scanning them.
+    live: usize,
+    /// Query id → its index in `records`, or [`NOT_HELD`]. The only
+    /// per-query state of a query that was never delivered here.
+    slot: Vec<u32>,
     queue: VecDeque<u32>,
     active: Vec<ActiveShard>,
-    inflight: Vec<Option<Inflight>>,
     unit_busy: Vec<bool>,
     served_count: Vec<u64>,
     health: HealthTracker,
@@ -446,7 +460,7 @@ pub fn run_serve_checked(
     cfg: &ServeConfig,
 ) -> Result<ServeReport, EngineInvariant> {
     let mut eng = Engine::build(env, workload, policy, cfg);
-    eng.seed_arrivals(&workload.arrivals);
+    eng.seed_arrivals();
     eng.run()?;
     debug_assert!(
         eng.records
@@ -467,11 +481,13 @@ pub fn out_lanes(cfg: &ServeConfig, workload: &Workload) -> u64 {
 }
 
 impl<'a, 'e> Engine<'a, 'e> {
-    /// Constructs an idle engine over `env` with one pending record per
-    /// workload spec and **no arrivals scheduled**. [`run_serve_checked`]
-    /// follows this with [`Engine::seed_arrivals`]; the cluster tier
-    /// instead feeds arrivals one at a time via
-    /// [`Engine::inject_arrival`] as the fabric delivers them.
+    /// Constructs an idle engine over `env` with **no arrivals
+    /// scheduled** and no records: a query's record is created when its
+    /// arrival is. [`run_serve_checked`] follows this with
+    /// [`Engine::seed_arrivals`]; the cluster tier instead feeds arrivals
+    /// one at a time via [`Engine::inject_arrival`] as the fabric
+    /// delivers them, so a node engine holds only the queries routed to
+    /// it.
     ///
     /// # Panics
     /// Panics if `env` has no units, mismatched per-unit slices, a module
@@ -480,7 +496,7 @@ impl<'a, 'e> Engine<'a, 'e> {
     /// violations, not engine state.
     pub(crate) fn build(
         env: ServeEnv<'e>,
-        workload: &Workload,
+        workload: &'a Workload,
         policy: SchedPolicy,
         cfg: &'a ServeConfig,
     ) -> Engine<'a, 'e> {
@@ -527,29 +543,22 @@ impl<'a, 'e> Engine<'a, 'e> {
         }
 
         let n = workload.len();
-        let records: Vec<QueryRecord> = workload
+        let has_slo = workload
             .specs
             .iter()
-            .enumerate()
-            .map(|(i, s)| QueryRecord::pending(i as u32, s))
-            .collect();
-
-        let slos: Vec<Option<Tick>> = workload
-            .specs
-            .iter()
-            .map(|s| s.slo.or(workload.slo))
-            .collect();
-        let has_slo = slos.iter().any(|s| s.is_some());
+            .any(|s| s.slo.or(workload.slo).is_some());
         Engine {
             cfg,
+            workload,
             policy,
-            slos,
             has_slo,
             think: None,
-            records,
+            records: Vec::new(),
+            inflight: Vec::new(),
+            live: 0,
+            slot: vec![NOT_HELD; n],
             queue: VecDeque::new(),
             active: Vec::new(),
-            inflight: (0..n).map(|_| None).collect(),
             unit_busy: vec![false; nunits],
             served_count: vec![0; nunits],
             health: HealthTracker::new(nunits, cfg.health),
@@ -580,26 +589,60 @@ impl<'a, 'e> Engine<'a, 'e> {
     }
 
     /// Schedules the workload's own arrival process: every open-loop
-    /// instant up front, or the first client wave of a closed loop.
-    pub(crate) fn seed_arrivals(&mut self, arrivals: &Arrivals) {
-        let n = self.records.len();
-        match arrivals {
+    /// instant up front, or the first client wave of a closed loop (each
+    /// finished or shed query schedules the next client). Either way
+    /// every query is scheduled, in id order.
+    pub(crate) fn seed_arrivals(&mut self) {
+        let n = self.workload.len();
+        self.records.reserve_exact(n);
+        self.inflight.reserve_exact(n);
+        match &self.workload.arrivals {
             Arrivals::Open(times) => {
                 assert_eq!(times.len(), n, "one arrival instant per query");
                 for (i, &t) in times.iter().enumerate() {
-                    self.arrivals.push(Reverse((self.cfg.start + t, i as u32)));
+                    self.schedule(i as u32, self.cfg.start + t);
                 }
                 self.next_spec = n;
             }
-            Arrivals::Closed { clients, think } => {
-                self.think = Some(*think);
-                let first = (*clients as usize).min(n);
+            &Arrivals::Closed { clients, think } => {
+                self.think = Some(think);
+                let first = (clients as usize).min(n);
                 for i in 0..first {
-                    self.arrivals.push(Reverse((self.cfg.start, i as u32)));
+                    self.schedule(i as u32, self.cfg.start);
                 }
                 self.next_spec = first;
             }
         }
+    }
+
+    /// Schedules query `qid`'s arrival at `t`, creating its record if the
+    /// engine holds none.
+    fn schedule(&mut self, qid: u32, t: Tick) {
+        if self.slot[qid as usize] == NOT_HELD {
+            self.slot[qid as usize] = self.records.len() as u32;
+            self.records.push(QueryRecord::pending(
+                qid,
+                &self.workload.specs[qid as usize],
+            ));
+            self.inflight.push(None);
+        }
+        self.arrivals.push(Reverse((t, qid)));
+    }
+
+    /// The index of held query `qid` in `records` and `inflight`.
+    fn at(&self, qid: u32) -> usize {
+        self.slot[qid as usize] as usize
+    }
+
+    /// The record of held query `qid`.
+    fn rec(&self, qid: u32) -> &QueryRecord {
+        &self.records[self.at(qid)]
+    }
+
+    /// The record of held query `qid`, mutably.
+    fn rec_mut(&mut self, qid: u32) -> &mut QueryRecord {
+        let i = self.at(qid);
+        &mut self.records[i]
     }
 
     /// Consumes the finished engine into its [`ServeReport`], stamping
@@ -640,7 +683,7 @@ impl<'a, 'e> Engine<'a, 'e> {
     /// event loop rather than corrupting state, but then delivery order
     /// and admission snapshots would no longer replay.)
     pub(crate) fn inject_arrival(&mut self, qid: u32, t: Tick) {
-        self.arrivals.push(Reverse((t, qid)));
+        self.schedule(qid, t);
     }
 
     /// When the engine next makes a decision: the earlier of its best
@@ -665,9 +708,23 @@ impl<'a, 'e> Engine<'a, 'e> {
         std::mem::take(&mut self.shed)
     }
 
-    /// The record of query `qid` as of now (pending fields still open).
-    pub(crate) fn record(&self, qid: u32) -> &QueryRecord {
-        &self.records[qid as usize]
+    /// Moves the record of a finished or shed query `qid` out of the
+    /// engine, which holds no state of it afterwards. The last record
+    /// takes the freed index, so a node engine's records stay as many as
+    /// the queries it has not answered yet.
+    pub(crate) fn take_record(&mut self, qid: u32) -> QueryRecord {
+        let i = self.at(qid);
+        self.slot[qid as usize] = NOT_HELD;
+        debug_assert!(
+            self.inflight[i].is_none(),
+            "an answered query has no shards"
+        );
+        self.inflight.swap_remove(i);
+        let rec = self.records.swap_remove(i);
+        if let Some(moved) = self.records.get(i) {
+            self.slot[moved.id as usize] = i as u32;
+        }
+        rec
     }
 
     /// Current admission-queue depth — the router's load signal.
@@ -755,7 +812,7 @@ impl Engine<'_, '_> {
             || !self.arrivals.is_empty()
             || !self.cpu_done.is_empty()
             || !self.rescue_ev.is_empty()
-            || self.inflight.iter().any(Option::is_some)
+            || self.live > 0
     }
 
     /// The next event as `(time, class, payload)`, minimal by `(time,
@@ -860,8 +917,8 @@ impl Engine<'_, '_> {
     }
 
     fn arrive(&mut self, qid: u32, t: Tick) -> Result<(), EngineInvariant> {
-        let slo = self.slos[qid as usize];
-        let rec = &mut self.records[qid as usize];
+        let slo = self.workload.specs[qid as usize].slo.or(self.workload.slo);
+        let rec = self.rec_mut(qid);
         rec.submitted = t;
         rec.deadline = slo.map_or(Tick::MAX, |s| t + s);
         let bound = self.admission_bound();
@@ -877,8 +934,7 @@ impl Engine<'_, '_> {
                 // queue would have admitted it.
                 self.sheds_tightened += 1;
             }
-            let rec = &mut self.records[qid as usize];
-            rec.mode = ExecMode::Shed;
+            self.rec_mut(qid).mode = ExecMode::Shed;
             self.shed.push(qid);
             self.env
                 .tracer
@@ -899,9 +955,8 @@ impl Engine<'_, '_> {
     /// submit the next spec one think-time later.
     fn schedule_next_client(&mut self, t: Tick) {
         if let Some(think) = self.think {
-            if self.next_spec < self.records.len() {
-                self.arrivals
-                    .push(Reverse((t + think, self.next_spec as u32)));
+            if self.next_spec < self.workload.len() {
+                self.schedule(self.next_spec as u32, t + think);
                 self.next_spec += 1;
             }
         }
@@ -961,7 +1016,7 @@ impl Engine<'_, '_> {
                     .iter()
                     .enumerate()
                     .min_by_key(|&(_, &q)| {
-                        let rec = &self.records[q as usize];
+                        let rec = self.rec(q);
                         (
                             rec.deadline.saturating_sub(self.cpu_estimate(rec.op)),
                             rec.deadline,
@@ -984,10 +1039,10 @@ impl Engine<'_, '_> {
             // scalar aggregates their one-shot kernels.
             let mut group = vec![qid];
             let cap = self.cfg.fuse_window.min(MAX_FUSED_LANES);
-            if cap >= 2 && self.records[qid as usize].op == QueryOp::Select {
+            if cap >= 2 && self.rec(qid).op == QueryOp::Select {
                 let mut i = 0;
                 while group.len() < cap && i < self.queue.len() {
-                    if self.records[self.queue[i] as usize].op == QueryOp::Select {
+                    if self.rec(self.queue[i]).op == QueryOp::Select {
                         let q = self
                             .queue
                             .remove(i)
@@ -1237,7 +1292,8 @@ impl Engine<'_, '_> {
         let rows = &self.env.values[shard.off as usize..(shard.off + shard.rows) as usize];
         for &qid in &shard.qids {
             let begin = self.host_free.max(t);
-            let rec = &mut self.records[qid as usize];
+            let i = self.at(qid);
+            let rec = &mut self.records[i];
             let (bytes, matched, projected) = host_select(rows, rec.lo, rec.hi, rec.op);
             let done = begin + host_scan_cost(self.cfg, shard.rows, rec.op);
             self.host_free = done;
@@ -1258,7 +1314,7 @@ impl Engine<'_, '_> {
             return self.dispatch_select(qids, free, t);
         }
         let qid = qids[0];
-        match self.records[qid as usize].op {
+        match self.rec(qid).op {
             QueryOp::Select | QueryOp::Project { .. } => self.dispatch_select(qids, free, t),
             QueryOp::SelectCount => self.dispatch_agg(qid, free, t, AggOp::Count),
             QueryOp::SelectAgg(f) => self.dispatch_agg(qid, free, t, agg_op(f)),
@@ -1281,7 +1337,7 @@ impl Engine<'_, '_> {
     /// host rungs read the same ranges, so no rung answers differently.
     fn lane_preds(&self, qids: &[u32]) -> Vec<(i64, i64)> {
         if let [qid] = qids {
-            if let QueryOp::SemiJoin { ranges } = self.records[*qid as usize].op {
+            if let QueryOp::SemiJoin { ranges } = self.rec(*qid).op {
                 if ranges.is_empty() {
                     return vec![ranges.envelope()];
                 }
@@ -1290,7 +1346,7 @@ impl Engine<'_, '_> {
         }
         qids.iter()
             .map(|&q| {
-                let rec = &self.records[q as usize];
+                let rec = self.rec(q);
                 (rec.lo, rec.hi)
             })
             .collect()
@@ -1337,14 +1393,16 @@ impl Engine<'_, '_> {
             used += 1;
         }
         for &qid in qids {
-            self.inflight[qid as usize] = Some(Inflight {
+            let i = self.at(qid);
+            self.inflight[i] = Some(Inflight {
                 remaining: used,
                 matched: 0,
                 end: Tick::ZERO,
                 proj: Vec::new(),
             });
+            self.live += 1;
             self.start_query(qid, t, used, qids.len() > 1);
-            self.records[qid as usize].bitset = vec![0u8; rows.div_ceil(8) as usize];
+            self.records[i].bitset = vec![0u8; rows.div_ceil(8) as usize];
         }
     }
 
@@ -1352,7 +1410,7 @@ impl Engine<'_, '_> {
     /// and traces it: a fused select starts `"fused"`, anything else
     /// `"cpu"`, `"single"` or `"parallel"` by its rank count.
     fn start_query(&mut self, qid: u32, t: Tick, ranks: u32, fused: bool) {
-        let rec = &mut self.records[qid as usize];
+        let rec = self.rec_mut(qid);
         rec.started = Some(t);
         rec.mode = match ranks {
             0 => ExecMode::Cpu,
@@ -1392,9 +1450,9 @@ impl Engine<'_, '_> {
         let rows = self.env.values.len() as u64;
         let k = free.len().min(self.cfg.fanout.max(1)) as u64;
         let chunk = aligned_chunk(rows, k, CHUNK_ROWS);
-        let (lo, hi) = {
-            let rec = &self.records[qid as usize];
-            (rec.lo, rec.hi)
+        let (lo, hi, query_op) = {
+            let rec = self.rec(qid);
+            (rec.lo, rec.hi, rec.op)
         };
         let mut jobs: VecDeque<(u64, u64)> = VecDeque::new();
         let mut off = 0u64;
@@ -1457,14 +1515,14 @@ impl Engine<'_, '_> {
                 c += 1;
                 v = op.step(v, x);
             }
-            let done = begin + host_scan_cost(self.cfg, len, self.records[qid as usize].op);
+            let done = begin + host_scan_cost(self.cfg, len, query_op);
             self.host_free = done;
             end = end.max(done);
             count += c;
             acc = merge_agg(op, acc, v);
         }
         self.start_query(qid, t, used, false);
-        let rec = &mut self.records[qid as usize];
+        let rec = self.rec_mut(qid);
         rec.matched = count;
         rec.agg = match op {
             AggOp::Count => Some(count as i64),
@@ -1498,7 +1556,7 @@ impl Engine<'_, '_> {
     fn dispatch_group_by(&mut self, qid: u32, free: &[usize], t: Tick, f: AggFn) {
         let op = agg_op(f);
         let (lo, hi) = {
-            let rec = &self.records[qid as usize];
+            let rec = self.rec(qid);
             (rec.lo, rec.hi)
         };
         let units: Vec<usize> = free.iter().copied().take(self.cfg.fanout.max(1)).collect();
@@ -1615,7 +1673,8 @@ impl Engine<'_, '_> {
 
         self.start_query(qid, t, used, false);
         let keys = &self.dict.keys;
-        let rec = &mut self.records[qid as usize];
+        let i = self.at(qid);
+        let rec = &mut self.records[i];
         rec.matched = staged.words.len() as u64;
         rec.groups = partials
             .iter()
@@ -1670,7 +1729,8 @@ impl Engine<'_, '_> {
         for lane in 0..run.matched.len() {
             let qid = shard.qids[if union { 0 } else { lane }];
             let slot = PhysAddr(self.env.outs[shard.unit].0 + lane as u64 * stride + shard.off / 8);
-            let bits = &mut self.records[qid as usize].bitset[at..at + nbytes];
+            let i = self.at(qid);
+            let bits = &mut self.records[i].bitset[at..at + nbytes];
             if union && lane > 0 {
                 lane_bits.resize(nbytes, 0);
                 self.env.modules[ch].data().read(slot, &mut lane_bits);
@@ -1686,12 +1746,12 @@ impl Engine<'_, '_> {
             // preserves (rather than zeroes) bits past the last row in
             // the final partial byte — mask the stale tail off.
             for &qid in &shard.qids {
-                self.records[qid as usize].bitset[at + nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
+                self.rec_mut(qid).bitset[at + nbytes - 1] &= (1u8 << (shard.rows % 8)) - 1;
             }
         }
         let mut shard_end = run.end;
         let mut proj_part = None;
-        if let QueryOp::Project { k } = self.records[shard.qids[0] as usize].op {
+        if let QueryOp::Project { k } = self.rec(shard.qids[0]).op {
             // A projection chains k one-shot kernel passes off the
             // finished select: the engine models projecting k same-width
             // columns by re-running the kernel k times against the served
@@ -1781,8 +1841,11 @@ impl Engine<'_, '_> {
         matched: u64,
         proj_part: Option<(u64, Vec<i64>)>,
     ) -> Result<(), EngineInvariant> {
-        let fl = self.inflight[qid as usize]
-            .as_mut()
+        let i = self.at(qid);
+        let fl = self
+            .inflight
+            .get_mut(i)
+            .and_then(Option::as_mut)
             .ok_or(EngineInvariant::MissingInflight { query: qid })?;
         fl.remaining -= 1;
         fl.matched += matched;
@@ -1793,9 +1856,10 @@ impl Engine<'_, '_> {
         if fl.remaining > 0 {
             return Ok(());
         }
-        let fl = self.inflight[qid as usize]
+        let fl = self.inflight[i]
             .take()
             .ok_or(EngineInvariant::MissingInflight { query: qid })?;
+        self.live -= 1;
         let mut proj = fl.proj;
         proj.sort_by_key(|&(off, _)| off);
         // A projection emits one value per matched row.
@@ -1807,7 +1871,7 @@ impl Engine<'_, '_> {
         for (_, vals) in proj {
             projected.extend(vals);
         }
-        let rec = &mut self.records[qid as usize];
+        let rec = &mut self.records[i];
         rec.matched = fl.matched;
         rec.projected = projected;
         self.finish_query(qid, fl.end);
@@ -1898,11 +1962,11 @@ impl Engine<'_, '_> {
     }
 
     fn finish_query(&mut self, qid: u32, end: Tick) {
-        let rec = &mut self.records[qid as usize];
+        let rec = self.rec_mut(qid);
         rec.done = Some(end);
+        let matched = rec.matched;
         self.finished.push(qid);
         self.makespan = self.makespan.max(end);
-        let matched = rec.matched;
         self.env.tracer.emit(
             end,
             EventKind::QueryDone {
@@ -1922,9 +1986,9 @@ impl Engine<'_, '_> {
         }
         self.queue
             .iter()
-            .filter(|&&q| self.records[q as usize].deadline < Tick::MAX)
+            .filter(|&&q| self.rec(q).deadline < Tick::MAX)
             .map(|&q| {
-                let rec = &self.records[q as usize];
+                let rec = self.rec(q);
                 let t = self
                     .now
                     .max(self.host_free)
@@ -1956,11 +2020,11 @@ impl Engine<'_, '_> {
             .position(|&q| q == qid)
             .ok_or(EngineInvariant::DegradeCandidateMissing { query: qid })?;
         self.queue.remove(pos);
-        let done = t + self.cpu_estimate(self.records[qid as usize].op);
+        let done = t + self.cpu_estimate(self.rec(qid).op);
         self.host_free = done;
         self.start_query(qid, t, 0, false);
         let (values, keys) = (self.env.values, self.env.keys);
-        host_scan(values, keys, &mut self.records[qid as usize]);
+        host_scan(values, keys, self.rec_mut(qid));
         self.cpu_done.push(Reverse((done, qid)));
         Ok(())
     }
