@@ -61,6 +61,30 @@ fn stream_ndp_runs(module: &mut DramModule, now: &mut Tick) -> Tick {
     *now
 }
 
+/// 256 row switches on one bank, as a projection makes them: a 4-burst
+/// run from the column's row, then a packed line written to another row
+/// of the same bank, each requested one bus cycle after the previous
+/// CAS. Under the rank-row-bank-block mapping, row 0 and row 1 of bank 0
+/// lie 64 KiB apart, so every run and every write opens its row anew.
+fn row_switches_ndp(module: &mut DramModule, now: &mut Tick) -> Tick {
+    let t = *module.timing();
+    let row_blocks = u64::from(module.geometry().row_bytes) / 64;
+    let line = [0x5Au8; 64];
+    for i in 0..256u64 {
+        let col = PhysAddr((i * 4 % row_blocks) * 64);
+        let run = module
+            .serve_run(col, 4, Requester::Ndp, *now)
+            .expect("owned rank, in range");
+        *now = run.next_request;
+        let out = PhysAddr(64 * 1024 + (i % row_blocks) * 64);
+        let write = module
+            .serve_addr(out, true, Requester::Ndp, *now, Some(&line))
+            .expect("owned rank, in range");
+        *now = write.data_ready.saturating_sub(t.cwl + t.t_burst).max(*now) + t.bus_clock.period();
+    }
+    *now
+}
+
 /// A module whose rank 0 holds 64 KiB of data and is owned by the NDP
 /// device; returns it with the tick the grant took effect.
 fn owned(mut module: DramModule) -> (DramModule, Tick) {
@@ -113,6 +137,11 @@ fn main() {
     let (mut ndp, mut now) = owned(gem5_like_module());
     micro::run("dram/serve_run_ndp_streaming_gem5", || {
         stream_ndp_runs(&mut ndp, &mut now)
+    });
+
+    let (mut ndp, mut now) = owned(gem5_like_module());
+    micro::run("dram/row_switch_ndp", || {
+        row_switches_ndp(&mut ndp, &mut now)
     });
 
     // Building a machine builds its modules: a page-table set-up cost

@@ -210,10 +210,9 @@ const MAX_SCALE_RATIO: f64 = 1.5;
 
 /// Best-of-[`SCALE_REPS`] host microseconds per query of a
 /// [`SCALE_NODES`]-node grid serving `queries` plain selects. Each serve
-/// gets a fresh grid, built outside the timer: a reused machine starts
-/// its next serve behind the previous serve's DRAM clocks, so its
-/// queries would queue deeper and the repetitions would not be the same
-/// work.
+/// gets a fresh grid, built outside the timer, so every repetition also
+/// allocates the functional store's pages its placement writes, as the
+/// first serve of a machine does.
 fn scale_us_per_query(values: &[i64], queries: usize) -> f64 {
     let mix = PredicateMix::UniformRange {
         min: 0,

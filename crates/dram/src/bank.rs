@@ -138,11 +138,26 @@ impl Bank {
             .earliest_activate(now)
             .expect("ACTIVATE on bank with open row");
         assert!(now >= earliest, "ACTIVATE at {now} before {earliest}");
+        self.open(row, now, t);
+    }
+
+    /// The ACTIVATE reservation alone, for a caller that knows the bank
+    /// is idle: [`Bank::earliest_activate`] without the state check.
+    #[inline]
+    pub(crate) fn activate_allowed(&self) -> Tick {
+        self.act_allowed
+    }
+
+    /// Applies ACTIVATE of `row` at `at`, which the module has scheduled
+    /// on this idle bank at or after its reservation: [`Bank::activate`]
+    /// without the checks.
+    #[inline]
+    pub(crate) fn open(&mut self, row: u32, at: Tick, t: &DramTiming) {
         self.state = BankState::Active { row };
-        self.rd_allowed = self.rd_allowed.max(now + t.t_rcd);
-        self.wr_allowed = self.wr_allowed.max(now + t.t_rcd);
-        self.pre_allowed = self.pre_allowed.max(now + t.t_ras);
-        self.act_allowed = self.act_allowed.max(now + t.t_rc);
+        self.rd_allowed = self.rd_allowed.max(at + t.t_rcd);
+        self.wr_allowed = self.wr_allowed.max(at + t.t_rcd);
+        self.pre_allowed = self.pre_allowed.max(at + t.t_ras);
+        self.act_allowed = self.act_allowed.max(at + t.t_rc);
         self.stats.activates.inc();
     }
 
@@ -180,13 +195,21 @@ impl Bank {
         let row = self.open_row().expect("WRITE on idle bank");
         let earliest = self.earliest_write(row, now).expect("row just checked");
         assert!(now >= earliest, "WRITE at {now} before {earliest}");
-        self.rd_allowed = self.rd_allowed.max(now + t.t_ccd);
-        self.wr_allowed = self.wr_allowed.max(now + t.t_ccd);
-        let data_end = now + t.cwl + t.t_burst;
+        (now + t.cwl, self.apply_write(now, t))
+    }
+
+    /// Applies a WRITE CAS at `at` to the open row, which the module has
+    /// scheduled at or after the CAS's earliest tick: [`Bank::write`]
+    /// without the checks. Returns when the burst's data has landed.
+    #[inline]
+    pub(crate) fn apply_write(&mut self, at: Tick, t: &DramTiming) -> Tick {
+        self.rd_allowed = self.rd_allowed.max(at + t.t_ccd);
+        self.wr_allowed = self.wr_allowed.max(at + t.t_ccd);
+        let data_end = at + t.cwl + t.t_burst;
         // Write recovery: the row may not close until tWR after data lands.
         self.pre_allowed = self.pre_allowed.max(data_end + t.t_wr);
         self.stats.writes.inc();
-        (now + t.cwl, data_end)
+        data_end
     }
 
     /// Applies PRECHARGE at `now`, closing any open row.
@@ -196,11 +219,26 @@ impl Bank {
     pub fn precharge(&mut self, now: Tick, t: &DramTiming) {
         let earliest = self.earliest_precharge(now);
         assert!(now >= earliest, "PRECHARGE at {now} before {earliest}");
+        self.close(now, t);
+    }
+
+    /// Applies PRECHARGE at `at`, which the module has scheduled at or
+    /// after the bank's precharge reservation: [`Bank::precharge`] without
+    /// the check.
+    #[inline]
+    pub(crate) fn close(&mut self, at: Tick, t: &DramTiming) {
         if matches!(self.state, BankState::Active { .. }) {
             self.stats.precharges.inc();
         }
         self.state = BankState::Idle;
-        self.act_allowed = self.act_allowed.max(now + t.t_rp);
+        self.act_allowed = self.act_allowed.max(at + t.t_rp);
+    }
+
+    /// Returns the bank's row and reservations to `from`'s; its counters
+    /// keep counting.
+    pub(crate) fn restore_timing(&mut self, from: &Bank) {
+        let stats = self.stats;
+        *self = Bank { stats, ..*from };
     }
 
     /// Blocks the bank (refresh or mode-register update): no command may

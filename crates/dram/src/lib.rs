@@ -51,7 +51,9 @@ pub use data::DramData;
 pub use fault::{FaultInjector, FaultPlan, FaultStats, ReadDisturbance};
 pub use geometry::DramGeometry;
 pub use mode::ModeRegs;
-pub use module::{BlockAccess, DramModule, IssueError, ReadResult, ReadRun, RowOutcome};
+pub use module::{
+    BlockAccess, DramModule, IssueError, ReadResult, ReadRun, RowOutcome, TimingState,
+};
 pub use stats::{BankStats, DramStats};
 pub use timing::DramTiming;
 

@@ -37,7 +37,6 @@ use crate::stats::DramStats;
 use crate::timing::DramTiming;
 use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
-use std::collections::VecDeque;
 
 /// Why a command could not issue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -141,8 +140,13 @@ struct BusOp {
 #[derive(Clone, Debug)]
 struct RankState {
     mode: ModeRegs,
-    /// Issue ticks of recent ACTIVATEs (pruned to the tFAW window).
-    act_history: VecDeque<Tick>,
+    /// When each of the rank's last four ACTIVATEs leaves the tFAW window
+    /// (its issue tick + tFAW): a ring whose slot `act_next` holds the
+    /// fourth-last ACT's, the one a next ACT waits for. A slot no ACT has
+    /// written holds `Tick::ZERO`, which constrains nothing.
+    act_window: [Tick; 4],
+    /// The ring slot the next ACTIVATE overwrites.
+    act_next: usize,
     /// Earliest next ACTIVATE anywhere in the rank (tRRD).
     rrd_allowed: Tick,
     /// Earliest next READ CAS in the rank after a write burst (tWTR).
@@ -161,13 +165,26 @@ impl RankState {
     fn new(t: &DramTiming) -> Self {
         RankState {
             mode: ModeRegs::new(),
-            act_history: VecDeque::with_capacity(8),
+            act_window: [Tick::ZERO; 4],
+            act_next: 0,
             rrd_allowed: Tick::ZERO,
             wtr_until: Tick::ZERO,
             next_refresh: t.t_refi,
             ndp_deadline: Tick::MAX,
         }
     }
+}
+
+/// A module's timing state, taken by [`DramModule::timing_state`]: every
+/// bank's row and reservations, every rank's mode registers, ACT ring,
+/// tRRD, tWTR, refresh and lease deadlines, and the data buses. Counters,
+/// stored bytes, the fault injector and the tracer are not part of it.
+#[derive(Clone, Debug)]
+pub struct TimingState {
+    banks: Vec<Bank>,
+    ranks: Vec<RankState>,
+    host_bus: Option<BusOp>,
+    ndp_bus: Vec<Option<BusOp>>,
 }
 
 /// One DRAM module (DIMM) on a memory channel.
@@ -270,6 +287,35 @@ impl DramModule {
     /// What the installed injector has done so far (`None` if fault-free).
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.fault.as_ref().map(FaultInjector::stats)
+    }
+
+    /// The module's timing state, to return to with
+    /// [`Self::restore_timing`].
+    pub fn timing_state(&self) -> TimingState {
+        TimingState {
+            banks: self.banks.clone(),
+            ranks: self.ranks.clone(),
+            host_bus: self.host_bus,
+            ndp_bus: self.ndp_bus.clone(),
+        }
+    }
+
+    /// Returns every bank, rank and data bus to `state`, which
+    /// [`Self::timing_state`] took from this module: the next command
+    /// finds the module's clocks where they were then. Counters keep
+    /// counting, and stored bytes stay as they are.
+    ///
+    /// # Panics
+    /// Panics if `state` was taken from a module of another geometry.
+    pub fn restore_timing(&mut self, state: &TimingState) {
+        assert_eq!(state.banks.len(), self.banks.len(), "another geometry");
+        assert_eq!(state.ranks.len(), self.ranks.len(), "another geometry");
+        for (bank, from) in self.banks.iter_mut().zip(&state.banks) {
+            bank.restore_timing(from);
+        }
+        self.ranks.clone_from(&state.ranks);
+        self.host_bus = state.host_bus;
+        self.ndp_bus.clone_from(&state.ndp_bus);
     }
 
     /// Records the expiry deadline of the current NDP lease on `rank`.
@@ -435,20 +481,13 @@ impl DramModule {
         requester: Requester,
         now: Tick,
     ) -> Result<Tick, IssueError> {
-        let t = &self.timing;
         match cmd {
             DramCommand::Activate { rank, bank, .. } => {
-                let b = &self.banks[self.bank_index(rank, bank)];
-                let base = b
-                    .earliest_activate(now)
-                    .ok_or(IssueError::WrongState("ACTIVATE requires an idle bank"))?;
-                let rs = &self.ranks[rank as usize];
-                let mut earliest = base.max(rs.rrd_allowed);
-                if rs.act_history.len() >= 4 {
-                    let fourth_back = rs.act_history[rs.act_history.len() - 4];
-                    earliest = earliest.max(fourth_back + t.t_faw);
+                let idx = self.bank_index(rank, bank);
+                if self.banks[idx].open_row().is_some() {
+                    return Err(IssueError::WrongState("ACTIVATE requires an idle bank"));
                 }
-                Ok(earliest.max(now))
+                Ok(self.earliest_activate(idx, rank, now))
             }
             DramCommand::Read { rank, bank, .. } => {
                 let idx = self.bank_index(rank, bank);
@@ -488,6 +527,35 @@ impl DramModule {
                 Ok(earliest)
             }
         }
+    }
+
+    /// The earliest ACTIVATE ≥ `now` to bank `idx` of `rank`, which the
+    /// caller has checked is idle: the bank's reservation (tRP, tRC,
+    /// refresh and mode-register blocks), tRRD after the rank's last ACT
+    /// and tFAW after its fourth-last.
+    #[inline]
+    fn earliest_activate(&self, idx: usize, rank: u32, now: Tick) -> Tick {
+        let rs = &self.ranks[rank as usize];
+        self.banks[idx]
+            .activate_allowed()
+            .max(rs.rrd_allowed)
+            .max(rs.act_window[rs.act_next])
+            .max(now)
+    }
+
+    /// Applies ACTIVATE of `row` at `at` to idle bank `idx` of `rank`,
+    /// scheduled at or after [`Self::earliest_activate`]: the bank opens
+    /// the row, and the rank books tRRD and the ACT's tFAW window. With
+    /// [`Bank::close`] for PRECHARGE, the one place a row command changes
+    /// state, whichever path issued it.
+    #[inline]
+    fn activate_bank(&mut self, idx: usize, rank: u32, row: u32, at: Tick) {
+        let t = &self.timing;
+        self.banks[idx].open(row, at, t);
+        let rs = &mut self.ranks[rank as usize];
+        rs.rrd_allowed = rs.rrd_allowed.max(at + t.t_rrd);
+        rs.act_window[rs.act_next] = at + t.t_faw;
+        rs.act_next = (rs.act_next + 1) % 4;
     }
 
     /// The earliest READ CAS ≥ `now` to bank `idx` of `rank`, whose open
@@ -677,7 +745,7 @@ impl DramModule {
         payload: Option<&[u8; 64]>,
     ) -> Tick {
         let t = &self.timing;
-        let (_, data_end) = self.banks[idx].write(at, t);
+        let data_end = self.banks[idx].apply_write(at, t);
         let rs = &mut self.ranks[rank as usize];
         rs.wtr_until = rs.wtr_until.max(data_end + t.t_wtr);
         *self.bus_slot_mut(requester, rank) = Some(BusOp {
@@ -709,17 +777,7 @@ impl DramModule {
         match cmd {
             DramCommand::Activate { rank, bank, row } => {
                 let idx = self.bank_index(rank, bank);
-                self.banks[idx].activate(row, at, t);
-                let rs = &mut self.ranks[rank as usize];
-                rs.rrd_allowed = rs.rrd_allowed.max(at + t.t_rrd);
-                rs.act_history.push_back(at);
-                while let Some(&front) = rs.act_history.front() {
-                    if rs.act_history.len() > 4 && front + t.t_faw <= at {
-                        rs.act_history.pop_front();
-                    } else {
-                        break;
-                    }
-                }
+                self.activate_bank(idx, rank, row, at);
                 Ok(None)
             }
             DramCommand::Read { rank, bank, block } => {
@@ -742,13 +800,13 @@ impl DramModule {
             }
             DramCommand::Precharge { rank, bank } => {
                 let idx = self.bank_index(rank, bank);
-                self.banks[idx].precharge(at, t);
+                self.banks[idx].close(at, t);
                 Ok(None)
             }
             DramCommand::PrechargeAll { rank } => {
                 for bank in 0..self.geometry.banks_per_rank {
                     let idx = self.bank_index(rank, bank);
-                    self.banks[idx].precharge(at, t);
+                    self.banks[idx].close(at, t);
                 }
                 Ok(None)
             }
@@ -999,7 +1057,9 @@ impl DramModule {
         // refresh is due, no injector is installed to draw a storm, no
         // tracer records the row access, and the bank holds the row. In
         // that case `prepare_row` would change nothing but the tick it
-        // returns, which is `now`; every other case runs it.
+        // returns, which is `now`. Every other case readies the row out
+        // of line, where a plain row switch goes straight to its PRE and
+        // ACT and the rest runs `prepare_row`.
         let (outcome, cursor) = if !self.refresh_due(rank, now)
             && self.fault.is_none()
             && !self.tracer.is_enabled()
@@ -1007,7 +1067,7 @@ impl DramModule {
         {
             (RowOutcome::Hit, now)
         } else {
-            self.prepare_row(coord, idx, requester, now)?
+            self.ready_row(coord, idx, requester, now)?
         };
         match outcome {
             RowOutcome::Hit => self.stats.row_hits.inc(),
@@ -1136,17 +1196,48 @@ impl DramModule {
         let n = (max as u64)
             .min((row_end - addr.0) / 64)
             .min((PAGE_SIZE as u64 - addr.0 % PAGE_SIZE as u64) / 64);
+        if n <= 1 {
+            return n;
+        }
         // Read i ≥ 1 is requested at first_cas + (i-1)·step + one bus
-        // cycle, which must come before the deadline.
+        // cycle, which must come before the deadline. Most runs end
+        // before it, so only a run that reaches it divides.
         let deadline = self.refresh_deadline(rank);
         let second = first_cas + self.timing.bus_clock.period();
-        if deadline == Tick::MAX {
+        if second + step * (n - 2) < deadline {
             n
         } else if deadline <= second {
             1
         } else {
-            n.min(1 + (deadline - second).as_ps().div_ceil(step.as_ps()))
+            1 + (deadline - second).as_ps().div_ceil(step.as_ps())
         }
+    }
+
+    /// Readies `coord`'s row in bank `idx` for a CAS at or after `now`,
+    /// for a transaction that missed the row-hit guard in [`Self::serve`].
+    /// A plain one (no refresh due, no injector, no tracer) has only its
+    /// row to switch, and switches it here; any other runs
+    /// [`Self::prepare_row`]. Returns the row-buffer outcome and the tick
+    /// from which the CAS may issue.
+    #[cold]
+    fn ready_row(
+        &mut self,
+        coord: Coord,
+        idx: usize,
+        requester: Requester,
+        now: Tick,
+    ) -> Result<(RowOutcome, Tick), IssueError> {
+        if self.refresh_due(coord.rank, now) || self.fault.is_some() || self.tracer.is_enabled() {
+            return self.prepare_row(coord, idx, requester, now);
+        }
+        let outcome = match self.banks[idx].open_row() {
+            Some(_) => RowOutcome::Conflict,
+            None => RowOutcome::Miss,
+        };
+        Ok((
+            outcome,
+            self.switch_row(coord, idx, requester, outcome, now),
+        ))
     }
 
     /// Readies `coord`'s row in bank `idx` for a CAS at or after `now`:
@@ -1154,7 +1245,7 @@ impl DramModule {
     /// the transaction with a refresh storm, records the row access, and
     /// precharges and activates as the bank's state requires. Returns the
     /// row-buffer outcome and the tick from which the CAS may issue.
-    #[cold]
+    #[inline(never)]
     fn prepare_row(
         &mut self,
         coord: Coord,
@@ -1194,29 +1285,36 @@ impl DramModule {
                 bank,
             },
         );
-        // Each command is applied at the earliest tick just computed for
-        // it; ownership was checked once, for the whole transaction.
-        match outcome {
-            RowOutcome::Hit => {}
-            RowOutcome::Conflict => {
-                let pre = DramCommand::precharge(coord);
-                let at = self
-                    .earliest_legal(pre, requester, cursor)
-                    .expect("precharge always legal");
-                self.apply(pre, requester, at, None).expect("legal");
-                cursor = self.activate(coord, requester, at);
-            }
-            RowOutcome::Miss => cursor = self.activate(coord, requester, cursor),
+        if outcome != RowOutcome::Hit {
+            cursor = self.switch_row(coord, idx, requester, outcome, cursor);
         }
         Ok((outcome, cursor))
     }
 
-    /// Opens `coord`'s row in its idle bank at the earliest legal tick ≥
-    /// `now`, and returns that tick.
-    fn activate(&mut self, coord: Coord, requester: Requester, now: Tick) -> Tick {
-        let act = DramCommand::activate(coord);
-        let at = self.earliest_legal(act, requester, now).expect("bank idle");
-        self.apply(act, requester, at, None).expect("legal");
+    /// Opens `coord`'s row in bank `idx` for a transaction whose row
+    /// outcome is `outcome`, a conflict or a miss: on a conflict, PRE at
+    /// the bank's earliest precharge tick ≥ `now`; then ACT at the
+    /// earliest tick ≥ that the bank and rank allow. Each command is
+    /// traced and applied at the tick just computed for it; ownership was
+    /// checked once, for the whole transaction. Returns the ACT's tick,
+    /// from which the CAS may issue.
+    #[inline]
+    fn switch_row(
+        &mut self,
+        coord: Coord,
+        idx: usize,
+        requester: Requester,
+        outcome: RowOutcome,
+        mut now: Tick,
+    ) -> Tick {
+        if outcome == RowOutcome::Conflict {
+            now = self.banks[idx].earliest_precharge(now);
+            self.trace_cmd(now, DramCommand::precharge(coord), requester);
+            self.banks[idx].close(now, &self.timing);
+        }
+        let at = self.earliest_activate(idx, coord.rank, now);
+        self.trace_cmd(at, DramCommand::activate(coord), requester);
+        self.activate_bank(idx, coord.rank, coord.row, at);
         at
     }
 }
@@ -1738,6 +1836,288 @@ mod tests {
         }
     }
 
+    const REF: usize = 0;
+    const RUN: usize = 1;
+    const ADDR: usize = 2;
+    const BLOCK: usize = 3;
+    const TRACED_RUN: usize = 4;
+
+    /// A burst's outcome, completion and bytes, owned.
+    fn owned(a: BlockAccess) -> (RowOutcome, Tick, Option<[u8; 64]>) {
+        (a.outcome, a.data_ready, a.data.copied())
+    }
+
+    /// The row outcome of an access to `c` on `m`, judged from the bank's
+    /// row before the access (`held`) and not by the module: a refresh
+    /// during the access (`refreshes` is the counter before it) closes
+    /// the rank, so the access misses; otherwise it hits the held row, or
+    /// conflicts with another, or misses an idle bank.
+    fn outcome_from(m: &DramModule, c: Coord, held: Option<u32>, refreshes: u64) -> RowOutcome {
+        match held {
+            _ if m.stats().refreshes.get() > refreshes => RowOutcome::Miss,
+            Some(row) if row == c.row => RowOutcome::Hit,
+            Some(_) => RowOutcome::Conflict,
+            None => RowOutcome::Miss,
+        }
+    }
+
+    /// Reads up to `max` consecutive blocks from `addr` on every twin, as
+    /// a streaming reader requests them from `now`: one `serve_run` on
+    /// the run twin, and a burst at a time on the others, each burst
+    /// checked against the reference's. Returns how many blocks the run
+    /// read and the tick of the reader's next request.
+    fn read_twins(
+        m: &mut [DramModule; 5],
+        addr: PhysAddr,
+        max: usize,
+        requester: Requester,
+        now: Tick,
+        step: usize,
+    ) -> (u64, Tick) {
+        let t = *m[REF].timing();
+        let pipeline = t.cl + t.t_burst;
+        let cycle = t.bus_clock.period();
+        let run = m[RUN].serve_run(addr, max, requester, now).map(|r| {
+            let head = (r.outcome, r.first_ready, r.step);
+            (head, r.next_request, r.lines.to_vec())
+        });
+        let n = run.as_ref().map_or(1, |r| r.2.len());
+        assert!(n <= max);
+        // The other twins read the run's blocks one by one, at the ticks
+        // a streaming reader requests them.
+        let mut request = now;
+        for i in 0..n {
+            let a = PhysAddr(addr.0 + 64 * i as u64);
+            let coord = m[REF].decoder().decode(a);
+            let held = m[REF].bank(coord.rank, coord.bank).open_row();
+            let before = *m[REF].stats();
+            let want = m[REF]
+                .serve_addr(a, false, requester, request, None)
+                .map(owned);
+            let outcome = outcome_from(&m[REF], coord, held, before.refreshes.get());
+            let from_run = run
+                .as_ref()
+                .map(|&((outcome, first_ready, step), _, ref lines)| {
+                    let outcome = if i == 0 { outcome } else { RowOutcome::Hit };
+                    (outcome, first_ready + step * i as u64, Some(lines[i]))
+                })
+                .map_err(|e| *e);
+            assert_eq!(from_run, want, "step {step}, burst {i}: serve_run");
+            let by_addr = m[ADDR]
+                .serve_addr(a, false, requester, request, None)
+                .map(owned);
+            assert_eq!(by_addr, want, "step {step}, burst {i}: serve_addr");
+            let by_block = m[BLOCK]
+                .serve_block(coord, false, requester, request, None)
+                .map(owned);
+            assert_eq!(by_block, want, "step {step}, burst {i}: serve_block");
+            let mut traced_next = None;
+            let traced_run = m[TRACED_RUN]
+                .serve_run(a, max - i, requester, request)
+                .map(|r| {
+                    assert_eq!(r.lines.len(), 1, "a traced run is one burst");
+                    traced_next = Some(r.next_request);
+                    (r.outcome, r.first_ready, Some(r.lines[0]))
+                });
+            assert_eq!(traced_run, want, "step {step}, burst {i}: traced serve_run");
+            // The access's outcome, and only its counter, rose by one; a
+            // failed ECC read was counted before its CAS, a rejected or
+            // preempted access not at all.
+            let after = m[REF].stats();
+            let rose = [
+                after.row_hits.get() - before.row_hits.get(),
+                after.row_misses.get() - before.row_misses.get(),
+                after.row_conflicts.get() - before.row_conflicts.get(),
+            ];
+            let mut counted = [0; 3];
+            counted[outcome as usize] = 1;
+            let ready = match want {
+                Ok((got, ready, _)) => {
+                    assert_eq!(got, outcome, "step {step}, burst {i}: outcome");
+                    assert_eq!(rose, counted, "step {step}: {outcome:?} counted");
+                    ready
+                }
+                Err(IssueError::Uncorrectable) => {
+                    assert_eq!(rose, counted, "step {step}: {outcome:?} counted");
+                    break;
+                }
+                Err(_) => {
+                    assert_eq!(rose, [0; 3]);
+                    break;
+                }
+            };
+            if m[REF].fault.is_none() {
+                // The bank reserved tCCD and tRTP after the CAS.
+                let cas = ready - pipeline;
+                let bank = m[REF].bank(coord.rank, coord.bank);
+                assert!(bank.read_allowed() >= cas + t.t_ccd, "step {step}: tCCD");
+                assert!(
+                    bank.earliest_precharge(Tick::ZERO) >= cas + t.t_rtp,
+                    "step {step}: tRTP"
+                );
+            }
+            request = ready.saturating_sub(pipeline).max(request) + cycle;
+            assert_eq!(traced_next, Some(request), "step {step}, burst {i}");
+        }
+        if let Ok((_, next_request, _)) = run {
+            assert_eq!(next_request, request, "step {step}: next_request");
+        }
+        (n as u64, request)
+    }
+
+    /// Writes `payload` to `addr` on every twin at `now` (`serve_block`
+    /// on the block twin, `serve_addr` on the others) and checks each
+    /// against the reference.
+    fn write_twins(
+        m: &mut [DramModule; 5],
+        addr: PhysAddr,
+        requester: Requester,
+        now: Tick,
+        payload: &[u8; 64],
+        step: usize,
+    ) {
+        let coord = m[REF].decoder().decode(addr.block_base());
+        let held = m[REF].bank(coord.rank, coord.bank).open_row();
+        let refreshes = m[REF].stats().refreshes.get();
+        let want = m[REF]
+            .serve_addr(addr, true, requester, now, Some(payload))
+            .map(owned);
+        if let Ok((got, ..)) = want {
+            let outcome = outcome_from(&m[REF], coord, held, refreshes);
+            assert_eq!(got, outcome, "step {step}: write outcome");
+        }
+        for (i, twin) in m.iter_mut().enumerate().skip(1) {
+            let got = if i == BLOCK {
+                let coord = twin.decoder().decode(addr);
+                twin.serve_block(coord, true, requester, now, Some(payload))
+            } else {
+                twin.serve_addr(addr, true, requester, now, Some(payload))
+            };
+            assert_eq!(got.map(owned), want, "step {step}: twin {i} write");
+        }
+    }
+
+    /// The row rules, kept from a traced module's command stream alone,
+    /// so that the module's one PRE/ACT implementation is not its own
+    /// judge: every ACT keeps tRP, tRC, tRRD and tFAW, every PRE keeps
+    /// tRAS, tRTP and tWR, and every CAS keeps tRCD.
+    struct RowRules {
+        t: DramTiming,
+        banks_per_rank: u32,
+        /// Every ACT tick of each rank, in tick order.
+        acts: Vec<Vec<Tick>>,
+        /// Each bank's last ACT, PRE, READ CAS and write-data end.
+        last: Vec<[Option<Tick>; 4]>,
+    }
+
+    impl RowRules {
+        const ACT: usize = 0;
+        const PRE: usize = 1;
+        const RD: usize = 2;
+        const WR_END: usize = 3;
+
+        fn new(g: DramGeometry, t: DramTiming) -> Self {
+            RowRules {
+                t,
+                banks_per_rank: g.banks_per_rank,
+                acts: vec![Vec::new(); g.ranks as usize],
+                last: vec![[None; 4]; g.total_banks() as usize],
+            }
+        }
+
+        /// Checks the commands in `events` (one step's trace), in order.
+        fn replay(&mut self, events: &[jafar_common::obs::Event], step: usize) {
+            let t = self.t;
+            for e in events {
+                let EventKind::DramCmd {
+                    cmd, rank, bank, ..
+                } = e.kind
+                else {
+                    continue;
+                };
+                let at = e.at;
+                let banks = match cmd {
+                    "PREA" => 0..self.banks_per_rank,
+                    _ => bank..bank + 1,
+                };
+                for bank in banks {
+                    let last = &mut self.last[(rank * self.banks_per_rank + bank) as usize];
+                    let after = |i: usize, gap: Tick, rule: &str| {
+                        if let Some(prev) = last[i] {
+                            assert!(at >= prev + gap, "step {step}: {cmd} at {at}: {rule}");
+                        }
+                    };
+                    match cmd {
+                        "ACT" => {
+                            after(Self::PRE, t.t_rp, "tRP");
+                            after(Self::ACT, t.t_rc, "tRC");
+                        }
+                        "PRE" | "PREA" => {
+                            after(Self::ACT, t.t_ras, "tRAS");
+                            after(Self::RD, t.t_rtp, "tRTP");
+                            after(Self::WR_END, t.t_wr, "tWR");
+                        }
+                        "RD" | "WR" => after(Self::ACT, t.t_rcd, "tRCD"),
+                        _ => {}
+                    }
+                    let (slot, tick) = match cmd {
+                        "ACT" => (Self::ACT, at),
+                        "PRE" | "PREA" => (Self::PRE, at),
+                        "RD" => (Self::RD, at),
+                        "WR" => (Self::WR_END, at + t.cwl + t.t_burst),
+                        _ => continue,
+                    };
+                    last[slot] = Some(last[slot].map_or(tick, |prev| prev.max(tick)));
+                }
+                if cmd == "ACT" {
+                    let acts = &mut self.acts[rank as usize];
+                    let i = acts.partition_point(|&a| a <= at);
+                    acts.insert(i, at);
+                    for pair in acts[i.saturating_sub(1)..(i + 2).min(acts.len())].windows(2) {
+                        assert!(
+                            pair[1] >= pair[0] + t.t_rrd,
+                            "step {step}: ACT at {at}: tRRD"
+                        );
+                    }
+                    for five in acts[i.saturating_sub(4)..(i + 5).min(acts.len())].windows(5) {
+                        assert!(
+                            five[4] >= five[0] + t.t_faw,
+                            "step {step}: ACT at {at}: tFAW"
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Every idle bank's earliest ACT at `now` is exactly what its own
+        /// reservation, tRRD after the rank's last ACT and tFAW after its
+        /// fourth-last allow.
+        fn check_earliest_activates(&self, m: &DramModule, now: Tick, step: usize) {
+            let t = self.t;
+            for (rank, acts) in self.acts.iter().enumerate() {
+                let rank = rank as u32;
+                let mut rank_allows = now;
+                if let Some(&last) = acts.last() {
+                    rank_allows = rank_allows.max(last + t.t_rrd);
+                }
+                if acts.len() >= 4 {
+                    rank_allows = rank_allows.max(acts[acts.len() - 4] + t.t_faw);
+                }
+                for bank in 0..self.banks_per_rank {
+                    let Some(own) = m.bank(rank, bank).earliest_activate(now) else {
+                        continue;
+                    };
+                    let act = DramCommand::Activate { rank, bank, row: 0 };
+                    assert_eq!(
+                        m.earliest_issue(act, Requester::Host, now),
+                        Ok(own.max(rank_allows)),
+                        "step {step}: earliest ACT on rank {rank}, bank {bank}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Five twins run one random stream and must agree after every call.
     /// The reference has a tracer attached, so it serves every burst by
     /// the full transaction, one `serve_addr` at a time. Beside it run,
@@ -1747,29 +2127,30 @@ mod tests {
     /// so it emits what the full transaction emits. Each burst's
     /// completion and bytes, each run's next request tick, the counters,
     /// the banks and the earliest tick of every command must agree, and
-    /// the reference's reservations must cover each CAS it issued.
+    /// the reference's reservations must cover each CAS it issued. The
+    /// untraced twins switch rows on the plain path, the reference on the
+    /// full one; since both call one PRE/ACT implementation, the
+    /// reference's command stream is also held to the row rules on its
+    /// own ([`RowRules`]).
     ///
-    /// The stream draws random geometries and all three mappings, refresh
-    /// on and off with idle gaps past tREFI, host and NDP readers, writes
-    /// and bare PRE, ACT and MRS (ownership flips) between reads, and
-    /// `FaultPlan::light` installed and removed mid-stream, each followed
-    /// by a read. Its runs cross rows, pages, banks, ranks and the
-    /// module's end, and start at the block after the last one read three
-    /// times in four.
+    /// The stream draws random geometries of up to eight banks a rank and
+    /// all three mappings, refresh on and off with idle gaps past tREFI,
+    /// host and NDP readers, writes and bare PRE, ACT and MRS (ownership
+    /// flips) between reads, ACT-dense bursts (back-to-back reads and
+    /// writes to closed rows of up to eight banks of one rank, so tRRD
+    /// and tFAW bind), and `FaultPlan::light` installed and removed
+    /// mid-stream, each followed by a read. Its runs cross rows, pages,
+    /// banks, ranks and the module's end, and start at the block after
+    /// the last one read three times in four.
     #[test]
     fn serve_addr_and_serve_block_agree() {
         use crate::fault::{FaultInjector, FaultPlan};
         use jafar_common::check::forall;
         use jafar_common::obs::SharedTracer;
-        const REF: usize = 0;
-        const RUN: usize = 1;
-        const ADDR: usize = 2;
-        const BLOCK: usize = 3;
-        const TRACED_RUN: usize = 4;
         forall("serve_addr_and_serve_block_agree", 48, |rng| {
             let g = DramGeometry {
                 ranks: 1 << rng.next_below(2),
-                banks_per_rank: 1 << rng.next_below(3),
+                banks_per_rank: 1 << rng.next_below(4),
                 rows_per_bank: 4 << rng.next_below(3),
                 row_bytes: [256, 1024, 8192][rng.next_below(3) as usize],
             };
@@ -1814,9 +2195,7 @@ mod tests {
                 let _ = m.issue(mrs, Requester::Host, Tick::ZERO, None);
                 m
             });
-            let pipeline = t.cl + t.t_burst;
-            let cycle = t.bus_clock.period();
-            let owned = |a: BlockAccess| (a.outcome, a.data_ready, a.data.copied());
+            let mut rules = RowRules::new(g, t);
             // Applies a bare command on every twin at the earliest tick the
             // reference allows, if it allows one; every twin must agree.
             let bare = |m: &mut [DramModule; 5], cmd: DramCommand, now: Tick| {
@@ -1843,8 +2222,8 @@ mod tests {
                 // Whatever is not a read is followed by one, which probes
                 // the state it left.
                 let action = if probe { 0 } else { rng.next_below(100) };
-                probe = action >= 65;
-                if action < 65 {
+                probe = action >= 58;
+                if action < 58 {
                     let addr = if rng.next_bool(0.75) {
                         PhysAddr(cursor % capacity)
                     } else {
@@ -1853,91 +2232,10 @@ mod tests {
                     .block_base();
                     let max = 1 + rng.next_below(200) as usize;
                     let requester = reader(&m[REF], addr, rng);
-                    let run = m[RUN].serve_run(addr, max, requester, now).map(|r| {
-                        let head = (r.outcome, r.first_ready, r.step);
-                        (head, r.next_request, r.lines.to_vec())
-                    });
-                    let n = run.as_ref().map_or(1, |r| r.2.len());
-                    assert!(n <= max);
-                    // The other twins read the run's blocks one by one, at
-                    // the ticks a streaming reader requests them.
-                    let mut request = now;
-                    for i in 0..n {
-                        let a = PhysAddr(addr.0 + 64 * i as u64);
-                        let before = *m[REF].stats();
-                        let want = m[REF]
-                            .serve_addr(a, false, requester, request, None)
-                            .map(owned);
-                        let from_run = run
-                            .as_ref()
-                            .map(|&((outcome, first_ready, step), _, ref lines)| {
-                                let outcome = if i == 0 { outcome } else { RowOutcome::Hit };
-                                (outcome, first_ready + step * i as u64, Some(lines[i]))
-                            })
-                            .map_err(|e| *e);
-                        assert_eq!(from_run, want, "step {step}, burst {i}: serve_run");
-                        let by_addr = m[ADDR]
-                            .serve_addr(a, false, requester, request, None)
-                            .map(owned);
-                        assert_eq!(by_addr, want, "step {step}, burst {i}: serve_addr");
-                        let coord = m[BLOCK].decoder().decode(a);
-                        let by_block = m[BLOCK]
-                            .serve_block(coord, false, requester, request, None)
-                            .map(owned);
-                        assert_eq!(by_block, want, "step {step}, burst {i}: serve_block");
-                        let mut traced_next = None;
-                        let traced_run = m[TRACED_RUN]
-                            .serve_run(a, max - i, requester, request)
-                            .map(|r| {
-                                assert_eq!(r.lines.len(), 1, "a traced run is one burst");
-                                traced_next = Some(r.next_request);
-                                (r.outcome, r.first_ready, Some(r.lines[0]))
-                            });
-                        assert_eq!(traced_run, want, "step {step}, burst {i}: traced serve_run");
-                        // The returned outcome's counter rose by exactly
-                        // one; a failed ECC read was counted before its
-                        // CAS, a rejected or preempted access not at all.
-                        let after = m[REF].stats();
-                        let rose = [
-                            after.row_hits.get() - before.row_hits.get(),
-                            after.row_misses.get() - before.row_misses.get(),
-                            after.row_conflicts.get() - before.row_conflicts.get(),
-                        ];
-                        let ready = match want {
-                            Ok((outcome, ready, _)) => {
-                                let mut want = [0; 3];
-                                want[outcome as usize] = 1;
-                                assert_eq!(rose, want, "step {step}: {outcome:?} counted");
-                                ready
-                            }
-                            Err(IssueError::Uncorrectable) => {
-                                assert_eq!(rose.iter().sum::<u64>(), 1);
-                                break;
-                            }
-                            Err(_) => {
-                                assert_eq!(rose, [0; 3]);
-                                break;
-                            }
-                        };
-                        if m[REF].fault.is_none() {
-                            // The bank reserved tCCD and tRTP after the CAS.
-                            let cas = ready - pipeline;
-                            let bank = m[REF].bank(coord.rank, coord.bank);
-                            assert!(bank.read_allowed() >= cas + t.t_ccd, "step {step}: tCCD");
-                            assert!(
-                                bank.earliest_precharge(Tick::ZERO) >= cas + t.t_rtp,
-                                "step {step}: tRTP"
-                            );
-                        }
-                        request = ready.saturating_sub(pipeline).max(request) + cycle;
-                        assert_eq!(traced_next, Some(request), "step {step}, burst {i}");
-                    }
-                    if let Ok((_, next_request, _)) = run {
-                        assert_eq!(next_request, request, "step {step}: next_request");
-                    }
-                    cursor = addr.0 + 64 * n as u64;
-                    now = request;
-                } else if action < 80 {
+                    let (n, next) = read_twins(&mut m, addr, max, requester, now, step);
+                    cursor = addr.0 + 64 * n;
+                    now = next;
+                } else if action < 72 {
                     // A write between reads: often to the run's next block
                     // or to the block just read.
                     let addr = match rng.next_below(3) {
@@ -1947,17 +2245,34 @@ mod tests {
                     };
                     let requester = reader(&m[REF], addr, rng);
                     let payload = [rng.next_u64() as u8; 64];
-                    let want = m[REF]
-                        .serve_addr(addr, true, requester, now, Some(&payload))
-                        .map(owned);
-                    for (i, twin) in m.iter_mut().enumerate().skip(1) {
-                        let got = if i == BLOCK {
-                            let coord = twin.decoder().decode(addr);
-                            twin.serve_block(coord, true, requester, now, Some(&payload))
+                    write_twins(&mut m, addr, requester, now, &payload, step);
+                } else if action < 80 {
+                    // ACT-dense: the rank's owner asks for closed rows of
+                    // five to eight of its banks (all of them on a smaller
+                    // rank) at once, reading short runs and writing.
+                    let rank = rng.next_below(u64::from(g.ranks)) as u32;
+                    let requester = if m[REF].rank_owned_by_ndp(rank) {
+                        Requester::Ndp
+                    } else {
+                        Requester::Host
+                    };
+                    let first = rng.next_below(u64::from(g.banks_per_rank)) as u32;
+                    let k = g.banks_per_rank.min(5 + rng.next_below(4) as u32);
+                    for j in 0..k {
+                        let bank = (first + j) % g.banks_per_rank;
+                        let mut row = rng.next_below(u64::from(g.rows_per_bank)) as u32;
+                        if m[REF].bank(rank, bank).open_row() == Some(row) {
+                            row = (row + 1) % g.rows_per_bank;
+                        }
+                        let block = rng.next_below(u64::from(g.bursts_per_row())) as u32;
+                        let addr = m[REF].decoder().encode(coord(rank, bank, row, block));
+                        if rng.next_bool(0.3) {
+                            let payload = [rng.next_u64() as u8; 64];
+                            write_twins(&mut m, addr, requester, now, &payload, step);
                         } else {
-                            twin.serve_addr(addr, true, requester, now, Some(&payload))
-                        };
-                        assert_eq!(got.map(owned), want, "step {step}: twin {i} write");
+                            let max = 1 + rng.next_below(4) as usize;
+                            read_twins(&mut m, addr, max, requester, now, step);
+                        }
                     }
                 } else if action < 96 {
                     let rank = rng.next_below(u64::from(g.ranks)) as u32;
@@ -1998,12 +2313,11 @@ mod tests {
                     assert_eq!(snapshot(twin, now), snap, "step {step}: twin {i}");
                 }
                 let (reference, traced_run) = (&rings[0], &rings[1]);
-                assert_eq!(
-                    reference.borrow().snapshot(),
-                    traced_run.borrow().snapshot(),
-                    "step {step}: trace"
-                );
+                let events = reference.borrow().snapshot();
+                assert_eq!(events, traced_run.borrow().snapshot(), "step {step}: trace");
                 assert_eq!(reference.borrow().dropped(), 0);
+                rules.replay(&events, step);
+                rules.check_earliest_activates(&m[REF], now, step);
                 reference.borrow_mut().clear();
                 traced_run.borrow_mut().clear();
             }

@@ -143,7 +143,8 @@ impl ServeCluster {
     /// addresses on every channel), one persistent resilient driver is
     /// built per unit, and the engine schedules across all channels in
     /// one event loop — rescued shards may migrate across channels.
-    /// Every arena returns to its pre-serve cursor afterwards.
+    /// Every arena returns to its pre-serve cursor afterwards, and every
+    /// module to its pre-serve timing state.
     ///
     /// # Panics
     /// Panics if `values` is empty or a unit arena cannot hold a replica
@@ -183,7 +184,7 @@ impl ServeCluster {
         );
         ClusterServeRun {
             report,
-            recovery: self.core.release(placed),
+            recovery: self.core.release(placed, &mut self.mc.modules_mut()),
             faults: (0..self.mc.num_channels())
                 .map(|ch| self.mc.channel(ch).module().fault_stats().copied())
                 .collect(),

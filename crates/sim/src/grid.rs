@@ -124,7 +124,8 @@ impl ServeGrid {
     /// every node), one persistent resilient driver is built per unit,
     /// and the frontend routes over `fabric` per `ccfg` while each node
     /// runs its own engine event loop. Every arena returns to its
-    /// pre-serve cursor afterwards.
+    /// pre-serve cursor afterwards, and every node's module to its
+    /// pre-serve timing state.
     ///
     /// Non-holder nodes still get the replica written (placement is a
     /// routing contract, not a storage optimisation in this model) so a
@@ -202,7 +203,7 @@ impl ServeGrid {
                 .nodes
                 .iter_mut()
                 .zip(placed)
-                .map(|(n, p)| n.core.release(p))
+                .map(|(n, p)| n.core.release(p, &mut [&mut n.module]))
                 .collect(),
             faults: self
                 .nodes

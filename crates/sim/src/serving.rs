@@ -11,27 +11,30 @@
 //!
 //! A serve takes three steps:
 //!
-//! 1. [`ServeCore::place`] records each arena's cursor, replicates the
-//!    column into every unit's arena, carves the unit's bitset-lane,
-//!    projection and group-by staging buffers behind it, and builds one
-//!    persistent resilient driver per unit;
+//! 1. [`ServeCore::place`] records each arena's cursor and each module's
+//!    timing state, replicates the column into every unit's arena, carves
+//!    the unit's bitset-lane, projection and group-by staging buffers
+//!    behind it, and builds one persistent resilient driver per unit;
 //! 2. [`ServeCore::env`] lends the devices, drivers and placement to the
 //!    engine as a [`ServeEnv`];
-//! 3. [`ServeCore::release`] resets every arena to its recorded cursor
-//!    and returns the drivers' counters.
+//! 3. [`ServeCore::release`] resets every arena to its recorded cursor,
+//!    returns every module to its recorded timing state and returns the
+//!    drivers' counters.
 //!
 //! Every unit's arena replays the same allocation sequence, so the column
 //! lands at the same rank-local address on every channel and node, and
 //! the next serve reuses exactly the addresses this one released: a
 //! machine serves any number of times without running out of simulated
-//! memory.
+//! memory. Its banks, ranks and buses start each serve where the first
+//! one found them, so a reused machine serves a stream as it did before;
+//! the DRAM counters keep counting across serves.
 
 use crate::alloc::SimAlloc;
 use crate::config::SystemConfig;
 use jafar_common::obs::SharedTracer;
 use jafar_core::api::DriverCosts;
 use jafar_core::{DriverStats, JafarDevice, ResilienceConfig, ResilientDriver};
-use jafar_dram::{DramModule, PhysAddr};
+use jafar_dram::{DramModule, PhysAddr, TimingState};
 use jafar_serve::engine::{out_lanes, ServeConfig, ServeEnv};
 use jafar_serve::{ChannelRankPool, FilterPool, Workload};
 
@@ -48,9 +51,11 @@ pub(crate) struct ServeCore {
 }
 
 /// One serve's placement: each unit's replica and buffers, the arena
-/// cursors to return to, and the unit's driver.
+/// cursors and module timing states to return to, and the unit's driver.
 pub(crate) struct Placed {
     marks: Vec<PhysAddr>,
+    /// Each channel's module as the serve found it.
+    timing: Vec<TimingState>,
     replicas: Vec<PhysAddr>,
     outs: Vec<PhysAddr>,
     proj_outs: Vec<PhysAddr>,
@@ -98,7 +103,8 @@ impl ServeCore {
 
     /// Places `values` for one serve of `workload`: the replica goes to
     /// every unit's arena, written into `modules[pool.unit(u).channel]`,
-    /// followed by the unit's output buffers; one driver per unit.
+    /// followed by the unit's output buffers; one driver per unit. Each
+    /// module's timing state is recorded for [`ServeCore::release`].
     ///
     /// # Panics
     /// Panics if the core has no devices, `values` is empty, or a unit's
@@ -124,6 +130,7 @@ impl ServeCore {
         let units = self.pool.units();
         let mut placed = Placed {
             marks: Vec::with_capacity(units),
+            timing: modules.iter().map(|m| m.timing_state()).collect(),
             replicas: Vec::with_capacity(units),
             outs: Vec::with_capacity(units),
             proj_outs: Vec::with_capacity(units),
@@ -175,11 +182,19 @@ impl ServeCore {
     }
 
     /// Ends the serve `placed` was made for: every arena returns to the
-    /// cursor it had before [`ServeCore::place`], and the drivers'
-    /// counters come back in unit order.
-    pub(crate) fn release(&mut self, placed: Placed) -> Vec<DriverStats> {
+    /// cursor it had before [`ServeCore::place`], every one of `modules`
+    /// (the ones `place` was given) to the timing state it had then, and
+    /// the drivers' counters come back in unit order.
+    pub(crate) fn release(
+        &mut self,
+        placed: Placed,
+        modules: &mut [&mut DramModule],
+    ) -> Vec<DriverStats> {
         for (arena, mark) in self.arenas.iter_mut().zip(placed.marks) {
             arena.reset_to(mark);
+        }
+        for (module, timing) in modules.iter_mut().zip(&placed.timing) {
+            module.restore_timing(timing);
         }
         placed.drivers.iter().map(|d| *d.stats()).collect()
     }
@@ -341,6 +356,59 @@ mod tests {
     /// A record's result fields, without its timing.
     fn results(r: &QueryRecord) -> impl PartialEq + std::fmt::Debug + '_ {
         (r.matched, &r.bitset, r.agg, &r.projected, &r.groups)
+    }
+
+    /// A reused machine serves a stream as it served it the first time:
+    /// each serve starts from the banks, ranks and buses the first one
+    /// found, so the reports agree to the tick. The grid's fabric is the
+    /// caller's, so each grid serve gets a fresh one from the same seed.
+    #[test]
+    fn a_reused_machine_serves_a_stream_as_a_fresh_one_does() {
+        let mut rng = jafar_common::rng::SplitMix64::new(0x2E05E);
+        let values: Vec<i64> = (0..4096)
+            .map(|_| rng.next_range_inclusive(0, 999))
+            .collect();
+        let mix = PredicateMix::UniformRange {
+            min: 0,
+            max: 999,
+            width: 300,
+        };
+        let workload = Workload::poisson(mix, 64, Tick::from_us(20), 0x3E3)
+            .with_op_mix(&[QueryOp::Select, QueryOp::Project { k: 1 }]);
+        let (cfg, policy) = (ServeConfig::default(), SchedPolicy::Fifo);
+
+        let mut sys = System::new(SystemConfig::test_small());
+        let first = sys.serve(&values, &workload, policy, &cfg).report;
+        assert_eq!(first.completed(), 64);
+        let again = sys.serve(&values, &workload, policy, &cfg).report;
+        assert_eq!(again, first, "System");
+
+        let mut cluster =
+            ServeCluster::new(SystemConfig::test_small(), 2, SharedTracer::disabled())
+                .expect("2 channels");
+        let first = cluster.serve(&values, &workload, policy, &cfg).report;
+        let again = cluster.serve(&values, &workload, policy, &cfg).report;
+        assert_eq!(again, first, "ServeCluster/2");
+
+        let mut grid = ServeGrid::new(SystemConfig::test_small(), 1, SharedTracer::disabled());
+        let placement = Placement::hot(1);
+        let serve = |grid: &mut ServeGrid| {
+            let mut fabric = grid.fabric(0xFAB);
+            let ccfg = ClusterConfig::default();
+            grid.serve(
+                &values,
+                &placement,
+                &mut fabric,
+                &workload,
+                policy,
+                &cfg,
+                &ccfg,
+            )
+            .report
+        };
+        let first = serve(&mut grid);
+        let again = serve(&mut grid);
+        assert_eq!(again, first, "ServeGrid/1");
     }
 
     /// K consecutive serves on each tier, the first under a rank outage:

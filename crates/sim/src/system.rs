@@ -719,8 +719,9 @@ impl System {
     /// through admission control, the scheduling policy and the SLO
     /// degradation ladder. See [`jafar_serve::engine`] for the queue
     /// model and the determinism argument. Every arena returns to its
-    /// pre-serve cursor afterwards, so a system serves any number of
-    /// times.
+    /// pre-serve cursor afterwards, and the module to its pre-serve
+    /// timing state, so a system serves any number of times, each serve
+    /// timed as the first.
     ///
     /// Unlike the single-query paths, no per-query
     /// [`SystemConfig::query_overhead`] is charged: a serving system
@@ -756,6 +757,10 @@ impl System {
         policy: SchedPolicy,
         cfg: &ServeConfig,
     ) -> ServeRun {
+        // Quiesce host traffic before the stream starts, as the
+        // single-query paths do before their grants.
+        self.mc.drain();
+        self.mc.advance_cursor(cfg.start);
         let mut placed = self.core.place(
             &mut [self.mc.module_mut()],
             values,
@@ -763,10 +768,6 @@ impl System {
             cfg,
             &self.tracer,
         );
-        // Quiesce host traffic before the stream starts, as the
-        // single-query paths do before their grants.
-        self.mc.drain();
-        self.mc.advance_cursor(cfg.start);
         let report = run_serve(
             self.core.env(
                 &mut placed,
@@ -782,7 +783,7 @@ impl System {
         self.mc.advance_cursor(cfg.start + report.makespan);
         ServeRun {
             report,
-            recovery: self.core.release(placed),
+            recovery: self.core.release(placed, &mut [self.mc.module_mut()]),
             faults: self.mc.module().fault_stats().copied(),
         }
     }
