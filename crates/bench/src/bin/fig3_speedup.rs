@@ -8,6 +8,9 @@
 //! contention). Expected shape (paper): speedup rising from ≈5× at 0 % to
 //! ≈9× at 100 %, with JAFAR's own runtime selectivity-independent.
 //!
+//! At the default 4 M rows on the paper's DRAM it asserts both endpoints:
+//! the 0 % speedup in [4.5, 5.5]× and the 100 % speedup in [8.5, 9.5]×.
+//!
 //! Usage: `fig3_speedup [--rows N] [--points P] [--csv] [--dram ddr3_1600]`
 
 use jafar_bench::{arg, f2, flag, print_table};
@@ -17,18 +20,25 @@ use jafar_cpu::ScanVariant;
 use jafar_dram::DramTiming;
 use jafar_sim::{System, SystemConfig};
 
+/// §3.1's column length, the one the paper's endpoints are stated for.
+const PAPER_ROWS: u64 = 4_000_000;
+
+fn ddr3_1600() -> bool {
+    arg::<String>("--dram", "paper".into()) == "ddr3_1600"
+}
+
 fn config() -> SystemConfig {
     let mut cfg = SystemConfig::gem5_like();
     // DRAM-timing sensitivity: `--dram ddr3_1600` swaps the paper's ~1 GHz
     // bus for the common DDR3-1600 bin (0.8 GHz, CL 13.75 ns).
-    if arg::<String>("--dram", "paper".into()) == "ddr3_1600" {
+    if ddr3_1600() {
         cfg.dram_timing = DramTiming::ddr3_1600();
     }
     cfg
 }
 
 fn main() {
-    let rows: u64 = arg("--rows", 4_000_000);
+    let rows: u64 = arg("--rows", PAPER_ROWS);
     let points: u64 = arg("--points", 10);
     let csv = flag("--csv");
     let value_range = 1_000_000i64;
@@ -49,6 +59,7 @@ fn main() {
         .collect();
 
     let mut out_rows: Vec<Vec<String>> = Vec::new();
+    let mut speedups = Vec::new();
     if csv {
         println!("selectivity,cpu_ms,jafar_ms,speedup,cpu_mispredicts,jafar_device_ms");
     }
@@ -72,6 +83,7 @@ fn main() {
         let cpu_ms = cpu.end.as_ms_f64();
         let jf_ms = jf.end.as_ms_f64();
         let speedup = cpu_ms / jf_ms;
+        speedups.push(speedup);
         if csv {
             println!(
                 "{:.3},{:.4},{:.4},{:.3},{},{:.4}",
@@ -92,6 +104,20 @@ fn main() {
             format!("{}", cpu.mispredicts),
             f2(jf.device.as_ms_f64()),
         ]);
+    }
+
+    // The paper's endpoints hold on its own workload; a shorter column
+    // pays relatively more fixed cost, so its speedups are lower.
+    if rows == PAPER_ROWS && points > 0 && !ddr3_1600() {
+        let (none, all) = (speedups[0], speedups[points as usize]);
+        assert!(
+            (4.5..=5.5).contains(&none),
+            "0 % speedup {none:.2}x is not the paper's ~5x"
+        );
+        assert!(
+            (8.5..=9.5).contains(&all),
+            "100 % speedup {all:.2}x is not the paper's ~9x"
+        );
     }
 
     if !csv {

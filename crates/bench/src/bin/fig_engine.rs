@@ -87,8 +87,9 @@ fn run_scenario(
     let mut walls = Vec::with_capacity(REPS);
     let mut last = None;
     for _ in 0..REPS {
-        // A fresh machine per serve (a serve's buffers stay allocated in
-        // simulated memory), built outside the timer.
+        // A fresh machine per serve, built outside the timer, so every
+        // repetition also allocates the store pages its placement writes,
+        // as the first serve of a machine does.
         let mut sys = system();
         let t0 = Instant::now();
         let run = sys.serve(values, workload, SchedPolicy::Fifo, cfg);

@@ -13,25 +13,21 @@ use crate::ops::project::gather;
 use crate::ops::scan::{scan, scan_at, ScanPredicate};
 use crate::ops::sort::{sort_rows_by, Dir};
 use crate::positions::PositionList;
-use crate::pushdown::{CircuitBreaker, Planner};
+use crate::pushdown::Planner;
 use crate::table::Table;
 use crate::trace::{OpTrace, TraceEvent};
 
-/// A query execution context: planner + pushdown health + trace.
+/// A query execution context: planner + trace.
 pub struct ExecContext {
     planner: Planner,
-    breaker: CircuitBreaker,
-    fallback_scans: u64,
     trace: OpTrace,
 }
 
 impl ExecContext {
-    /// A context with the given planner and a closed circuit breaker.
+    /// A context with the given planner.
     pub fn new(planner: Planner) -> Self {
         ExecContext {
             planner,
-            breaker: CircuitBreaker::default(),
-            fallback_scans: 0,
             trace: OpTrace::new(),
         }
     }
@@ -46,25 +42,6 @@ impl ExecContext {
         self.trace
     }
 
-    /// The pushdown circuit breaker. The driving layer reports device-path
-    /// outcomes here ([`CircuitBreaker::record_success`] /
-    /// [`CircuitBreaker::record_failure`]); while it is open, scans the
-    /// planner would push down run on the CPU kernel instead.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// Mutable breaker access for outcome reporting.
-    pub fn breaker_mut(&mut self) -> &mut CircuitBreaker {
-        &mut self.breaker
-    }
-
-    /// Scans the planner wanted on the device but the breaker sent to the
-    /// CPU.
-    pub fn fallback_scans(&self) -> u64 {
-        self.fallback_scans
-    }
-
     /// Full-column select on `table.column`.
     ///
     /// # Errors
@@ -77,11 +54,7 @@ impl ExecContext {
     ) -> Result<PositionList, PlanError> {
         let col = table.column(column)?;
         let out = scan(col, predicate);
-        let mut implementation = self.planner.choose(col.len() as u64, predicate);
-        if implementation.is_pushdown() && !self.breaker.allow() {
-            implementation = self.planner.cpu_kernel;
-            self.fallback_scans += 1;
-        }
+        let implementation = self.planner.choose(col.len() as u64, predicate);
         self.trace.push(TraceEvent::Scan {
             table: table.name().to_owned(),
             column: column.to_owned(),
@@ -330,45 +303,6 @@ mod tests {
         let pos = cx.select(&t, "x", Pred::Lt(100)).unwrap();
         assert_eq!(pos.len(), 100);
         assert_eq!(cx.trace().jafar_scans(), 1);
-    }
-
-    #[test]
-    fn open_breaker_routes_pushdown_scans_to_cpu() {
-        let t = Table::new("big", vec![Column::int("x", (0..10_000).collect())]);
-        let mut cx = ExecContext::new(Planner::with_jafar());
-        // Two consecutive device failures (reported by the driving layer)
-        // trip the default breaker.
-        cx.breaker_mut().record_failure();
-        cx.breaker_mut().record_failure();
-        assert!(cx.breaker().is_open());
-        let pos = cx.select(&t, "x", Pred::Lt(100)).unwrap();
-        assert_eq!(pos.len(), 100, "results identical on the CPU path");
-        assert_eq!(cx.trace().jafar_scans(), 0, "scan was rerouted");
-        assert_eq!(cx.fallback_scans(), 1);
-        // A healthy report closes it again and pushdown resumes.
-        while !cx.breaker_mut().allow() {}
-        cx.breaker_mut().record_success();
-        cx.select(&t, "x", Pred::Lt(100)).unwrap();
-        assert_eq!(cx.trace().jafar_scans(), 1);
-    }
-
-    #[test]
-    fn open_breaker_also_reroutes_parallel_pushdown() {
-        let t = Table::new("big", vec![Column::int("x", (0..10_000).collect())]);
-        let mut cx = ExecContext::new(Planner::with_jafar_parallel(4));
-        cx.select(&t, "x", Pred::Lt(100)).unwrap();
-        assert_eq!(
-            cx.trace().jafar_scans(),
-            1,
-            "parallel scans count as pushdown"
-        );
-        cx.breaker_mut().record_failure();
-        cx.breaker_mut().record_failure();
-        assert!(cx.breaker().is_open());
-        let pos = cx.select(&t, "x", Pred::Lt(100)).unwrap();
-        assert_eq!(pos.len(), 100);
-        assert_eq!(cx.trace().jafar_scans(), 1, "second scan rerouted to CPU");
-        assert_eq!(cx.fallback_scans(), 1);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use error::PlanError;
 pub use exec::ExecContext;
 pub use plan::{execute, Catalog, Frame, Plan};
 pub use positions::PositionList;
-pub use pushdown::{CircuitBreaker, Planner, ScanImpl};
+pub use pushdown::{Planner, ScanImpl};
 pub use table::Table;
 pub use trace::{OpTrace, TraceEvent};
 pub use value::{DataType, Date, Decimal};

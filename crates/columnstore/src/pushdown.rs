@@ -96,106 +96,6 @@ impl Planner {
     }
 }
 
-/// Health of the pushdown path, as a classic three-state circuit breaker.
-///
-/// The execution layer records the outcome of each pushed-down scan (did
-/// the resilient driver finish it on the device, or did it fall back?).
-/// After `threshold` consecutive failures the breaker *opens* and the
-/// planner routes scans to the CPU kernel for the next `cooldown` scans;
-/// then one probe scan is allowed through (*half-open*): success closes
-/// the breaker, failure re-opens it for another cooldown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum BreakerState {
-    Closed { failures: u32 },
-    Open { remaining: u32 },
-    HalfOpen,
-}
-
-/// See [`CircuitBreaker`]'s type-level docs.
-#[derive(Clone, Copy, Debug)]
-pub struct CircuitBreaker {
-    state: BreakerState,
-    /// Consecutive failures before opening.
-    pub threshold: u32,
-    /// Scans routed to the CPU while open, before the half-open probe.
-    pub cooldown: u32,
-    trips: u64,
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(2, 8)
-    }
-}
-
-impl CircuitBreaker {
-    /// A closed breaker with the given policy.
-    pub fn new(threshold: u32, cooldown: u32) -> Self {
-        CircuitBreaker {
-            state: BreakerState::Closed { failures: 0 },
-            threshold: threshold.max(1),
-            cooldown: cooldown.max(1),
-            trips: 0,
-        }
-    }
-
-    /// Asks whether the next scan may use the device. Advances the
-    /// open-state cooldown; when it runs out, admits one half-open probe.
-    pub fn allow(&mut self) -> bool {
-        match self.state {
-            BreakerState::Closed { .. } | BreakerState::HalfOpen => true,
-            BreakerState::Open { remaining } => {
-                if remaining <= 1 {
-                    self.state = BreakerState::HalfOpen;
-                } else {
-                    self.state = BreakerState::Open {
-                        remaining: remaining - 1,
-                    };
-                }
-                false
-            }
-        }
-    }
-
-    /// Records a device-path scan that completed without falling back.
-    pub fn record_success(&mut self) {
-        self.state = BreakerState::Closed { failures: 0 };
-    }
-
-    /// Records a device-path scan that failed (fell back to the CPU).
-    pub fn record_failure(&mut self) {
-        match self.state {
-            BreakerState::Closed { failures } => {
-                let failures = failures + 1;
-                if failures >= self.threshold {
-                    self.trip();
-                } else {
-                    self.state = BreakerState::Closed { failures };
-                }
-            }
-            BreakerState::HalfOpen => self.trip(),
-            BreakerState::Open { .. } => {}
-        }
-    }
-
-    fn trip(&mut self) {
-        self.state = BreakerState::Open {
-            remaining: self.cooldown,
-        };
-        self.trips += 1;
-    }
-
-    /// True while scans are being routed away from the device.
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, BreakerState::Open { .. })
-    }
-
-    /// How many times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,46 +149,6 @@ mod tests {
             p.choose(1_000_000, ScanPredicate::Between(10, 5)),
             ScanImpl::CpuBranching
         );
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_recovers_via_half_open() {
-        let mut b = CircuitBreaker::new(2, 3);
-        assert!(b.allow());
-        b.record_failure();
-        assert!(!b.is_open(), "one failure below threshold");
-        b.record_failure();
-        assert!(b.is_open(), "second consecutive failure trips it");
-        assert_eq!(b.trips(), 1);
-        // Cooldown: three scans denied, then the half-open probe.
-        assert!(!b.allow());
-        assert!(!b.allow());
-        assert!(!b.allow());
-        assert!(b.allow(), "half-open probe admitted");
-        b.record_success();
-        assert!(!b.is_open());
-        assert!(b.allow(), "closed again after a good probe");
-    }
-
-    #[test]
-    fn half_open_failure_reopens() {
-        let mut b = CircuitBreaker::new(1, 1);
-        b.record_failure();
-        assert!(b.is_open());
-        assert!(!b.allow()); // consumes the cooldown → half-open
-        assert!(b.allow(), "probe");
-        b.record_failure();
-        assert!(b.is_open(), "probe failure re-opens");
-        assert_eq!(b.trips(), 2);
-    }
-
-    #[test]
-    fn success_resets_the_failure_streak() {
-        let mut b = CircuitBreaker::new(2, 4);
-        b.record_failure();
-        b.record_success();
-        b.record_failure();
-        assert!(!b.is_open(), "non-consecutive failures never trip");
     }
 
     #[test]

@@ -15,14 +15,13 @@
 //!   [`ResilienceConfig::renew_margin`], so every datapath, which refuses
 //!   a job admitted at or past the deadline, is invoked inside it.
 //! - **Watchdog.** An invocation whose completion is not observed within
-//!   [`ResilienceConfig::watchdog`] plus
-//!   [`ResilienceConfig::watchdog_per_row`]·rows is abandoned at the
+//!   [`WATCHDOG`] plus [`WATCHDOG_PER_ROW`]·rows is abandoned at the
 //!   timeout (the stalled transfer keeps the DIMM busy, but the host stops
 //!   waiting) and retried.
 //! - **Bounded exponential backoff.** Transient failures — MRS glitches,
 //!   uncorrectable ECC reads, preempted streams, watchdog timeouts, lease
 //!   expiry races — are retried up to [`ResilienceConfig::max_retries`]
-//!   times with delay `min(backoff_base · 2^attempt, backoff_max)`.
+//!   times with delay `min(BACKOFF_BASE · 2^attempt, BACKOFF_MAX)`.
 //! - **Circuit breaker.** After [`ResilienceConfig::breaker_threshold`]
 //!   consecutive exhausted ladders the driver stops attempting pushdown;
 //!   one success resets the count.
@@ -70,27 +69,39 @@ use jafar_common::stats::{Counter, Scoreboard};
 use jafar_common::time::Tick;
 use jafar_dram::{DramModule, IssueError, PhysAddr, Requester};
 
+/// Watchdog budget, fixed part. A page whose completion is not observed
+/// within `WATCHDOG + WATCHDOG_PER_ROW · page_rows` of its invocation is
+/// abandoned and retried.
+pub const WATCHDOG: Tick = Tick::from_us(20);
+
+/// Watchdog budget, per-row part — scales the timeout with the page size
+/// so huge pages get a proportionally longer window. 10 ns/row is ~10×
+/// the clean per-row streaming time, so a healthy page never trips it
+/// while a stalled burst still does.
+pub const WATCHDOG_PER_ROW: Tick = Tick::from_ns(10);
+
+/// First retry delay; doubles per attempt.
+pub const BACKOFF_BASE: Tick = Tick::from_ns(200);
+
+/// Backoff ceiling.
+pub const BACKOFF_MAX: Tick = Tick::from_us(10);
+
+/// CPU fallback: predicate cost per 64-bit word.
+pub const CPU_WORD_COST: Tick = Tick::from_ps(500);
+
+/// CPU fallback: modelled cost per 64-byte line when the timed host path
+/// is unavailable (rank still owned) and the driver degrades to
+/// functional reads.
+pub const DEGRADED_LINE_COST: Tick = Tick::from_ns(100);
+
 /// Knobs of the recovery policy.
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
     /// Per-invocation host costs (register programming, completion
     /// discovery).
     pub costs: DriverCosts,
-    /// Watchdog budget, fixed part. A page whose completion is not
-    /// observed within `watchdog + watchdog_per_row · page_rows` of its
-    /// invocation is abandoned and retried.
-    pub watchdog: Tick,
-    /// Watchdog budget, per-row part — scales the timeout with the page
-    /// size so huge pages get a proportionally longer window. The default
-    /// (10 ns/row) is ~10× the clean per-row streaming time, so a healthy
-    /// page never trips it while a stalled burst still does.
-    pub watchdog_per_row: Tick,
     /// Retries per page beyond the first attempt before falling back.
     pub max_retries: u32,
-    /// First retry delay; doubles per attempt.
-    pub backoff_base: Tick,
-    /// Backoff ceiling.
-    pub backoff_max: Tick,
     /// Consecutive page failures before the breaker trips and the rest of
     /// the query runs on the CPU.
     pub breaker_threshold: u32,
@@ -104,29 +115,17 @@ pub struct ResilienceConfig {
     /// least 512, so every page's column slice and bitset slice start
     /// 64-byte aligned. 4 KiB and 2 MiB pages are whole lines already.
     pub page_bytes: u64,
-    /// CPU fallback: predicate cost per 64-bit word.
-    pub cpu_word_cost: Tick,
-    /// CPU fallback: modelled cost per 64-byte line when the timed host
-    /// path is unavailable (rank still owned) and the driver degrades to
-    /// functional reads.
-    pub degraded_line_cost: Tick,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             costs: DriverCosts::default(),
-            watchdog: Tick::from_us(20),
-            watchdog_per_row: Tick::from_ns(10),
             max_retries: 3,
-            backoff_base: Tick::from_ns(200),
-            backoff_max: Tick::from_us(10),
             breaker_threshold: 2,
             lease_window: Tick::MAX,
             renew_margin: Tick::from_us(2),
             page_bytes: 4096,
-            cpu_word_cost: Tick::from_ps(500),
-            degraded_line_cost: Tick::from_ns(100),
         }
     }
 }
@@ -455,14 +454,12 @@ impl ResilientDriver {
         self.consecutive_failures = 0;
     }
 
-    fn backoff(&self, attempt: u32) -> Tick {
+    fn backoff(attempt: u32) -> Tick {
         let mult = 1u64 << attempt.min(20);
-        let ps = self
-            .cfg
-            .backoff_base
+        let ps = BACKOFF_BASE
             .as_ps()
             .saturating_mul(mult)
-            .min(self.cfg.backoff_max.as_ps());
+            .min(BACKOFF_MAX.as_ps());
         Tick::from_ps(ps)
     }
 
@@ -635,7 +632,7 @@ impl ResilientDriver {
     /// predicate in software, bank each lane's matches and write each
     /// lane's bitset slice back — byte-identical to what the device pass
     /// would have produced per lane. The CPU has no parallel comparator
-    /// array, so predicate evaluation is charged per lane: `cpu_word_cost`
+    /// array, so predicate evaluation is charged per lane: [`CPU_WORD_COST`]
     /// per word and lane.
     fn run_page_cpu(
         &mut self,
@@ -646,7 +643,7 @@ impl ResilientDriver {
         let col = PhysAddr(session.req.col_addr.0 + session.row * 8);
         let (preds, matched) = (&session.req.preds, &mut session.matched);
         let mut out_bytes = vec![vec![0u8; page_rows.div_ceil(8) as usize]; preds.len()];
-        let word_cost = self.cfg.cpu_word_cost * preds.len() as u64;
+        let word_cost = CPU_WORD_COST * preds.len() as u64;
         self.host_stream(
             module,
             col,
@@ -755,7 +752,7 @@ impl ResilientDriver {
             let cause = match invoke(module, invoke_at) {
                 Ok((end, result)) => {
                     let (observed, burned) = self.cfg.costs.completion.observe(invoke_at, end);
-                    let budget = self.cfg.watchdog + self.cfg.watchdog_per_row * rows;
+                    let budget = WATCHDOG + WATCHDOG_PER_ROW * rows;
                     let deadline = invoke_at + budget;
                     if observed <= deadline {
                         spent.cpu_wait += burned;
@@ -828,7 +825,7 @@ impl ResilientDriver {
         if *attempt >= self.cfg.max_retries {
             return false;
         }
-        let pause = self.backoff(*attempt);
+        let pause = Self::backoff(*attempt);
         *t += pause;
         spent.driver += pause;
         *attempt += 1;
@@ -865,7 +862,7 @@ impl ResilientDriver {
                     if e == IssueError::MrsGlitch {
                         self.stats.mrs_retries.inc();
                     }
-                    *t += self.backoff(attempt);
+                    *t += Self::backoff(attempt);
                     pending = Lease {
                         rank,
                         acquired_at,
@@ -973,7 +970,7 @@ impl ResilientDriver {
                 Err(_) => {
                     self.stats.degraded_lines.inc();
                     module.data_mut().write(addr, &line);
-                    *t += self.cfg.degraded_line_cost;
+                    *t += DEGRADED_LINE_COST;
                 }
             }
         }
@@ -997,7 +994,7 @@ impl ResilientDriver {
                 self.stats.degraded_lines.inc();
                 let mut buf = [0u8; 64];
                 module.data().read(addr, &mut buf);
-                *cursor += self.cfg.degraded_line_cost;
+                *cursor += DEGRADED_LINE_COST;
                 buf
             }
         }
@@ -1501,6 +1498,35 @@ mod tests {
     }
 
     #[test]
+    fn an_all_cpu_select_is_priced_per_word_and_lane() {
+        // Every grant glitches and the breaker trips on the first page, so
+        // each page streams through the CPU fallback, whose predicate
+        // price is charged per word and lane: the end ticks pin a 500 ps
+        // word.
+        for (lanes, end_ps) in [(1, 4_452_000), (2, 5_382_000)] {
+            let (mut m, values) = module_with_column(1536, 13);
+            m.set_fault_injector(Some(FaultInjector::new(FaultPlan {
+                mrs_glitch_p: 1.0,
+                ..FaultPlan::none(4)
+            })));
+            let mut device = JafarDevice::paper_default();
+            let mut driver = ResilientDriver::new(ResilienceConfig {
+                max_retries: 0,
+                breaker_threshold: 1,
+                ..ResilienceConfig::default()
+            });
+            let preds = &[(0, 249), (500, 999)][..lanes];
+            let req = fused_request(1536, preds);
+            let run = driver.run_select_fused(&mut device, &mut m, req.clone(), Tick::ZERO);
+            for (&(lo, hi), &out) in preds.iter().zip(&req.out_addrs) {
+                assert_eq!(bitset_at(&m, out, 1536), reference(&values, lo, hi));
+            }
+            assert_eq!(driver.stats().pages_cpu.get(), run.pages, "{lanes} lanes");
+            assert_eq!(run.end, Tick::from_ps(end_ps), "{lanes} lanes");
+        }
+    }
+
+    #[test]
     fn parked_fused_session_resumes_all_lanes_bit_identically() {
         let preds = [(100, 499), (0, 249)];
         let rows = 2048u64;
@@ -1689,14 +1715,10 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let driver = ResilientDriver::new(ResilienceConfig {
-            backoff_base: Tick::from_ns(100),
-            backoff_max: Tick::from_ns(350),
-            ..ResilienceConfig::default()
-        });
-        assert_eq!(driver.backoff(0), Tick::from_ns(100));
-        assert_eq!(driver.backoff(1), Tick::from_ns(200));
-        assert_eq!(driver.backoff(2), Tick::from_ns(350), "capped");
-        assert_eq!(driver.backoff(63), Tick::from_ns(350), "no overflow");
+        assert_eq!(ResilientDriver::backoff(0), BACKOFF_BASE);
+        assert_eq!(ResilientDriver::backoff(1), BACKOFF_BASE * 2);
+        assert_eq!(ResilientDriver::backoff(5), BACKOFF_BASE * 32);
+        assert_eq!(ResilientDriver::backoff(6), BACKOFF_MAX, "capped");
+        assert_eq!(ResilientDriver::backoff(63), BACKOFF_MAX, "no overflow");
     }
 }

@@ -137,8 +137,6 @@ pub struct ClusterConfig {
     pub route: RoutePolicy,
     /// Wire size of one routed request (predicate + operator + header).
     pub request_bytes: u64,
-    /// Fixed response framing added on top of the result payload.
-    pub response_overhead_bytes: u64,
 }
 
 impl Default for ClusterConfig {
@@ -146,10 +144,13 @@ impl Default for ClusterConfig {
         ClusterConfig {
             route: RoutePolicy::ReplicaLocal,
             request_bytes: 256,
-            response_overhead_bytes: 128,
         }
     }
 }
+
+/// Fixed response framing added on top of the result payload; a shed
+/// notice is this header alone.
+const RESPONSE_OVERHEAD_BYTES: u64 = 128;
 
 /// Borrowed cluster machine state: one [`ServeEnv`] per memory node,
 /// the column's replica placement, the fabric connecting everything, and
@@ -420,13 +421,12 @@ fn harvest_node(
     fabric: &mut NetFabric,
     heap: &mut FrontHeap,
     queries: &mut [ClusterQuery],
-    overhead: u64,
     tracer: &SharedTracer,
 ) {
     for qid in eng.take_finished() {
         let rec = eng.take_record(qid);
         let done = rec.done.expect("finished queries carry a done stamp");
-        let bytes = overhead + result_bytes(&rec);
+        let bytes = RESPONSE_OVERHEAD_BYTES + result_bytes(&rec);
         let hop = fabric.delay(node, bytes);
         tracer.emit(
             done,
@@ -444,12 +444,12 @@ fn harvest_node(
         // instant; the rejection notice is a bare header on the wire.
         let rec = eng.take_record(qid);
         let at = rec.submitted;
-        let hop = fabric.delay(node, overhead);
+        let hop = fabric.delay(node, RESPONSE_OVERHEAD_BYTES);
         tracer.emit(
             at,
             EventKind::NetHop {
                 link: node as u32,
-                bytes: overhead,
+                bytes: RESPONSE_OVERHEAD_BYTES,
             },
         );
         heap.push(Reverse((at + hop, FCLASS_RESPONSE, qid)));
@@ -522,7 +522,7 @@ pub fn run_cluster(
 
     let mut heap: FrontHeap = BinaryHeap::new();
     for (i, &t) in times.iter().enumerate() {
-        heap.push(Reverse((cfg.start + t, FCLASS_ARRIVAL, i as u32)));
+        heap.push(Reverse((t, FCLASS_ARRIVAL, i as u32)));
     }
 
     // The report's queries are the frontend's per-query ledger. A record
@@ -547,7 +547,7 @@ pub fn run_cluster(
     let mut outstanding: Vec<u64> = vec![0; nodes];
     let mut routed_count: Vec<u64> = vec![0; nodes];
     let mut rr: usize = 0;
-    let mut front_free = cfg.start;
+    let mut front_free = Tick::ZERO;
 
     loop {
         let Some(&Reverse((t_next, _, _))) = heap.peek() else {
@@ -563,15 +563,7 @@ pub fn run_cluster(
                 }
             }
             for (i, eng) in engines.iter_mut().enumerate() {
-                harvest_node(
-                    i,
-                    eng,
-                    fabric,
-                    &mut heap,
-                    &mut queries,
-                    ccfg.response_overhead_bytes,
-                    tracer,
-                );
+                harvest_node(i, eng, fabric, &mut heap, &mut queries, tracer);
             }
             if heap.is_empty() && !progressed {
                 break;
@@ -585,15 +577,7 @@ pub fn run_cluster(
             eng.advance_until(t_next)?;
         }
         for (i, eng) in engines.iter_mut().enumerate() {
-            harvest_node(
-                i,
-                eng,
-                fabric,
-                &mut heap,
-                &mut queries,
-                ccfg.response_overhead_bytes,
-                tracer,
-            );
+            harvest_node(i, eng, fabric, &mut heap, &mut queries, tracer);
         }
         let Reverse((t, class, qid)) = heap.pop().expect("peeked non-empty heap");
         let q = &mut queries[qid as usize];
@@ -728,8 +712,7 @@ pub fn run_cluster(
         .iter()
         .filter_map(|q| q.responded)
         .max()
-        .unwrap_or(cfg.start)
-        .saturating_sub(cfg.start);
+        .unwrap_or(Tick::ZERO);
     Ok(ClusterReport {
         queries,
         nodes: nodes_summary,
@@ -983,6 +966,42 @@ mod tests {
         for q in &report.queries {
             assert!(q.req_hop > Tick::ZERO && q.resp_hop > Tick::ZERO);
             assert!(q.latency().unwrap() >= q.req_hop + q.resp_hop);
+        }
+    }
+
+    #[test]
+    fn node_links_carry_each_request_answer_and_shed_notice() {
+        // A burst against one-deep node queues: some queries are shed at
+        // their node, the rest answered.
+        let mut rig = cluster_rig(2, 1, 41);
+        let placement = Placement::hot(2);
+        let mut fabric = cluster_fabric(2, 0xC1);
+        let workload = mixed_workload(24, Tick::from_ns(500), 43);
+        let cfg = ServeConfig {
+            max_queue: 1,
+            ..ServeConfig::default()
+        };
+        let report = rig.run(
+            &placement,
+            &mut fabric,
+            &workload,
+            SchedPolicy::Fifo,
+            &cfg,
+            &ClusterConfig::default(),
+        );
+        assert!(report.shed() > 0 && report.completed() > 0);
+        // A 256 B request per routed query; an answer carries its payload
+        // and 128 B of framing, a shed notice the 128 B header alone.
+        let mut want = [0u64; 2];
+        for q in &report.queries {
+            let node = q.node.expect("both holders stay healthy") as usize;
+            want[node] += 256 + 128;
+            if q.tier != Tier::Shed {
+                want[node] += result_bytes(&q.record);
+            }
+        }
+        for n in &report.nodes {
+            assert_eq!(n.link.bytes, want[n.node as usize], "node {}", n.node);
         }
     }
 

@@ -8,7 +8,7 @@
 //! an upstream client would see as a fast-fail — and are dispatched onto
 //! free filter units by the configured [`SchedPolicy`]. The schedulable
 //! pool is a first-class [`FilterPool`]: the engine schedules over dense
-//! unit ids and the pool maps each id to its `{channel, rank, bank-group}`
+//! unit ids and the pool maps each id to its `{channel, rank}`
 //! coordinates, so the same event loop drives a single DIMM's rank vector
 //! (a one-channel [`crate::pool::ChannelRankPool`]) or a channels × ranks
 //! pool over an interleaved multi-channel memory system — every per-unit
@@ -92,7 +92,7 @@
 //! admitted query still completes, byte-identical, or was explicitly
 //! shed at admission.
 
-use crate::health::{HealthConfig, HealthTracker, UnitState};
+use crate::health::{HealthTracker, UnitState, CANARY_ROWS};
 use crate::policy::SchedPolicy;
 use crate::pool::FilterPool;
 use crate::report::{Availability, ExecMode, QueryRecord, ServeReport};
@@ -101,7 +101,9 @@ use jafar_common::obs::{EventKind, SharedTracer};
 use jafar_common::time::Tick;
 use jafar_core::aggregate::{AggOp, AggregateJob};
 use jafar_core::device::{JafarDevice, MAX_FUSED_LANES};
-use jafar_core::driver::{FusedSelectRequest, ResilienceConfig, ResilientDriver, SelectSession};
+use jafar_core::driver::{
+    FusedSelectRequest, ResilienceConfig, ResilientDriver, SelectSession, DEGRADED_LINE_COST,
+};
 use jafar_core::interleave::aligned_chunk;
 use jafar_core::predicate::Predicate;
 use jafar_core::project::ProjectJob;
@@ -115,6 +117,10 @@ use std::fmt;
 /// fallback writes whole aligned lines) and shard boundaries fall on
 /// exact bitset bytes.
 const CHUNK_ROWS: u64 = 512;
+
+/// Rows the admission-time skew detector samples from a group-by's
+/// qualifying set (deterministic stride sampling).
+const SKEW_SAMPLE: usize = 64;
 
 /// Tuning knobs of the serving engine.
 #[derive(Clone, Debug)]
@@ -133,10 +139,11 @@ pub struct ServeConfig {
     /// select materializes one bit per row, a scalar aggregate a single
     /// 8-byte value, a k-column projection up to k·8·rows bytes.
     pub cpu_per_out_byte: Tick,
-    /// Recovery policy for the per-unit resilient drivers.
+    /// Recovery policy for the per-unit resilient drivers. The engine
+    /// itself reads none of it: `jafar-sim`'s serving tiers build each
+    /// unit's driver from it, but take `costs` and `page_bytes` from
+    /// their `SystemConfig`, so those two fields have no effect there.
     pub resilience: ResilienceConfig,
-    /// Unit health lifecycle knobs (quarantine dwell, canary shape).
-    pub health: HealthConfig,
     /// Shared-scan fusion window: when a plain select is dispatched, up
     /// to `fuse_window - 1` more selects waiting in the queue (they all
     /// scan the same served column) ride the same device pass as extra
@@ -158,14 +165,9 @@ pub struct ServeConfig {
     /// guard). Sound because the per-key fold merges commutatively;
     /// results are byte-identical either way, only the timing differs.
     pub skew_split: bool,
-    /// Rows the admission-time skew detector samples from the
-    /// qualifying set (deterministic stride sampling). At least 1.
-    pub skew_sample: usize,
     /// A key is *hot* when it holds at least this percent of the
-    /// sampled rows. Clamped to `1..=100`.
+    /// rows the skew detector samples. Clamped to `1..=100`.
     pub skew_hot_pct: u32,
-    /// Simulated instant the serve run (and its first arrivals) starts.
-    pub start: Tick,
 }
 
 impl Default for ServeConfig {
@@ -177,13 +179,10 @@ impl Default for ServeConfig {
             cpu_per_row: Tick::from_ps(1000),
             cpu_per_out_byte: Tick::from_ps(250),
             resilience: ResilienceConfig::default(),
-            health: HealthConfig::default(),
             fuse_window: 1,
             batch_admission: true,
             skew_split: true,
-            skew_sample: 64,
             skew_hot_pct: 25,
-            start: Tick::ZERO,
         }
     }
 }
@@ -260,7 +259,7 @@ pub struct ServeEnv<'a> {
     /// `vec![&mut module]` — exactly the pre-pool engine's machine.
     pub modules: Vec<&'a mut DramModule>,
     /// The schedulable pool topology: maps dense unit ids to
-    /// `{channel, rank, bank-group}` coordinates. `pool.units()` must
+    /// `{channel, rank}` coordinates. `pool.units()` must
     /// equal every per-unit slice length and `pool.channels()` the
     /// module count.
     pub pool: &'a dyn FilterPool,
@@ -561,7 +560,7 @@ impl<'a, 'e> Engine<'a, 'e> {
             active: Vec::new(),
             unit_busy: vec![false; nunits],
             served_count: vec![0; nunits],
-            health: HealthTracker::new(nunits, cfg.health),
+            health: HealthTracker::new(nunits),
             parked: Vec::new(),
             rescue_queue: VecDeque::new(),
             arrivals: BinaryHeap::new(),
@@ -573,10 +572,10 @@ impl<'a, 'e> Engine<'a, 'e> {
             requeues: 0,
             sheds_tightened: 0,
             events: 0,
-            host_free: cfg.start,
-            now: cfg.start,
+            host_free: Tick::ZERO,
+            now: Tick::ZERO,
             next_spec: n,
-            makespan: cfg.start,
+            makespan: Tick::ZERO,
             finished: Vec::new(),
             shed: Vec::new(),
             dict: if groups {
@@ -600,7 +599,7 @@ impl<'a, 'e> Engine<'a, 'e> {
             Arrivals::Open(times) => {
                 assert_eq!(times.len(), n, "one arrival instant per query");
                 for (i, &t) in times.iter().enumerate() {
-                    self.schedule(i as u32, self.cfg.start + t);
+                    self.schedule(i as u32, t);
                 }
                 self.next_spec = n;
             }
@@ -608,7 +607,7 @@ impl<'a, 'e> Engine<'a, 'e> {
                 self.think = Some(think);
                 let first = (clients as usize).min(n);
                 for i in 0..first {
-                    self.schedule(i as u32, self.cfg.start);
+                    self.schedule(i as u32, Tick::ZERO);
                 }
                 self.next_spec = first;
             }
@@ -668,7 +667,7 @@ impl<'a, 'e> Engine<'a, 'e> {
         };
         ServeReport {
             records: self.records,
-            makespan: self.makespan.saturating_sub(self.cfg.start),
+            makespan: self.makespan,
             policy: self.policy.name(),
             availability,
             events: self.events,
@@ -1214,7 +1213,7 @@ impl Engine<'_, '_> {
                 self.env.modules[ch]
                     .data_mut()
                     .write(PhysAddr(lane_base + i as u64 * 64), &line);
-                cost += self.cfg.resilience.degraded_line_cost;
+                cost += DEGRADED_LINE_COST;
             }
         }
         let col_addr = PhysAddr(self.env.replicas[u].0 + shard.off * 8);
@@ -1594,9 +1593,8 @@ impl Engine<'_, '_> {
             }
             // Scatter pricing: a per-row partition charge plus one
             // degraded-line charge per staged 64-byte line.
-            let mut unit_t = t
-                + self.cfg.cpu_per_row * part.rows
-                + self.cfg.resilience.degraded_line_cost * part.span.div_ceil(8);
+            let mut unit_t =
+                t + self.cfg.cpu_per_row * part.rows + DEGRADED_LINE_COST * part.span.div_ceil(8);
             let mut failed_at: Option<Tick> = None;
             let mut done_groups = 0usize;
             for (gi, g) in groups.iter().enumerate() {
@@ -1900,12 +1898,7 @@ impl Engine<'_, '_> {
             },
         );
         self.env.drivers[u].reset_breaker();
-        let rows = self
-            .health
-            .config()
-            .canary_rows
-            .min(self.env.values.len() as u64)
-            .max(1);
+        let rows = CANARY_ROWS.min(self.env.values.len() as u64).max(1);
         let req = FusedSelectRequest {
             col_addr: self.env.replicas[u],
             rows,
@@ -2239,7 +2232,7 @@ fn stage_group_by(
     // `skew_hot_pct`% of the sample is hot and gets split.
     let mut hot = Vec::new();
     if cfg.skew_split && units > 1 && matched > 0 {
-        let n = cfg.skew_sample.max(1).min(matched);
+        let n = SKEW_SAMPLE.min(matched);
         let stride = matched / n;
         let mut sample: Vec<u32> = (0..n)
             .map(|s| dict.ids[rows[s * stride] as usize])
@@ -2838,6 +2831,52 @@ mod tests {
     }
 
     #[test]
+    fn a_dark_unit_waits_a_doubling_dwell_between_canaries_up_to_5ms() {
+        use jafar_dram::{FaultInjector, FaultPlan};
+        let mut rig = rig(2, 31);
+        rig.modules[0].set_fault_injector(Some(FaultInjector::new(
+            FaultPlan::none(3).with_outage(1, Tick::ZERO, Tick::MAX),
+        )));
+        let (tracer, ring) = SharedTracer::ring(1 << 16);
+        rig.tracer = tracer;
+        // Canaries fire only while work is pending, so queries keep
+        // arriving for 24 ms: long enough for seven of them.
+        let n = 96;
+        let workload = Workload {
+            specs: (0..n).map(|_| spec(100, 599, None)).collect(),
+            arrivals: Arrivals::Open((0..n).map(|i| Tick::from_us(250 * i)).collect()),
+            slo: None,
+        };
+        let report = rig.serve(&workload, SchedPolicy::Fifo, &ServeConfig::default());
+        assert_eq!(report.completed(), n as usize);
+        // Each canary's dwell: from the unit's (re)quarantine to its probe.
+        let mut quarantined = Tick::ZERO;
+        let mut dwells = Vec::new();
+        for e in ring.borrow().events() {
+            match e.kind {
+                EventKind::RankHealth {
+                    rank: 1,
+                    state: "quarantined",
+                } => quarantined = e.at,
+                EventKind::RankHealth {
+                    rank: 1,
+                    state: "probing",
+                } => dwells.push(e.at - quarantined),
+                _ => {}
+            }
+        }
+        let a = &report.availability.units[1];
+        assert_eq!(a.canary_ok, 0, "a permanent outage never repairs");
+        assert!(a.canary_fail >= 6, "{} failed canaries", a.canary_fail);
+        let want = [200, 400, 800, 1600, 3200, 5000, 5000].map(Tick::from_us);
+        assert_eq!(
+            dwells[..7],
+            want,
+            "the dwell doubles from 200 us and stays at the 5 ms cap"
+        );
+    }
+
+    #[test]
     fn quarantined_ranks_tighten_admission_and_shed_excess_arrivals() {
         use jafar_dram::{FaultInjector, FaultPlan};
         let mut rig = rig(4, 13);
@@ -3361,7 +3400,7 @@ mod tests {
             .collect();
         let mut hot: Vec<i64> = Vec::new();
         if cfg.skew_split && units > 1 && !qualifying.is_empty() {
-            let sample_n = cfg.skew_sample.max(1).min(qualifying.len());
+            let sample_n = SKEW_SAMPLE.min(qualifying.len());
             let stride = qualifying.len() / sample_n;
             let mut hist: BTreeMap<i64, usize> = BTreeMap::new();
             for s in 0..sample_n {
@@ -3449,7 +3488,6 @@ mod tests {
             let units = rng.next_range_inclusive(1, 4) as usize;
             let cfg = ServeConfig {
                 skew_split: rng.next_below(4) != 0,
-                skew_sample: rng.next_range_inclusive(0, 128) as usize,
                 skew_hot_pct: rng.next_range_inclusive(0, 60) as u32,
                 ..ServeConfig::default()
             };

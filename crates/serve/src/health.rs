@@ -2,16 +2,16 @@
 //! domain: `healthy → suspect → quarantined → probing → healthy`.
 //!
 //! The tracker is keyed by **pool unit id** (one entry per
-//! [`crate::pool::FilterPool`] unit — a `{channel, rank, bank-group}`
-//! coordinate; on a single-DIMM pool `unit == rank`). A unit is
+//! [`crate::pool::FilterPool`] unit — a `{channel, rank}` coordinate; on
+//! a single-DIMM pool `unit == rank`). A unit is
 //! **suspect** the instant one of its shards parks (the resilient
 //! driver's fail-fast ladder gave up on a page) and **quarantined** — out
 //! of the schedulable pool — once the engine's rescue event confirms the
 //! failure and re-dispatches the shard. A quarantined unit dwells for
-//! [`HealthConfig::probe_after`], then the engine sends a **canary**
-//! select at it; a canary that completes on the device repairs the unit
-//! back to healthy, one that parks doubles the dwell (capped at
-//! [`HealthConfig::probe_max`]) and re-quarantines.
+//! [`PROBE_AFTER`], then the engine sends a **canary** select of
+//! [`CANARY_ROWS`] rows at it; a canary that completes on the device
+//! repairs the unit back to healthy, one that parks doubles the dwell
+//! (capped at [`PROBE_MAX`]) and re-quarantines.
 //!
 //! [`HealthTracker`] is the pure state machine: it owns no clocks, emits
 //! no trace events and touches no hardware — the engine drives every
@@ -53,26 +53,14 @@ impl UnitState {
     }
 }
 
-/// Knobs of the unit health lifecycle.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// Quarantine dwell before the first canary probe.
-    pub probe_after: Tick,
-    /// Dwell ceiling as failed canaries double it.
-    pub probe_max: Tick,
-    /// Rows the canary select scans (clamped to the served column).
-    pub canary_rows: u64,
-}
+/// Quarantine dwell before the first canary probe.
+pub const PROBE_AFTER: Tick = Tick::from_us(200);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            probe_after: Tick::from_us(200),
-            probe_max: Tick::from_ms(5),
-            canary_rows: 512,
-        }
-    }
-}
+/// Dwell ceiling as failed canaries double it.
+pub const PROBE_MAX: Tick = Tick::from_ms(5);
+
+/// Rows the canary select scans (clamped to the served column).
+pub const CANARY_ROWS: u64 = 512;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct UnitHealth {
@@ -90,22 +78,15 @@ struct UnitHealth {
 /// The pure per-unit health state machine. See the module docs for the
 /// lifecycle; every method is a deterministic function of its inputs.
 pub struct HealthTracker {
-    cfg: HealthConfig,
     units: Vec<UnitHealth>,
 }
 
 impl HealthTracker {
     /// A tracker with every unit healthy.
-    pub fn new(nunits: usize, cfg: HealthConfig) -> Self {
+    pub fn new(nunits: usize) -> Self {
         HealthTracker {
-            cfg,
             units: vec![UnitHealth::default(); nunits],
         }
-    }
-
-    /// The lifecycle knobs this tracker runs under.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Current state of `unit`.
@@ -148,7 +129,7 @@ impl HealthTracker {
             UnitState::Healthy | UnitState::Suspect => {
                 r.state = UnitState::Quarantined;
                 r.down_since = at;
-                r.dwell = self.cfg.probe_after;
+                r.dwell = PROBE_AFTER;
                 r.quarantines += 1;
                 Some(at + r.dwell)
             }
@@ -163,14 +144,12 @@ impl HealthTracker {
     }
 
     /// The canary parked: probing → quarantined with the dwell doubled
-    /// (capped at [`HealthConfig::probe_max`]). Returns the next probe
-    /// tick.
+    /// (capped at [`PROBE_MAX`]). Returns the next probe tick.
     pub fn probe_failed(&mut self, unit: usize, at: Tick) -> Tick {
-        let cap = self.cfg.probe_max;
         let r = &mut self.units[unit];
         r.state = UnitState::Quarantined;
         r.canary_fail += 1;
-        r.dwell = Tick::from_ps(r.dwell.as_ps().saturating_mul(2)).min(cap);
+        r.dwell = Tick::from_ps(r.dwell.as_ps().saturating_mul(2)).min(PROBE_MAX);
         at + r.dwell
     }
 
@@ -216,7 +195,7 @@ mod tests {
 
     #[test]
     fn lifecycle_walks_suspect_quarantine_probe_repair() {
-        let mut h = HealthTracker::new(2, HealthConfig::default());
+        let mut h = HealthTracker::new(2);
         assert_eq!(h.state(0), UnitState::Healthy);
         assert_eq!(h.schedulable_count(), 2);
 
@@ -227,10 +206,7 @@ mod tests {
         assert_eq!(h.schedulable_count(), 1);
 
         let probe_at = h.quarantine(0, Tick::from_us(10));
-        assert_eq!(
-            probe_at,
-            Some(Tick::from_us(10) + HealthConfig::default().probe_after)
-        );
+        assert_eq!(probe_at, Some(Tick::from_us(10) + PROBE_AFTER));
         assert!(
             h.quarantine(0, Tick::from_us(11)).is_none(),
             "re-quarantine owes no second probe"
@@ -253,25 +229,24 @@ mod tests {
 
     #[test]
     fn failed_probes_double_the_dwell_up_to_the_cap() {
-        let cfg = HealthConfig {
-            probe_after: Tick::from_us(100),
-            probe_max: Tick::from_us(350),
-            canary_rows: 512,
-        };
-        let mut h = HealthTracker::new(1, cfg);
-        h.quarantine(0, Tick::ZERO);
-        h.begin_probe(0);
-        let next = h.probe_failed(0, Tick::from_us(100));
-        assert_eq!(next, Tick::from_us(300), "dwell doubled to 200us");
-        h.begin_probe(0);
-        let next = h.probe_failed(0, next);
-        assert_eq!(next, Tick::from_us(650), "dwell capped at 350us");
-        assert_eq!(h.availability(0).canary_fail, 2);
+        let mut h = HealthTracker::new(1);
+        let mut at = h.quarantine(0, Tick::ZERO).expect("a first probe");
+        assert_eq!(at, PROBE_AFTER);
+        let mut dwell = PROBE_AFTER;
+        for _ in 0..8 {
+            h.begin_probe(0);
+            let next = h.probe_failed(0, at);
+            dwell = Tick::from_ps(dwell.as_ps() * 2).min(PROBE_MAX);
+            assert_eq!(next, at + dwell, "dwell doubles up to the cap");
+            at = next;
+        }
+        assert_eq!(dwell, PROBE_MAX, "eight failures reach the cap");
+        assert_eq!(h.availability(0).canary_fail, 8);
     }
 
     #[test]
     fn finalize_books_open_downtime_at_makespan() {
-        let mut h = HealthTracker::new(2, HealthConfig::default());
+        let mut h = HealthTracker::new(2);
         h.quarantine(1, Tick::from_us(50));
         h.finalize(Tick::from_us(450));
         assert_eq!(h.availability(1).downtime, Tick::from_us(400));
@@ -283,7 +258,7 @@ mod tests {
         // 2 channels × 3 ranks = 6 units; unit 4 (channel 1, rank 1 in
         // channel-major order) fails. Its siblings — same channel and
         // other channel alike — stay schedulable throughout.
-        let mut h = HealthTracker::new(6, HealthConfig::default());
+        let mut h = HealthTracker::new(6);
         h.mark_suspect(4);
         h.quarantine(4, Tick::from_us(5));
         assert_eq!(h.schedulable_count(), 5);

@@ -12,7 +12,7 @@
 //!   closed-loop arrival generators over uniform or TPC-H-Q6-style
 //!   predicate mixes, plus an optional per-query latency SLO;
 //! - [`pool`]: the first-class schedulable pool — a [`FilterPool`] maps
-//!   dense unit ids to `{channel, rank, bank-group}` coordinates, and
+//!   dense unit ids to `{channel, rank}` coordinates, and
 //!   [`ChannelRankPool`] implements it for a channels × ranks pool over
 //!   the interleaved multi-channel memory system (one channel is a
 //!   single DIMM's rank vector);
@@ -68,7 +68,7 @@ pub use cluster::{
     NodeSummary, RoutePolicy, Tier,
 };
 pub use engine::{out_lanes, run_serve, run_serve_checked, EngineInvariant, ServeConfig, ServeEnv};
-pub use health::{HealthConfig, UnitState};
+pub use health::UnitState;
 pub use policy::SchedPolicy;
 pub use pool::{ChannelRankPool, FilterPool, FilterUnit, PoolIdError};
 pub use report::{Availability, ExecMode, OpBreakdown, QueryRecord, ServeReport, UnitAvailability};

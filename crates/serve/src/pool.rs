@@ -2,24 +2,23 @@
 //!
 //! JAFAR places one filter unit per rank, but "the pool" the serving
 //! engine schedules over is not inherently one DIMM's rank vector: with a
-//! multi-channel memory system every channel brings its own ranks, and
-//! bank-group-level designs (Membrane-style) multiply the pool again
-//! within a rank. [`FilterPool`] abstracts that topology: the engine
-//! schedules over opaque **unit ids** `0..units()`, and the pool maps
-//! each id to its physical coordinates — `{channel, rank, bank_group}` —
-//! so dispatch, health tracking, canary probing, fault confinement and
-//! the availability ledger all work per unit rather than per DIMM-rank.
+//! multi-channel memory system every channel brings its own ranks.
+//! [`FilterPool`] abstracts that topology: the engine schedules over
+//! opaque **unit ids** `0..units()`, and the pool maps each id to its
+//! physical coordinates — `{channel, rank}` — so dispatch, health
+//! tracking, canary probing, fault confinement and the availability
+//! ledger all work per unit rather than per DIMM-rank.
 //!
 //! # Unit id scheme
 //!
 //! Ids are dense and channel-major:
 //!
 //! ```text
-//! unit = (channel · ranks_per_channel + rank) · bank_groups + bank_group
+//! unit = channel · ranks_per_channel + rank
 //! ```
 //!
-//! so a single-channel, one-bank-group pool degenerates to `unit == rank`
-//! — today's single-DIMM layout, byte-for-byte. The id order is also the
+//! so a single-channel pool degenerates to `unit == rank` — the
+//! single-DIMM layout, byte-for-byte. The id order is also the
 //! engine's deterministic tie-break order, which keeps serve runs pure
 //! functions of `(workload, policy, config, pool)`.
 //!
@@ -47,8 +46,8 @@
 
 use std::fmt;
 
-/// Typed failure from unit-id arithmetic: the `(channel, rank,
-/// bank_group)` coordinates do not map to a dense id, either because a
+/// Typed failure from unit-id arithmetic: the `(channel, rank)`
+/// coordinates do not map to a dense id, either because a
 /// coordinate is outside the pool's shape or because the id computation
 /// would exceed `usize::MAX` (silent wraparound would alias two distinct
 /// units onto one id — a correctness bug, not a perf bug).
@@ -56,7 +55,7 @@ use std::fmt;
 pub enum PoolIdError {
     /// A coordinate is at or beyond its axis extent.
     OutOfRange {
-        /// Which axis (`"channel"`, `"rank"`, `"bank_group"`).
+        /// Which axis (`"channel"` or `"rank"`).
         axis: &'static str,
         /// The offending coordinate.
         index: usize,
@@ -89,9 +88,6 @@ pub struct FilterUnit {
     pub channel: usize,
     /// Rank within that channel the unit filters.
     pub rank: usize,
-    /// Bank group within the rank (0 for whole-rank units; reserved for
-    /// Membrane-style bank-group-level pools).
-    pub bank_group: usize,
 }
 
 /// A schedulable pool of filter units: the topology the serving engine
@@ -120,7 +116,6 @@ pub trait FilterPool {
 pub struct ChannelRankPool {
     channels: usize,
     ranks_per_channel: usize,
-    bank_groups: usize,
 }
 
 impl ChannelRankPool {
@@ -137,7 +132,6 @@ impl ChannelRankPool {
         let pool = ChannelRankPool {
             channels,
             ranks_per_channel,
-            bank_groups: 1,
         };
         assert!(
             pool.try_units().is_ok(),
@@ -146,41 +140,19 @@ impl ChannelRankPool {
         pool
     }
 
-    /// Splits every rank into `bank_groups` independently schedulable
-    /// units (Membrane-style bank-group parallelism).
-    ///
-    /// # Panics
-    /// Panics if `bank_groups == 0` or the multiplied unit count
-    /// overflows `usize`.
-    pub fn with_bank_groups(mut self, bank_groups: usize) -> Self {
-        assert!(bank_groups > 0, "a rank has at least one bank group");
-        self.bank_groups = bank_groups;
-        assert!(
-            self.try_units().is_ok(),
-            "bank-group split to {bank_groups} overflows usize"
-        );
-        self
-    }
-
     /// Ranks each channel contributes.
     pub fn ranks_per_channel(&self) -> usize {
         self.ranks_per_channel
     }
 
-    /// The dense id of `(channel, rank, bank_group)` — the inverse of
+    /// The dense id of `(channel, rank)` — the inverse of
     /// [`FilterPool::unit`]. Checked: out-of-shape coordinates and
     /// `usize` overflow return a [`PoolIdError`] instead of silently
     /// wrapping onto some other unit's id.
-    pub fn id_of(
-        &self,
-        channel: usize,
-        rank: usize,
-        bank_group: usize,
-    ) -> Result<usize, PoolIdError> {
+    pub fn id_of(&self, channel: usize, rank: usize) -> Result<usize, PoolIdError> {
         for (axis, index, extent) in [
             ("channel", channel, self.channels),
             ("rank", rank, self.ranks_per_channel),
-            ("bank_group", bank_group, self.bank_groups),
         ] {
             if index >= extent {
                 return Err(PoolIdError::OutOfRange {
@@ -193,36 +165,29 @@ impl ChannelRankPool {
         channel
             .checked_mul(self.ranks_per_channel)
             .and_then(|v| v.checked_add(rank))
-            .and_then(|v| v.checked_mul(self.bank_groups))
-            .and_then(|v| v.checked_add(bank_group))
             .ok_or(PoolIdError::Overflow)
     }
 
     /// Total units, checked: `Err(Overflow)` when `channels ×
-    /// ranks_per_channel × bank_groups` exceeds `usize` — the shape
-    /// validation [`ChannelRankPool::new`] and
-    /// [`ChannelRankPool::with_bank_groups`] enforce by panic.
+    /// ranks_per_channel` exceeds `usize` — the shape validation
+    /// [`ChannelRankPool::new`] enforces by panic.
     pub fn try_units(&self) -> Result<usize, PoolIdError> {
         self.channels
             .checked_mul(self.ranks_per_channel)
-            .and_then(|v| v.checked_mul(self.bank_groups))
             .ok_or(PoolIdError::Overflow)
     }
 }
 
 impl FilterPool for ChannelRankPool {
     fn units(&self) -> usize {
-        self.channels * self.ranks_per_channel * self.bank_groups
+        self.channels * self.ranks_per_channel
     }
 
     fn unit(&self, u: usize) -> FilterUnit {
         assert!(u < self.units(), "unit {u} out of range ({})", self.units());
-        let bank_group = u % self.bank_groups;
-        let whole = u / self.bank_groups;
         FilterUnit {
-            channel: whole / self.ranks_per_channel,
-            rank: whole % self.ranks_per_channel,
-            bank_group,
+            channel: u / self.ranks_per_channel,
+            rank: u % self.ranks_per_channel,
         }
     }
 
@@ -245,8 +210,7 @@ mod tests {
                 p.unit(u),
                 FilterUnit {
                     channel: 0,
-                    rank: u,
-                    bank_group: 0
+                    rank: u
                 }
             );
         }
@@ -260,8 +224,8 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for u in 0..p.units() {
             let fu = p.unit(u);
-            assert!(fu.channel < 4 && fu.rank < 3 && fu.bank_group == 0);
-            assert_eq!(p.id_of(fu.channel, fu.rank, fu.bank_group), Ok(u));
+            assert!(fu.channel < 4 && fu.rank < 3);
+            assert_eq!(p.id_of(fu.channel, fu.rank), Ok(u));
             assert!(seen.insert(fu), "ids are distinct coordinates");
         }
         // Channel-major: consecutive ids walk ranks within a channel.
@@ -271,23 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn bank_groups_multiply_the_pool() {
-        let p = ChannelRankPool::new(2, 2).with_bank_groups(4);
-        assert_eq!(p.units(), 16);
-        let fu = p.unit(p.id_of(1, 0, 3).unwrap());
-        assert_eq!((fu.channel, fu.rank, fu.bank_group), (1, 0, 3));
-        // All 16 coordinates are distinct and round-trip.
-        for u in 0..p.units() {
-            let fu = p.unit(u);
-            assert_eq!(p.id_of(fu.channel, fu.rank, fu.bank_group), Ok(u));
-        }
-    }
-
-    #[test]
     fn id_of_rejects_out_of_shape_coordinates() {
-        let p = ChannelRankPool::new(2, 3).with_bank_groups(2);
+        let p = ChannelRankPool::new(2, 3);
         assert_eq!(
-            p.id_of(2, 0, 0),
+            p.id_of(2, 0),
             Err(PoolIdError::OutOfRange {
                 axis: "channel",
                 index: 2,
@@ -295,46 +246,31 @@ mod tests {
             })
         );
         assert_eq!(
-            p.id_of(0, 3, 0),
+            p.id_of(0, 3),
             Err(PoolIdError::OutOfRange {
                 axis: "rank",
                 index: 3,
                 extent: 3
             })
         );
-        assert_eq!(
-            p.id_of(1, 2, 2),
-            Err(PoolIdError::OutOfRange {
-                axis: "bank_group",
-                index: 2,
-                extent: 2
-            })
-        );
     }
 
     #[test]
     fn id_arithmetic_errors_at_the_overflow_boundary() {
-        // A shape whose id arithmetic is exactly at the usize boundary:
-        // 2 channels × (usize::MAX/2) ranks. The last valid coordinate
-        // maps to usize::MAX - ... fine; one channel further would wrap.
-        let half = usize::MAX / 2;
+        // A shape whose id arithmetic crosses the usize boundary:
+        // 3 channels × (usize::MAX/2 + 1) ranks. Channel 1's last rank
+        // maps to exactly usize::MAX; channel 2's first would wrap.
+        let half = usize::MAX / 2 + 1;
         let p = ChannelRankPool {
-            channels: 2,
+            channels: 3,
             ranks_per_channel: half,
-            bank_groups: 1,
         };
         // In-shape extremes still map without wrapping.
-        assert_eq!(p.id_of(1, half - 1, 0), Ok(2 * half - 1));
-        assert_eq!(p.try_units(), Ok(2 * half));
-        // A shape one bank-group split away from overflow is caught as a
-        // typed error, not a wrapped id: 2 × MAX/2 × 2 > usize::MAX.
-        let wide = ChannelRankPool {
-            channels: 2,
-            ranks_per_channel: half,
-            bank_groups: 2,
-        };
-        assert_eq!(wide.try_units(), Err(PoolIdError::Overflow));
-        assert_eq!(wide.id_of(1, half - 1, 1), Err(PoolIdError::Overflow));
+        assert_eq!(p.id_of(1, half - 1), Ok(usize::MAX));
+        // Past the boundary the overflow is a typed error, not a wrapped
+        // id: 3 × (MAX/2 + 1) > usize::MAX.
+        assert_eq!(p.try_units(), Err(PoolIdError::Overflow));
+        assert_eq!(p.id_of(2, 0), Err(PoolIdError::Overflow));
     }
 
     #[test]

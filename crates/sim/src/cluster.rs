@@ -273,7 +273,7 @@ mod tests {
             ServeCluster::new(SystemConfig::test_small(), 2, SharedTracer::disabled())
                 .expect("2 channels");
         // Kill channel 1's rank 0 — exactly one pool unit.
-        let sick = cluster.pool().id_of(1, 0, 0).expect("in-shape unit");
+        let sick = cluster.pool().id_of(1, 0).expect("in-shape unit");
         cluster
             .inject_faults_on_channel(1, FaultPlan::none(7).with_outage(0, Tick::ZERO, Tick::MAX));
         let run = cluster.serve(&vals, &workload, SchedPolicy::Fifo, &ServeConfig::default());

@@ -760,7 +760,6 @@ impl System {
         // Quiesce host traffic before the stream starts, as the
         // single-query paths do before their grants.
         self.mc.drain();
-        self.mc.advance_cursor(cfg.start);
         let mut placed = self.core.place(
             &mut [self.mc.module_mut()],
             values,
@@ -780,7 +779,7 @@ impl System {
             policy,
             cfg,
         );
-        self.mc.advance_cursor(cfg.start + report.makespan);
+        self.mc.advance_cursor(report.makespan);
         ServeRun {
             report,
             recovery: self.core.release(placed, &mut [self.mc.module_mut()]),

@@ -305,7 +305,7 @@ fn outage_during_joins_and_group_bys_is_confined_to_one_unit() {
     assert_eq!(reference.report.completed(), 7);
 
     let mut sick = cluster(2, 4);
-    let sick_unit = sick.pool().id_of(1, 0, 0).expect("in-shape unit");
+    let sick_unit = sick.pool().id_of(1, 0).expect("in-shape unit");
     sick.inject_faults_on_channel(1, FaultPlan::none(5).with_outage(0, Tick::ZERO, Tick::MAX));
     let run = sick.serve_with_keys(&values, &keys, &workload, SchedPolicy::RankAffinity, &cfg);
 

@@ -4,10 +4,9 @@
 //! (`System`, a 2-channel `ServeCluster`, a 1-node and a 4-node
 //! `ServeGrid`) serves one seeded select/project mix twice on the same
 //! machine; the first serve materializes the DRAM pages, so the second
-//! one's peak above its starting heap is the serve's own state. (A reused
-//! machine starts its next serve behind the previous serve's DRAM clocks,
-//! so the measured serve queues deeper than the first; the bound holds
-//! for either.) That peak
+//! one's peak above its starting heap is the serve's own state. (A serve
+//! returns its arenas and restores its modules' DRAM timing when it ends,
+//! so the second serve repeats the first.) That peak
 //! must fit in what one copy of the report needs plus a stated allowance
 //! per query for the engine's and the frontend's bookkeeping, and a
 //! 4-node grid may hold only a few bytes per query more than a 1-node

@@ -182,7 +182,7 @@ fn rank_scoped_fault_is_confined_to_one_unit_and_preserves_identity() {
     assert_eq!(reference.report.completed(), 6);
 
     let mut sick = cluster(2);
-    let sick_unit = sick.pool().id_of(1, 0, 0).expect("in-shape unit");
+    let sick_unit = sick.pool().id_of(1, 0).expect("in-shape unit");
     sick.inject_faults_on_channel(1, FaultPlan::none(5).with_outage(0, Tick::ZERO, Tick::MAX));
     let run = sick.serve(&values, &workload, SchedPolicy::RankAffinity, &cfg);
 
